@@ -3,20 +3,20 @@
 //
 // A 1024-logical machine (five-level topology 2:4:16:4:2 - 512 physical
 // packages) carries a sleeper-heavy consolidation population, and the bench
-// times three variants of the same run:
+// times two variants of the same run:
 //
-//   pool_off     intra_run_threads = 0: the historical interleaved loop.
-//   pool_serial  intra_run_threads = 1: the sharded pipeline, one worker.
-//   pool_on      intra_run_threads = N (--intra, default 4): the sharded
-//                pipeline fanned over the worker pool.
+//   pool_serial  intra_run_threads = 1: the package phases on the calling
+//                thread.
+//   pool_on      intra_run_threads = N (--intra, default 4): the package
+//                phases fanned over the worker pool.
 //
-// pool_serial and pool_on must finish in bit-identical states (the sharded
+// pool_serial and pool_on must finish in bit-identical states (the
 // pipeline's worker-count-independence contract); the bench exits non-zero
-// if they diverge. The pool_on speedup over pool_off is hardware-dependent -
-// a single-core container shows ~1x by construction - so the regression gate
-// (tools/bench_compare.py) compares each row's ticks/s against the committed
-// baseline measured on the same class of machine rather than asserting an
-// absolute multiplier here.
+// if they diverge. The pool_on speedup over pool_serial is hardware-
+// dependent - a single-core container shows ~1x by construction - so the
+// regression gate (tools/bench_compare.py) compares each row's ticks/s
+// against the committed baseline measured on the same class of machine
+// rather than asserting an absolute multiplier here.
 //
 // The balance rows probe the hierarchical balancer directly: a full
 // policy->Balance() sweep over every CPU at 128 and at 1024 CPUs, cache
@@ -119,7 +119,7 @@ struct PoolRow {
   std::size_t cpus = 0;
   Tick ticks = 0;
   double ticks_per_second = 0.0;
-  double speedup_vs_pool_off = 0.0;
+  double speedup_vs_pool_serial = 0.0;
   bool identical = false;
   std::unique_ptr<eas::SimulationState> state;  // kept for the cross-checks
 };
@@ -206,25 +206,16 @@ int main(int argc, char** argv) {
 
   const auto bench_start = std::chrono::steady_clock::now();
 
-  PoolRow pool_off = MeasurePool("pool_off", library, 0, ticks);
   PoolRow pool_serial = MeasurePool("pool_serial", library, 1, ticks);
   PoolRow pool_on = MeasurePool("pool_on", library, intra, ticks);
 
-  // The contract: every sharded worker count produces the same bits. The
-  // interleaved row is cross-checked too - this workload never completes a
-  // task, so lifecycle ordering cannot feed back across packages and the two
-  // modes coincide.
+  // The contract: every worker count produces the same bits.
   pool_serial.identical = BitIdentical(*pool_serial.state, *pool_on.state);
   pool_on.identical = pool_serial.identical;
-  pool_off.identical = BitIdentical(*pool_off.state, *pool_serial.state);
-  pool_off.speedup_vs_pool_off = 1.0;
-  pool_serial.speedup_vs_pool_off =
-      pool_serial.ticks_per_second > 0.0 && pool_off.ticks_per_second > 0.0
-          ? pool_serial.ticks_per_second / pool_off.ticks_per_second
-          : 0.0;
-  pool_on.speedup_vs_pool_off =
-      pool_on.ticks_per_second > 0.0 && pool_off.ticks_per_second > 0.0
-          ? pool_on.ticks_per_second / pool_off.ticks_per_second
+  pool_serial.speedup_vs_pool_serial = 1.0;
+  pool_on.speedup_vs_pool_serial =
+      pool_on.ticks_per_second > 0.0 && pool_serial.ticks_per_second > 0.0
+          ? pool_on.ticks_per_second / pool_serial.ticks_per_second
           : 0.0;
 
   // Balance sweeps sized off --ticks so the smoke run stays tiny; identical
@@ -250,11 +241,11 @@ int main(int argc, char** argv) {
 
   std::printf("  %-12s  %6s  %6s  %14s  %8s  %s\n", "row", "intra", "cpus", "ticks/s",
               "speedup", "identical");
-  const PoolRow* pool_rows[] = {&pool_off, &pool_serial, &pool_on};
+  const PoolRow* pool_rows[] = {&pool_serial, &pool_on};
   for (const PoolRow* row : pool_rows) {
     std::printf("  %-12s  %6zu  %6zu  %14.1f  %7.2fx  %s\n", row->name.c_str(),
                 row->intra_threads, row->cpus, row->ticks_per_second,
-                row->speedup_vs_pool_off, row->identical ? "yes" : "NO");
+                row->speedup_vs_pool_serial, row->identical ? "yes" : "NO");
   }
   std::printf("\n  %-12s  %6s  %10s  %16s\n", "row", "cpus", "passes", "passes/s");
   const BalanceRow* balance_rows[] = {&balance_small, &balance_large};
@@ -276,10 +267,10 @@ int main(int argc, char** argv) {
     std::snprintf(entry, sizeof(entry),
                   "    {\"name\": \"%s\", \"intra_threads\": %zu, \"cpus\": %zu, "
                   "\"ticks\": %lld, \"ticks_per_second\": %.1f, "
-                  "\"speedup_vs_pool_off\": %.3f, \"identical\": %s},\n",
+                  "\"speedup_vs_pool_serial\": %.3f, \"identical\": %s},\n",
                   row->name.c_str(), row->intra_threads, row->cpus,
                   static_cast<long long>(row->ticks), row->ticks_per_second,
-                  row->speedup_vs_pool_off, row->identical ? "true" : "false");
+                  row->speedup_vs_pool_serial, row->identical ? "true" : "false");
     json += entry;
   }
   for (const BalanceRow* row : balance_rows) {
@@ -304,7 +295,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\nwrote %s\n", out.c_str());
   if (!pool_serial.identical) {
-    std::fprintf(stderr, "ERROR: sharded pipeline diverged across worker counts\n");
+    std::fprintf(stderr, "ERROR: tick pipeline diverged across worker counts\n");
     return 1;
   }
   return 0;

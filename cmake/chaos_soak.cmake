@@ -9,8 +9,9 @@
 #   * runner-thread independence: --threads 1, 2 and 8 must produce
 #     byte-identical summaries (faults are injected engine-side, never from
 #     runner workers);
-#   * intra-worker independence: --intra-threads 0, 1 and 3 agree bit-for-bit
-#     (the FaultPhase runs engine-sequentially before any package fan-out);
+#   * intra-worker independence: the default worker count and
+#     --intra-threads 1 and 3 agree bit-for-bit (the FaultPhase runs
+#     engine-sequentially before any package fan-out);
 #   * skip-ahead neutrality: --no-skip-ahead must not change the bytes (a
 #     pending fault bounds the quiescent span, so skipping never jumps one);
 #   * fault-free cancellation: --faults none on the same scenario still runs

@@ -1,16 +1,12 @@
 # Cluster smoke test, run by ctest under the "cluster-smoke" label (see the
 # tests section of the root CMakeLists): the datacenter-consolidation
 # scenario - 512 logical CPUs on the five-level 2:4:8:4:2 tree - at a
-# reduced duration, exercising the sharded tick pipeline end to end and
-# checking its determinism contracts byte-for-byte on the summary CSV:
+# reduced duration, exercising the package-parallel tick pipeline end to end
+# and checking its determinism contracts byte-for-byte on the summary CSV:
 #
 #   * worker-count independence: --intra-threads 1 and --intra-threads 3
 #     must produce byte-identical summaries;
-#   * skip-ahead neutrality: --no-skip-ahead must not change the bytes;
-#   * interleaved/sharded agreement: this scenario completes no tasks, so
-#     cross-package lifecycle feedback never happens and the historical
-#     interleaved loop (--intra-threads 0) coincides with the sharded
-#     pipeline bit-for-bit.
+#   * skip-ahead neutrality: --no-skip-ahead must not change the bytes.
 #
 # The duration is sized for sanitized Debug builds (ASan/UBSan/TSan legs run
 # this label); the TIMEOUT on the ctest registration is the real guard.
@@ -22,9 +18,8 @@ set(duration 2)
 
 set(intra1_csv ${OUT_DIR}/cluster_smoke_intra1.csv)
 set(intra3_csv ${OUT_DIR}/cluster_smoke_intra3.csv)
-set(intra0_csv ${OUT_DIR}/cluster_smoke_intra0.csv)
 set(noskip_csv ${OUT_DIR}/cluster_smoke_noskip.csv)
-file(REMOVE ${intra1_csv} ${intra3_csv} ${intra0_csv} ${noskip_csv})
+file(REMOVE ${intra1_csv} ${intra3_csv} ${noskip_csv})
 
 function(run_cluster description out_csv)
   execute_process(
@@ -43,7 +38,6 @@ endfunction()
 
 run_cluster("sharded run (1 worker)" ${intra1_csv} --intra-threads 1)
 run_cluster("sharded run (3 workers)" ${intra3_csv} --intra-threads 3)
-run_cluster("interleaved run" ${intra0_csv} --intra-threads 0)
 run_cluster("sharded run, skip-ahead off" ${noskip_csv} --intra-threads 3 --no-skip-ahead)
 
 # The summary must be a real run of the 512-CPU machine, not a truncated one.
@@ -69,6 +63,5 @@ endfunction()
 
 expect_identical("worker-count independence" ${intra1_csv} ${intra3_csv})
 expect_identical("skip-ahead neutrality" ${intra3_csv} ${noskip_csv})
-expect_identical("interleaved/sharded agreement" ${intra0_csv} ${intra1_csv})
 
 message(STATUS "cluster smoke test passed")

@@ -459,7 +459,7 @@ Expected<ResolvedRequest> ResolveRunRequest(const RunRequest& request, ScenarioC
     spec.config.skip_ahead = *request.skip_ahead;
   }
   // Likewise intra-threads: explicit wins, unset keeps the config default
-  // (0 = the historical interleaved tick).
+  // (0 = the package phases on the calling thread).
   if (request.intra_threads.has_value()) {
     spec.config.intra_run_threads = static_cast<std::size_t>(*request.intra_threads);
   }

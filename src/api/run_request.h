@@ -97,9 +97,8 @@ struct RunRequest {
   std::optional<bool> skip_ahead;
 
   // Intra-run worker threads for the package-parallel tick pipeline
-  // (MachineConfig::intra_run_threads). Default 0: the historical
-  // interleaved per-package loop. >= 1 selects the sharded pipeline, whose
-  // results are bit-identical for every worker count >= 1.
+  // (MachineConfig::intra_run_threads). Default 0: the calling thread
+  // alone, like 1. Results are bit-identical for every worker count.
   std::optional<std::uint64_t> intra_threads;
 
   std::optional<std::uint64_t> seed;  // base seed (default 42)

@@ -52,15 +52,31 @@ Expected<std::vector<SubmitResult>> ExperimentService::SubmitBatch(
   }
   // Validate everything before admitting anything: a batch with one bad
   // request is rejected whole, with that request's own diagnostic.
-  std::vector<std::shared_ptr<Submission>> submissions;
-  std::vector<Job> jobs;
+  std::vector<RunRequest> requests;
+  std::uint64_t runs = 0;
   for (const std::string& text : request_texts) {
     auto parsed = ParseRunRequest(text);
     if (!parsed.ok()) {
       ++rejected_submissions_;
       return parsed.error();
     }
-    auto resolved = ResolveRunRequest(*parsed, &cache_);
+    // Resolving expands `runs` into one spec per run, so a batch that could
+    // never fit is refused before that allocation (checked per request, so
+    // the sum cannot overflow).
+    if (parsed->runs > queue_.capacity() - runs) {
+      ++rejected_submissions_;
+      const std::string capacity = std::to_string(queue_.capacity());
+      return ServiceError(RequestErrorCode::kQueueFull, "queue full: need more than " + capacity +
+                                                            " slots, capacity " + capacity);
+    }
+    runs += parsed->runs;
+    requests.push_back(std::move(*parsed));
+  }
+
+  std::vector<std::shared_ptr<Submission>> submissions;
+  std::vector<Job> jobs;
+  for (const RunRequest& request : requests) {
+    auto resolved = ResolveRunRequest(request, &cache_);
     if (!resolved.ok()) {
       ++rejected_submissions_;
       return resolved.error();

@@ -16,7 +16,9 @@
 //                       expand into one job per run, and admit all jobs
 //                       all-or-nothing into the bounded queue - a refusal
 //                       is an explicit kQueueFull error, never a partial
-//                       submission. SubmitBatch is atomic across requests.
+//                       submission. A batch asking for more runs than the
+//                       queue holds is refused before resolution expands
+//                       it. SubmitBatch is atomic across requests.
 //   workers             pop jobs, run them (Experiment::Run), and stream
 //                       each completed run to the submission's RecordFn in
 //                       completion order. The streamed payload is exactly

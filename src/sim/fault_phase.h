@@ -5,11 +5,11 @@
 // and mutates the state before any other phase sees the tick, so a fault's
 // effects - drained runqueue, raised temperature, clamped P-state - are
 // visible to the gate, governor and scheduler of the very tick it fires
-// on, identically in the interleaved and sharded pipelines (both run this
-// phase engine-sequentially before the package fan-out). All reactions are
-// deterministic: re-placement picks the least-loaded online CPU with a
-// lowest-id tie-break and never draws from the shared RNG stream, so a
-// fault plan perturbs the simulation only through its declared effects.
+// on, for every intra-run worker count (the phase runs engine-sequentially
+// before the package fan-out). All reactions are deterministic:
+// re-placement picks the least-loaded online CPU with a lowest-id tie-break
+// and never draws from the shared RNG stream, so a fault plan perturbs the
+// simulation only through its declared effects.
 //
 // Reaction summary (the full argument lives in ARCHITECTURE.md):
 //   offline  drain the CPU's runqueue through MigrateTask (period commit +

@@ -94,18 +94,13 @@ struct MachineConfig {
   // way, only wall-clock changes.
   bool skip_ahead = true;
 
-  // Intra-run worker threads for the package-parallel tick pipeline.
-  //  - 0 (default): the historical interleaved per-package loop, every
-  //    package's phases and lifecycle before the next package's - the
-  //    bit-exact seed behaviour every golden capture was taken against.
-  //  - >= 1: the sharded pipeline - all packages run their package-local
-  //    phases (gate, governor, switch-in, execute, sample, thermal step)
-  //    over `min(intra_run_threads, packages)` workers, then task lifecycle
-  //    runs sequentially in package order. Results are bit-identical for
-  //    every worker count >= 1 (package phases only touch their own
-  //    SimulationState shard; the reductions run in package order), but the
-  //    phase ordering across packages differs from mode 0, so the two modes
-  //    are distinct deterministic machines.
+  // Intra-run worker threads for the tick's package-local phases (gate,
+  // governor, switch-in, execute, sample, thermal step), which run over
+  // `min(intra_run_threads, packages)` workers before task lifecycle runs
+  // sequentially in package order. 0 (default) and 1 both mean the calling
+  // thread alone. Results are bit-identical for every value: package phases
+  // only touch their own SimulationState shard, and everything that couples
+  // packages runs in a fixed order.
   std::size_t intra_run_threads = 0;
 
   std::uint64_t seed = 42;

@@ -32,18 +32,7 @@ void PackageWorkerPool::DrainItems(const Job& fn, std::size_t worker) {
   }
 }
 
-void PackageWorkerPool::Run(std::size_t items, const Job& fn) {
-  if (items == 0) {
-    return;
-  }
-  if (threads_.empty() || items == 1) {
-    // Sequential degenerate case: same calls, same order, no hand-off.
-    for (std::size_t item = 0; item < items; ++item) {
-      fn(item, 0);
-    }
-    return;
-  }
-
+void PackageWorkerPool::RunParallel(std::size_t items, const Job& fn) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     job_ = &fn;

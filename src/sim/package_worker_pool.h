@@ -1,17 +1,16 @@
 // A small persistent worker pool for the package-parallel tick pipeline.
 //
-// The engine's sharded mode hands the pool one job per tick: "run this
-// package-local phase chain for every package". Work is distributed
-// dynamically (an atomic next-package counter), which is safe for bit-exact
-// determinism because package phases write only their own SimulationState
-// shard - *which* worker runs a package never affects *what* it computes,
-// and every cross-package reduction the engine performs afterwards walks the
-// per-package results in package order on the calling thread.
+// The engine hands the pool one job per tick: "run this package-local phase
+// chain for every package". Work is distributed dynamically (an atomic
+// next-package counter), which is safe for bit-exact determinism because
+// package phases write only their own SimulationState shard - *which* worker
+// runs a package never affects *what* it computes, and every cross-package
+// step the engine performs afterwards walks the per-package results in
+// package order on the calling thread.
 //
 // The calling thread participates as worker 0, so a pool built with
-// `workers == 1` spawns no threads at all and Run degenerates to the plain
-// sequential loop - that is what makes intra_run_threads=1 exactly "the
-// sharded pipeline, serially".
+// `workers <= 1` spawns no threads at all and Run degenerates to the plain
+// sequential loop, calling the job inline.
 
 #ifndef SRC_SIM_PACKAGE_WORKER_POOL_H_
 #define SRC_SIM_PACKAGE_WORKER_POOL_H_
@@ -47,9 +46,21 @@ class PackageWorkerPool {
   // Runs fn(item, worker) once for every item in [0, items), concurrently
   // across the workers, and returns when all calls have completed. fn must
   // be safe to call concurrently for distinct items. Not reentrant.
-  void Run(std::size_t items, const Job& fn);
+  template <typename Fn>
+  void Run(std::size_t items, Fn&& fn) {
+    if (threads_.empty() || items <= 1) {
+      // Sequential degenerate case: same calls, same order, no hand-off and
+      // no type erasure.
+      for (std::size_t item = 0; item < items; ++item) {
+        fn(item, 0);
+      }
+      return;
+    }
+    RunParallel(items, Job(std::ref(fn)));
+  }
 
  private:
+  void RunParallel(std::size_t items, const Job& fn);
   void WorkerLoop(std::size_t worker);
   // Claims items off next_item_ until the job is exhausted.
   void DrainItems(const Job& fn, std::size_t worker);

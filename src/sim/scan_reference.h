@@ -1,6 +1,7 @@
 // The pre-event-queue tick loop, kept as an executable reference.
 //
-// Drives the exact phase pipeline of SimulationEngine::Tick, but wakes
+// Drives the exact phase pipeline of SimulationEngine::Tick (every package's
+// phases, then lifecycle in package order, then balancing), but wakes
 // sleepers by scanning the whole task table and injects workload arrivals
 // with an index catch-up loop at the start of each tick - the per-tick
 // O(all-tasks-ever-spawned) behaviour the wake and arrival queues replaced.
@@ -44,15 +45,19 @@ class ScanReferenceStepper {
       }
     }
     const std::size_t physical = state.num_physical();
+    package_active_.resize(physical);
     for (std::size_t phys = 0; phys < physical; ++phys) {
+      std::vector<int>& active = package_active_[phys];
       const bool throttled = throttle_gate_.GatePackage(state, phys);
       sched_tick_.SwitchInPackage(state, phys);
       throttle_gate_.AccountCpuTicks(state, phys, throttled);
-      sched_tick_.SelectActive(state, phys, throttled, active_);
-      sched_tick_.ExecuteActive(state, active_, events_);
-      const double true_dynamic = counter_sampler_.Sample(state, phys, active_, events_);
-      thermal_stepper_.StepPackage(state, phys, active_.size(), true_dynamic);
-      for (int cpu : active_) {
+      sched_tick_.SelectActive(state, phys, throttled, active);
+      sched_tick_.ExecuteActive(state, active, events_);
+      const double true_dynamic = counter_sampler_.Sample(state, phys, active, events_);
+      thermal_stepper_.StepPackage(state, phys, active.size(), true_dynamic);
+    }
+    for (const std::vector<int>& active : package_active_) {
+      for (int cpu : active) {
         sched_tick_.HandleLifecycle(state, cpu);
       }
     }
@@ -77,7 +82,7 @@ class ScanReferenceStepper {
   CounterSampler counter_sampler_;
   ThermalStepper thermal_stepper_;
   BalancePhase balance_;
-  std::vector<int> active_;
+  std::vector<std::vector<int>> package_active_;
   std::vector<EventVector> events_;
 };
 

@@ -1,13 +1,14 @@
 // The per-tick pipeline, orchestrating the phase components.
 //
-// One engine tick reproduces the paper's modified kernel tick:
+// One engine tick reproduces the paper's modified kernel tick, in which each
+// task runs on at most one CPU and is charged its energy there:
 //
 //   0. FaultPhase::Run             - due fault-plan events mutate the machine
 //                                    (only on faulted configs; see
 //                                    src/sim/fault_phase.h)
 //   1. SchedTick::SpawnArrivals    - workload arrivals due this tick spawn
 //      SchedTick::WakeSleepers     - expired sleeps re-enter their runqueues
-//   2. per physical package:
+//   2. per physical package, fanned over the intra-run worker pool:
 //      a. ThrottleGate::GatePackage    - hlt decision on summed thermal power
 //      b. FrequencyPhase::GovernPackage- DVFS governor picks the P-state
 //      c. SchedTick::SwitchInPackage   - idle siblings pick their next task
@@ -17,10 +18,18 @@
 //      f. CounterSampler::Sample       - counters, estimator, energy metrics
 //                                        (P-state voltage scaling applied)
 //      g. ThermalStepper::StepPackage  - true power, RC temperature step
-//      h. SchedTick::HandleLifecycle   - blocking / completion / expiry
+//      h. SchedTick::HandleLifecycle   - blocking / completion / expiry of
+//                                        every CPU that executed, after all
+//                                        packages ran 2a-2g, in package order
 //   3. BalancePhase::Run           - the registry-selected policy plus hot
 //                                    task migration, on their intervals
 //   4. tick counter advance, then TickObservers (accounting, tracing)
+//
+// Phases 2a-2g of a package touch only that package's shard, so the fan-out
+// is race-free and the worker count cannot change a result. Everything that
+// couples packages (2h onwards) runs on the calling thread in a fixed order,
+// which is also why a task respawned onto another package by 2h cannot run
+// a second time in the same tick.
 //
 // The engine holds no machine state; everything lives in SimulationState,
 // so phases are individually testable and engines are cheap.
@@ -31,6 +40,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/base/annotations.h"
 #include "src/core/hot_task_migrator.h"
 #include "src/sched/balance_policy.h"
 #include "src/sim/counter_sampler.h"
@@ -87,17 +97,10 @@ class SimulationEngine {
  public:
   explicit SimulationEngine(const EnergySchedConfig& sched);
 
-  // Advances `state` by one tick through the full pipeline. With
-  // config().intra_run_threads == 0 this is the historical interleaved
-  // per-package loop (phases 2a-2h complete for package p before package
-  // p+1 starts); with >= 1 it is the sharded pipeline: every package runs
-  // its package-local phases 2a-2g over the intra-run worker pool (each
-  // package touches only its own shard, so the fan-out is race-free), then
-  // the cross-package phase 2h (task lifecycle: sleeps, completions,
-  // respawn placement, registry commits) runs sequentially in package
-  // order. The sharded pipeline's results depend only on that fixed phase
-  // order, never on the worker count, so any counts >= 1 are bit-identical
-  // to one another.
+  // Advances `state` by one tick through the full pipeline above. The
+  // package phases run over min(config().intra_run_threads, packages)
+  // workers (0 and 1 both mean the calling thread alone); results are
+  // bit-identical for every worker count.
   void Tick(SimulationState& state);
 
   // Advances `state` by `ticks` ticks, end-state and trace bit-identical to
@@ -111,10 +114,10 @@ class SimulationEngine {
   //    span in closed form (bulk exponential-average and RC updates that
   //    reproduce the per-tick recurrences bit for bit, stopping early at
   //    their floating-point fixed points) and jump the clock;
-  //  - governed or throttling machines step tick by tick through only the
-  //    phases an idle tick actually exercises (gate, governor, idle energy
-  //    credit, thermal step), skipping heap peeks, switch-in, execution,
-  //    lifecycle and balancing, all of which are provably no-ops.
+  //  - governed or throttling machines step tick by tick through the
+  //    package phases alone (on an idle machine only the gate, governor,
+  //    idle energy credit and thermal step change anything), skipping heap
+  //    peeks, lifecycle and balancing, all of which are provably no-ops.
   void Advance(SimulationState& state, eas::Tick ticks);
 
   void AddObserver(TickObserver* observer);
@@ -123,45 +126,39 @@ class SimulationEngine {
   const BalancePolicy& policy() const { return balance_.policy(); }
 
  private:
-  // The historical interleaved tick (intra_run_threads == 0).
-  void TickInterleaved(SimulationState& state);
-
-  // The package-parallel tick (intra_run_threads >= 1): package-local
-  // phases over the worker pool, then sequential lifecycle and balancing.
-  void TickSharded(SimulationState& state);
-
   // Builds the worker pool and the per-worker / per-package scratch for
   // `state`'s machine on first use (and eagerly initializes the frequency
   // governors, whose lazy construction is not safe inside the fan-out).
-  void EnsureShardedRuntime(SimulationState& state);
+  void EnsureRuntime(SimulationState& state);
+
+  // Phases 2a-2g for one package, using `worker`'s sampler and event
+  // scratch; leaves the package's executing CPUs in package_active_.
+  EAS_SHARD_LOCAL void RunPackagePhases(SimulationState& state, std::size_t physical,
+                                        std::size_t worker);
 
   // Integrates a quiescent span of `span` ticks in bulk (ungoverned,
   // throttling disabled). Does not invoke observers.
   void RunQuiescentSpanFast(SimulationState& state, eas::Tick span);
 
-  // Steps a quiescent span tick by tick through the reduced idle kernel
+  // Steps a quiescent span tick by tick through the package phases
   // (governor and throttle decisions depend on the evolving thermal state,
-  // so they run every tick). Invokes observers like the full pipeline.
+  // so they run every tick; switch-in, selection and execution find nothing
+  // to do). Invokes observers like the full pipeline.
   void RunQuiescentSpanSlow(SimulationState& state, eas::Tick span);
 
   SchedTick sched_tick_;
   FaultPhase fault_;
   ThrottleGate throttle_gate_;
   FrequencyPhase frequency_;
-  CounterSampler counter_sampler_;
   ThermalStepper thermal_stepper_;
   BalancePhase balance_;
   std::vector<TickObserver*> observers_;
 
-  // Per-tick scratch, reused across packages to avoid reallocation.
-  std::vector<int> active_;
-  std::vector<EventVector> events_;
-
-  // Sharded-pipeline runtime, built on the first sharded tick. The active
-  // lists are per package (they outlive the fan-out: the sequential
-  // lifecycle phase replays them in package order); the samplers and event
-  // scratch are per worker (CounterSampler keeps a reusable mask, and event
-  // vectors are plain scratch, so one instance per concurrent caller).
+  // Runtime built on first use. The active lists are per package (they
+  // outlive the fan-out: the sequential lifecycle phase replays them in
+  // package order); the samplers and event scratch are per worker
+  // (CounterSampler keeps a reusable mask, and event vectors are plain
+  // scratch, so one instance per concurrent caller).
   std::unique_ptr<PackageWorkerPool> pool_;
   std::vector<std::vector<int>> package_active_;
   std::vector<CounterSampler> worker_samplers_;

@@ -153,7 +153,6 @@ int SimulationState::TaskCpu(const Task& task) {
 Task* SimulationState::Spawn(const Program& program, int nice) {
   void* slot = task_arena_.allocate(sizeof(Task), alignof(Task));
   Task* raw = new (slot) Task(next_task_id_++, &program, rng_.NextU64());
-  raw->AttachHotColumns(&hot_, hot_.AddRow());
   raw->set_nice(nice);
   // The profile's standard period stays the nice-0 timeslice for every task:
   // the variable-period exponential average normalizes any actual period

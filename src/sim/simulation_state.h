@@ -15,9 +15,9 @@
 // mutable state lives in one PackageShard per physical package. During the
 // engine's package phase loop - gate, governor, switch-in, tick accounting,
 // execute, counter sampling, thermal step - a package's phases read and
-// write only its own shard (plus the hot-column rows of tasks currently on
-// its runqueues, which exactly one package holds at a time), so the loop
-// parallelizes across packages with no cross-shard writes. Everything
+// write only its own shard (plus the tasks currently on its runqueues,
+// which exactly one package holds at a time), so the loop parallelizes
+// across packages with no cross-shard writes. Everything
 // cross-package - arrivals, wakeups, task lifecycle, balancing, the skip-
 // ahead quiescent kernels - runs sequentially in package order. The
 // machine-wide runnable count is a per-shard counter summed on read, which
@@ -334,14 +334,10 @@ class SimulationState : public BalanceEnv {
   InitialPlacement placement_;
 
   // Task storage: objects are placement-new'd into a monotonic arena (one
-  // bump allocation per spawn, freed wholesale when the state dies) and the
-  // per-tick hot fields live in the struct-of-arrays columns. The columns
-  // are shared across shards, but a row is only ever touched by the package
-  // whose runqueue currently holds the task, so parallel package phases
-  // write disjoint rows. The destructor runs each task's destructor
-  // explicitly; the arena then releases the memory in one shot.
+  // bump allocation per spawn, freed wholesale when the state dies). The
+  // destructor runs each task's destructor explicitly; the arena then
+  // releases the memory in one shot.
   std::pmr::monotonic_buffer_resource task_arena_;
-  TaskHotColumns hot_;
   std::vector<Task*> tasks_;
   TaskId next_task_id_ = 1;
   Tick now_ = 0;

@@ -41,7 +41,7 @@ EventVector Task::ExecuteTick(double speed_factor) {
     --warmup_ticks_left_;
   }
 
-  work_done_ref() += speed_factor;
+  work_done_ticks_ += speed_factor;
   --ticks_left_in_phase_;
   if (ticks_left_in_phase_ <= 0) {
     if (phase.mean_sleep_after > 0) {
@@ -68,7 +68,7 @@ bool Task::WorkComplete() const {
 
 void Task::RestartProgram() {
   ++completions_;
-  work_done_ref() = 0.0;
+  work_done_ticks_ = 0.0;
   pending_sleep_ = 0;
   EnterPhase(0);
 }

@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/base/rng.h"
 #include "src/base/time.h"
@@ -29,32 +28,6 @@ enum class TaskState {
   kRunning,   // currently executing on its CPU
   kSleeping,  // blocked; wakes at wake_tick
   kFinished,  // completed all work and was not respawned
-};
-
-// Struct-of-arrays storage for the per-task fields the engine and the
-// balancers touch every tick: the runnable flag, remaining/executed work,
-// static priority, and the queued-power contribution the owning Runqueue
-// recorded. SimulationState owns one instance and attaches every spawned
-// task to a row, so the hot state of ten thousand tasks lives in four dense
-// arrays instead of being scattered across heap-allocated task objects. A
-// task constructed standalone (unit tests, calibration fixtures) is never
-// attached and keeps its inline fields; either way the task's accessors are
-// the single way to touch these values, so the two storages cannot diverge.
-struct TaskHotColumns {
-  std::vector<std::uint8_t> runnable;   // state is kRunnable or kRunning
-  std::vector<double> work_done_ticks;  // work executed since (re)spawn
-  std::vector<double> enqueued_power;   // Runqueue's recorded contribution
-  std::vector<int> nice;                // static priority
-
-  // Appends the row for a fresh task (spawned runnable with defaults),
-  // returning its index.
-  std::size_t AddRow() {
-    runnable.push_back(1);
-    work_done_ticks.push_back(0.0);
-    enqueued_power.push_back(0.0);
-    nice.push_back(0);
-    return runnable.size() - 1;
-  }
 };
 
 class Task {
@@ -87,34 +60,12 @@ class Task {
 
   const Phase& current_phase() const { return program_->phase(phase_index_); }
   std::size_t phase_index() const { return phase_index_; }
-  double work_done_ticks() const {
-    return hot_ != nullptr ? hot_->work_done_ticks[row_] : work_done_ticks_;
-  }
+  double work_done_ticks() const { return work_done_ticks_; }
   std::int64_t completions() const { return completions_; }
-
-  // --- hot-state attachment -----------------------------------------------
-
-  // Moves the hot fields into `columns` row `row` (the struct-of-arrays a
-  // SimulationState owns). Called once, right after SimulationState spawns
-  // the task; the inline fields are dead from then on.
-  void AttachHotColumns(TaskHotColumns* columns, std::size_t row) {
-    columns->runnable[row] =
-        (state_ == TaskState::kRunnable || state_ == TaskState::kRunning) ? 1 : 0;
-    columns->work_done_ticks[row] = work_done_ticks_;
-    columns->enqueued_power[row] = enqueued_power_;
-    columns->nice[row] = nice_;
-    hot_ = columns;
-    row_ = row;
-  }
 
   // --- scheduling state ---------------------------------------------------
   TaskState state() const { return state_; }
-  void set_state(TaskState s) {
-    state_ = s;
-    if (hot_ != nullptr) {
-      hot_->runnable[row_] = (s == TaskState::kRunnable || s == TaskState::kRunning) ? 1 : 0;
-    }
-  }
+  void set_state(TaskState s) { state_ = s; }
   Tick wake_tick() const { return wake_tick_; }
   void set_wake_tick(Tick t) { wake_tick_ = t; }
 
@@ -124,14 +75,8 @@ class Task {
   // Nice level (-20 .. 19). Higher-priority (lower nice) tasks receive
   // proportionally longer timeslices - the reason the paper extends the
   // exponential average to variable periods (Section 3.3).
-  int nice() const { return hot_ != nullptr ? hot_->nice[row_] : nice_; }
-  void set_nice(int nice) {
-    if (hot_ != nullptr) {
-      hot_->nice[row_] = nice;
-    } else {
-      nice_ = nice;
-    }
-  }
+  int nice() const { return nice_; }
+  void set_nice(int nice) { nice_ = nice; }
 
   // Timeslice a fresh scheduling round grants this task, derived from its
   // nice level: base length at nice 0, twice that at nice -20, a small floor
@@ -170,16 +115,8 @@ class Task {
   // Profile power recorded when the task was enqueued - the contribution the
   // owning Runqueue added to its incremental queued-power sum, so removal
   // subtracts exactly what was added. Maintained by Runqueue only.
-  double enqueued_power() const {
-    return hot_ != nullptr ? hot_->enqueued_power[row_] : enqueued_power_;
-  }
-  void set_enqueued_power(double watts) {
-    if (hot_ != nullptr) {
-      hot_->enqueued_power[row_] = watts;
-    } else {
-      enqueued_power_ = watts;
-    }
-  }
+  double enqueued_power() const { return enqueued_power_; }
+  void set_enqueued_power(double watts) { enqueued_power_ = watts; }
 
   // --- migration bookkeeping ----------------------------------------------
   void NoteMigration(bool crossed_node, Tick warmup_ticks);
@@ -214,15 +151,6 @@ class Task {
   Tick warmup_ticks_left_ = 0;
   std::int64_t migrations_ = 0;
   std::int64_t node_migrations_ = 0;
-
-  // Hot-state attachment: null/unused for standalone tasks.
-  TaskHotColumns* hot_ = nullptr;
-  std::size_t row_ = 0;
-
-  // The storage actually backing work_done_ticks() right now.
-  double& work_done_ref() {
-    return hot_ != nullptr ? hot_->work_done_ticks[row_] : work_done_ticks_;
-  }
 
   void EnterPhase(std::size_t index);
 };

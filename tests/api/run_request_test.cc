@@ -322,8 +322,8 @@ TEST(RunRequestResolveTest, SkipAheadFlowsIntoTheMachineConfig) {
 }
 
 TEST(RunRequestResolveTest, IntraThreadsFlowsIntoTheMachineConfig) {
-  // Unset: the historical interleaved loop (0). Explicit: the sharded
-  // pipeline with that worker count, including over a scenario.
+  // Unset: the config default (0, the calling thread). Explicit: that
+  // worker count, including over a scenario.
   const auto defaulted = ResolveRunRequest(RunRequest{});
   ASSERT_TRUE(defaulted.ok()) << defaulted.error().Render();
   EXPECT_EQ(defaulted->specs[0].config.intra_run_threads, 0u);

@@ -221,6 +221,31 @@ TEST(ExperimentServiceTest, QueueFullRejectsWholeSubmissions) {
   EXPECT_EQ(status.workers, 0u);
 }
 
+TEST(ExperimentServiceTest, OversizedRunsRejectBeforeResolving) {
+  // A run count no queue could hold is refused before resolution expands it
+  // into one spec per run (which would exhaust memory), and the daemon keeps
+  // serving.
+  ExperimentService service({/*queue_depth=*/8, /*workers=*/1, /*start_workers=*/true});
+  Collector collector;
+  const auto huge = service.Submit("workload = hot:1; runs = 1000000000000", collector.fn());
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.error().code, RequestErrorCode::kQueueFull);
+
+  // Summed across a batch: each request fits alone, together they do not.
+  const auto batch = service.SubmitBatch({"runs = 5", "runs = 4"}, collector.fn());
+  ASSERT_FALSE(batch.ok());
+  EXPECT_EQ(batch.error().code, RequestErrorCode::kQueueFull);
+
+  const auto normal = service.Submit(kQuickRequest, collector.fn());
+  ASSERT_TRUE(normal.ok()) << normal.error().Render();
+  service.Drain();
+  EXPECT_EQ(collector.Lines(normal->submission), OfflineLines(kQuickRequest));
+
+  const ServiceStatusSnapshot status = service.Status();
+  EXPECT_EQ(status.rejected_submissions, 2u);
+  EXPECT_EQ(status.completed_submissions, 1u);
+}
+
 TEST(ExperimentServiceTest, MalformedRequestsRejectBeforeAdmission) {
   ExperimentService service({/*queue_depth=*/8, /*workers=*/1, /*start_workers=*/false});
   Collector collector;

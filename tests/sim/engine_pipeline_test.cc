@@ -2,9 +2,11 @@
 // the semantics of the original monolithic Machine::Step. ManualStep below
 // is a line-for-line port of that pre-refactor tick (wakeups -> per-package
 // throttle decision, switch-in, execution with fused energy accounting,
-// idle-share accounting, true power + RC step, lifecycle -> balancers ->
-// tick advance); driving a twin state through it must stay bit-identical to
-// the engine for every tick.
+// idle-share accounting, true power + RC step -> lifecycle of every CPU that
+// executed, in package order, once all packages ran -> balancers -> tick
+// advance); driving a twin state through it must stay bit-identical to the
+// engine for every tick. Lifecycle after the package loop is what keeps a
+// task respawned onto a later package from executing twice in one tick.
 
 #include "src/sim/simulation_engine.h"
 
@@ -20,7 +22,8 @@
 namespace eas {
 namespace {
 
-// The pre-refactor Machine::Step, expressed over SimulationState.
+// The pre-refactor Machine::Step, expressed over SimulationState, with
+// lifecycle moved after the package loop.
 class ManualStepper {
  public:
   explicit ManualStepper(const EnergySchedConfig& sched)
@@ -43,6 +46,7 @@ class ManualStepper {
     const double static_share = s.estimator().static_power_per_logical();
     const double idle_share = s.IdlePowerPerLogical();
 
+    std::vector<int> executed;  // every package's active CPUs, package order
     for (std::size_t phys = 0; phys < physical; ++phys) {
       bool throttled = false;
       if (config.throttling_enabled) {
@@ -110,10 +114,11 @@ class ManualStepper {
       const double true_power = static_true + true_dynamic / kTickSeconds;
       s.set_true_power(phys, true_power);
       s.thermal(phys).Step(true_power, kTickSeconds);
+      executed.insert(executed.end(), active.begin(), active.end());
+    }
 
-      for (int cpu : active) {
-        Lifecycle(s, cpu);
-      }
+    for (int cpu : executed) {
+      Lifecycle(s, cpu);
     }
 
     // Balancers.

@@ -110,9 +110,8 @@ void PrintUsage() {
       "                      skipping ahead (results are bit-identical; this\n"
       "                      is the A/B timing escape hatch)\n"
       "  --intra-threads N   intra-run workers for the package-parallel tick\n"
-      "                      pipeline (default 0 = the historical interleaved\n"
-      "                      loop; any N >= 1 runs the sharded pipeline, whose\n"
-      "                      results are bit-identical for every N >= 1)\n"
+      "                      pipeline (default 0 = the calling thread, like 1;\n"
+      "                      results are bit-identical for every N)\n"
       "  --request FILE      load a RunRequest file (key = value lines; flags\n"
       "                      above override its fields)\n"
       "  --batch FILE        run every request in FILE (one per line, 'key = v;\n"
