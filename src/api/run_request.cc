@@ -450,6 +450,22 @@ Expected<ResolvedRequest> ResolveRunRequest(const RunRequest& request, ScenarioC
     }
     spec.config.temp_limit = temp_limit;
   }
+  // Without max-power each package's limit is (temp-limit - ambient) / R. A
+  // temp-limit at or below the ambient leaves no power to run under: the
+  // throttle would halt every tick and the energy balancer would stop.
+  if (!spec.config.explicit_max_power_physical.has_value()) {
+    for (std::size_t phys = 0; phys < spec.config.topology.num_physical(); ++phys) {
+      const ThermalParams& params = spec.config.cooling.ParamsFor(phys);
+      if (!(params.MaxPowerForTemp(spec.config.temp_limit) > 0.0)) {
+        return MakeError(RequestErrorCode::kBadValue, "temp-limit",
+                         "bad temp-limit: " + FormatDouble(spec.config.temp_limit) +
+                             " C is not above package " + std::to_string(phys) +
+                             "'s ambient of " + FormatDouble(params.ambient) +
+                             " C, so its power limit would be <= 0 W (raise "
+                             "temp-limit or set max-power)");
+      }
+    }
+  }
   if (!from_scenario || request.throttle.has_value()) {
     spec.config.throttling_enabled = request.throttle.value_or(false);
   }

@@ -19,7 +19,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <cstdint>
 
 namespace eas {
 
@@ -44,7 +43,17 @@ class ExpAverage {
     AddRateSample(value * standard_period_ / period, period);
   }
 
-  // Folds in a rate sample directly (already per standard period).
+  // One rate sample's recurrence, value <- blended + decay * value with
+  // blended = (1 - decay) * rate: the single definition AddRateSample and
+  // the skip-ahead span kernel (src/base/lockstep.h) apply.
+  struct Recurrence {
+    double blended;
+    double decay;
+    double operator()(double value) const { return blended + decay * value; }
+  };
+
+  // The recurrence AddRateSample(rate, period) applies once the average has
+  // samples.
   //
   // The decay factor (1-p)^(period/standard) is memoized on `period`: the
   // engine's hot paths feed fixed-length periods (every tick is
@@ -52,6 +61,16 @@ class ExpAverage {
   // pow() collapses to one compare almost every call. std::pow is
   // deterministic for identical arguments, so the memoized value is
   // bit-identical to recomputing it.
+  Recurrence RecurrenceFor(double rate, double period) {
+    assert(period > 0.0);
+    if (period != cached_period_) {
+      cached_period_ = period;
+      cached_decay_ = std::pow(1.0 - weight_, period / standard_period_);
+    }
+    return {(1.0 - cached_decay_) * rate, cached_decay_};
+  }
+
+  // Folds in a rate sample directly (already per standard period).
   void AddRateSample(double rate, double period) {
     assert(period > 0.0);
     if (!has_samples_) {
@@ -59,51 +78,7 @@ class ExpAverage {
       has_samples_ = true;
       return;
     }
-    if (period != cached_period_) {
-      cached_period_ = period;
-      cached_decay_ = std::pow(1.0 - weight_, period / standard_period_);
-    }
-    const double decay = cached_decay_;
-    value_ = (1.0 - decay) * rate + decay * value_;
-  }
-
-  // Folds in `n` consecutive identical rate samples, bit-identically to
-  // calling AddRateSample(rate, period) n times. The naive loop evaluates
-  // the same decay and the same (1-d)*rate product every iteration (constant
-  // inputs, deterministic pow), so both are hoisted; only the contraction
-  //   value = blended + decay * value
-  // must run per sample. The contraction reaches an exact floating-point
-  // fixed point (a value that maps to itself bitwise), after which further
-  // samples cannot change anything and the loop exits early - this is what
-  // lets the engine's skip-ahead integrate long idle spans at a cost bounded
-  // by convergence, not span length.
-  void AddRateSamples(double rate, double period, std::int64_t n) {
-    assert(period > 0.0);
-    if (n <= 0) {
-      return;
-    }
-    if (!has_samples_) {
-      value_ = rate;
-      has_samples_ = true;
-      if (--n == 0) {
-        return;
-      }
-    }
-    if (period != cached_period_) {
-      cached_period_ = period;
-      cached_decay_ = std::pow(1.0 - weight_, period / standard_period_);
-    }
-    const double decay = cached_decay_;
-    const double blended = (1.0 - decay) * rate;
-    double value = value_;
-    for (; n > 0; --n) {
-      const double next = blended + decay * value;
-      if (next == value) {
-        break;
-      }
-      value = next;
-    }
-    value_ = value;
+    value_ = RecurrenceFor(rate, period)(value_);
   }
 
   // Forces the average to a value (used to seed a task's profile from the

@@ -14,11 +14,8 @@ void CpuPowerState::AccountEnergy(double joules, double period_seconds) {
   thermal_average_.AddRateSample(joules / period_seconds, period_seconds);
 }
 
-void CpuPowerState::AccountEnergyRepeated(double joules, double period_seconds,
-                                          std::int64_t n) {
-  // The quotient is the same every period (identical operands), so one
-  // division feeds the batched average update.
-  thermal_average_.AddRateSamples(joules / period_seconds, period_seconds, n);
+ExpAverage::Recurrence CpuPowerState::EnergyRecurrence(double joules, double period_seconds) {
+  return thermal_average_.RecurrenceFor(joules / period_seconds, period_seconds);
 }
 
 }  // namespace eas

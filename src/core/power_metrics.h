@@ -28,9 +28,10 @@ class CpuPowerState {
   // Folds `joules` consumed over `period_seconds` into the thermal power.
   void AccountEnergy(double joules, double period_seconds);
 
-  // Folds `n` identical periods in one call, bit-identically to n
-  // AccountEnergy calls (the skip-ahead engine's idle-span integration).
-  void AccountEnergyRepeated(double joules, double period_seconds, std::int64_t n);
+  // The recurrence AccountEnergy(joules, period_seconds) applies to the
+  // thermal power (the average is seeded at construction, so it always has
+  // samples). The skip-ahead kernel steps it over an idle span.
+  ExpAverage::Recurrence EnergyRecurrence(double joules, double period_seconds);
 
   // Thermal power (W): follows the package temperature.
   double thermal_power() const { return thermal_average_.value(); }
@@ -40,7 +41,8 @@ class CpuPowerState {
 
   double thermal_power_ratio() const { return thermal_power() / max_power_watts_; }
 
-  // Forces the thermal power (e.g. starting an experiment from idle-warm).
+  // Forces the thermal power (e.g. starting an experiment from idle-warm, or
+  // storing the value a skip-ahead span stepped to).
   void SeedThermalPower(double watts) { thermal_average_.Reset(watts); }
 
  private:

@@ -1,6 +1,7 @@
 #include "src/sim/simulation_engine.h"
 
 #include <algorithm>
+#include <span>
 
 #include "src/core/policy_registry.h"
 
@@ -160,14 +161,20 @@ void SimulationEngine::RunQuiescentSpanFast(SimulationState& state, eas::Tick sp
   //    that constant power.
   // Heap peeks, switch-in, selection, execution, lifecycle and balancing
   // touch nothing on an idle machine and draw no randomness, so eliding
-  // them is bit-neutral. The bulk helpers replay the per-tick floating-
-  // point recurrences exactly (hoisting only constant-operand expressions).
+  // them is bit-neutral. Each chain repeats its class's own per-tick
+  // recurrence, built from the per-tick operands, and StepInLockstep
+  // replays the per-tick loop exactly.
   const double idle_share = state.IdlePowerPerLogical();
   const double idle_joules = idle_share * kTickSeconds;
   const std::size_t logical = state.num_cpus();
+  cpu_chains_.resize(logical);
   for (std::size_t cpu = 0; cpu < logical; ++cpu) {
-    state.power_state(static_cast<int>(cpu))
-        .AccountEnergyRepeated(idle_joules, kTickSeconds, span);
+    CpuPowerState& power = state.power_state(static_cast<int>(cpu));
+    cpu_chains_[cpu] = {power.thermal_power(), power.EnergyRecurrence(idle_joules, kTickSeconds)};
+  }
+  StepInLockstep(std::span(cpu_chains_), span);
+  for (std::size_t cpu = 0; cpu < logical; ++cpu) {
+    state.power_state(static_cast<int>(cpu)).SeedThermalPower(cpu_chains_[cpu].value);
   }
 
   // ThermalStepper's idle expression: halt static power plus zero dynamic
@@ -175,9 +182,16 @@ void SimulationEngine::RunQuiescentSpanFast(SimulationState& state, eas::Tick sp
   // positive value, so the result is bitwise the halt power.
   const double true_power = state.config().model.halt_power() + 0.0 / kTickSeconds;
   const std::size_t physical = state.num_physical();
+  package_chains_.resize(physical);
   for (std::size_t phys = 0; phys < physical; ++phys) {
     state.set_true_power(phys, true_power);
-    state.thermal(phys).StepN(true_power, kTickSeconds, span);
+    RcThermalModel& thermal = state.thermal(phys);
+    package_chains_[phys] = {thermal.temperature(),
+                             thermal.RecurrenceFor(true_power, kTickSeconds)};
+  }
+  StepInLockstep(std::span(package_chains_), span);
+  for (std::size_t phys = 0; phys < physical; ++phys) {
+    state.thermal(phys).SetTemperature(package_chains_[phys].value);
   }
 
   state.AdvanceTicks(span);

@@ -41,6 +41,8 @@
 #include <vector>
 
 #include "src/base/annotations.h"
+#include "src/base/exp_average.h"
+#include "src/base/lockstep.h"
 #include "src/core/hot_task_migrator.h"
 #include "src/sched/balance_policy.h"
 #include "src/sim/counter_sampler.h"
@@ -51,6 +53,7 @@
 #include "src/sim/simulation_state.h"
 #include "src/sim/thermal_stepper.h"
 #include "src/sim/throttle_gate.h"
+#include "src/thermal/rc_model.h"
 
 namespace eas {
 
@@ -111,9 +114,10 @@ class SimulationEngine {
   // budget - are advanced through a reduced kernel instead of the full
   // pipeline:
   //  - ungoverned machines with throttling disabled integrate the whole
-  //    span in closed form (bulk exponential-average and RC updates that
-  //    reproduce the per-tick recurrences bit for bit, stopping early at
-  //    their floating-point fixed points) and jump the clock;
+  //    span in closed form (every CPU's exponential average and every
+  //    package's RC model stepped side by side through its per-tick
+  //    recurrence, bit for bit, stopping early at floating-point fixed
+  //    points; src/base/lockstep.h) and jump the clock;
   //  - governed or throttling machines step tick by tick through the
   //    package phases alone (on an idle machine only the gate, governor,
   //    idle energy credit and thermal step change anything), skipping heap
@@ -163,6 +167,11 @@ class SimulationEngine {
   std::vector<std::vector<int>> package_active_;
   std::vector<CounterSampler> worker_samplers_;
   std::vector<std::vector<EventVector>> worker_events_;
+
+  // RunQuiescentSpanFast's scratch: one chain per logical CPU's thermal
+  // power and one per package's temperature.
+  std::vector<LockstepChain<ExpAverage::Recurrence>> cpu_chains_;
+  std::vector<LockstepChain<RcThermalModel::Recurrence>> package_chains_;
 };
 
 }  // namespace eas

@@ -11,31 +11,24 @@ RcThermalModel::RcThermalModel(const ThermalParams& params)
   assert(params.capacitance > 0.0);
 }
 
-void RcThermalModel::Step(double power_watts, double dt_seconds) {
+RcThermalModel::Recurrence RcThermalModel::RecurrenceFor(double power_watts,
+                                                         double dt_seconds) {
   // Exact solution of the linear ODE over the step (unconditionally stable,
   // exact for constant power within the step):
   //   T(t+dt) = T_ss + (T(t) - T_ss) * exp(-dt / tau)
-  const double t_ss = params_.SteadyStateTemp(power_watts);
-  const double decay = std::exp(-dt_seconds / params_.TimeConstant());
-  temperature_ = t_ss + (temperature_ - t_ss) * decay;
+  // The decay depends on dt alone, and the engine steps every package at
+  // kTickSeconds, so exp() is memoized on dt. std::exp is deterministic for
+  // identical arguments, so the memoized value is bit-identical to
+  // recomputing it.
+  if (dt_seconds != cached_dt_) {
+    cached_dt_ = dt_seconds;
+    cached_decay_ = std::exp(-dt_seconds / params_.TimeConstant());
+  }
+  return {params_.SteadyStateTemp(power_watts), cached_decay_};
 }
 
-void RcThermalModel::StepN(double power_watts, double dt_seconds, std::int64_t n) {
-  // Same expressions as Step, evaluated once: std::exp is deterministic for
-  // identical arguments, so hoisting is bit-neutral. The recurrence is a
-  // contraction toward t_ss; once an iterate maps to itself exactly, every
-  // further step repeats it and the loop stops.
-  const double t_ss = params_.SteadyStateTemp(power_watts);
-  const double decay = std::exp(-dt_seconds / params_.TimeConstant());
-  double temp = temperature_;
-  for (; n > 0; --n) {
-    const double next = t_ss + (temp - t_ss) * decay;
-    if (next == temp) {
-      break;
-    }
-    temp = next;
-  }
-  temperature_ = temp;
+void RcThermalModel::Step(double power_watts, double dt_seconds) {
+  temperature_ = RecurrenceFor(power_watts, dt_seconds)(temperature_);
 }
 
 }  // namespace eas

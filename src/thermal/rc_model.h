@@ -17,7 +17,7 @@
 #ifndef SRC_THERMAL_RC_MODEL_H_
 #define SRC_THERMAL_RC_MODEL_H_
 
-#include <cstdint>
+#include <limits>
 
 namespace eas {
 
@@ -38,14 +38,21 @@ class RcThermalModel {
  public:
   explicit RcThermalModel(const ThermalParams& params);
 
+  // One step's recurrence toward the steady state,
+  //   T <- t_ss + (T - t_ss) * decay,
+  // the single definition Step and the skip-ahead span kernel
+  // (src/base/lockstep.h) apply.
+  struct Recurrence {
+    double t_ss;
+    double decay;
+    double operator()(double temp) const { return t_ss + (temp - t_ss) * decay; }
+  };
+
+  // The recurrence Step(power_watts, dt_seconds) applies.
+  Recurrence RecurrenceFor(double power_watts, double dt_seconds);
+
   // Advances the model by `dt_seconds` with `power_watts` dissipated.
   void Step(double power_watts, double dt_seconds);
-
-  // Advances by `n` equal steps at constant power, bit-identically to
-  // calling Step(power_watts, dt_seconds) n times. Hoists the per-step
-  // constants (identical inputs give identical t_ss and decay) and exits
-  // early once the temperature reaches its exact floating-point fixed point.
-  void StepN(double power_watts, double dt_seconds, std::int64_t n);
 
   // Current die temperature (deg C).
   double temperature() const { return temperature_; }
@@ -58,6 +65,10 @@ class RcThermalModel {
  private:
   ThermalParams params_;
   double temperature_;
+  // Memoized decay: cached_decay_ == exp(-cached_dt_ / tau) once a step has
+  // run (NaN compares unequal to every dt, so the first call computes it).
+  double cached_dt_ = std::numeric_limits<double>::quiet_NaN();
+  double cached_decay_ = 1.0;
 };
 
 }  // namespace eas

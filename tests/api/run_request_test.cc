@@ -487,6 +487,21 @@ TEST(RunRequestResolveTest, RejectionsDiagnose) {
   request.temp_limit = std::nan("");
   EXPECT_NE(ResolveErr(request).Render().find("bad temp-limit"), std::string::npos);
 
+  // Without max-power, a temp-limit at or below the 22 C ambient derives a
+  // power limit <= 0 W; an explicit max-power makes the temp-limit moot.
+  for (const double temp_limit : {20.0, 22.0}) {
+    request = RunRequest{};
+    request.temp_limit = temp_limit;
+    const RequestError error = ResolveErr(request);
+    EXPECT_EQ(error.code, RequestErrorCode::kBadValue) << temp_limit;
+    EXPECT_EQ(error.key, "temp-limit") << temp_limit;
+    EXPECT_NE(error.Render().find("bad temp-limit"), std::string::npos) << temp_limit;
+  }
+  request = RunRequest{};
+  request.temp_limit = 20.0;
+  request.max_power = 40.0;
+  EXPECT_TRUE(ResolveRunRequest(request).ok());
+
   request = RunRequest{};
   request.runs = 0;
   EXPECT_NE(ResolveErr(request).Render().find("bad runs"), std::string::npos);

@@ -17,6 +17,8 @@
 #include "src/sim/experiment_runner.h"
 #include "src/sim/machine.h"
 #include "src/sim/scenario.h"
+#include "src/thermal/cooling_profile.h"
+#include "src/topo/cpu_topology.h"
 
 namespace eas {
 namespace {
@@ -145,13 +147,29 @@ Program MakeCronProgram(const EnergyModel& model) {
   return Program("cron", 0xc407, {burst}, /*total_work_ticks=*/0);
 }
 
-TEST(SkipAheadTest, FastPathEngagesOnSparseWorkloadAndMatchesNaive) {
-  const EnergyModel model = EnergyModel::Default();
-  const Program cron = MakeCronProgram(model);
-  constexpr Tick kTicks = 50'000;
+// The default 8-package box, or `topology` (an eastool topology spec) cooled
+// the way request resolution cools it: the paper's per-package cooling on 8
+// packages, uniform cooling otherwise.
+MachineConfig SparseConfig(const std::string& topology) {
+  MachineConfig config;  // ungoverned, throttle off
+  config.estimator_weights = EnergyModel::Default().weights();
+  if (!topology.empty()) {
+    std::string error;
+    config.topology = *ParseTopologySpec(topology, &error);
+    const std::size_t physical = config.topology.num_physical();
+    config.cooling = physical == 8 ? CoolingProfile::PaperXSeries445()
+                                   : CoolingProfile::Uniform(physical, ThermalParams{});
+  }
+  return config;
+}
 
-  MachineConfig skip_config;  // default machine: ungoverned, throttle off
-  skip_config.estimator_weights = model.weights();
+// Runs `tasks` cron tasks for `ticks` ticks with skip-ahead on and off: the
+// fast path must engage and the end states must match bit for bit.
+void ExpectFastPathMatchesNaive(const std::string& topology, int tasks, Tick ticks) {
+  const std::string label = (topology.empty() ? std::string("default") : topology) + ", " +
+                            std::to_string(tasks) + " tasks";
+  const Program cron = MakeCronProgram(EnergyModel::Default());
+  MachineConfig skip_config = SparseConfig(topology);
   skip_config.skip_ahead = true;
   MachineConfig naive_config = skip_config;
   naive_config.skip_ahead = false;
@@ -162,34 +180,50 @@ TEST(SkipAheadTest, FastPathEngagesOnSparseWorkloadAndMatchesNaive) {
   CountingObserver naive_observer;
   skip_machine.engine().AddObserver(&skip_observer);
   naive_machine.engine().AddObserver(&naive_observer);
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < tasks; ++i) {
     skip_machine.Spawn(cron);
     naive_machine.Spawn(cron);
   }
-  skip_machine.Run(kTicks);
-  naive_machine.Run(kTicks);
+  skip_machine.Run(ticks);
+  naive_machine.Run(ticks);
 
   // Engagement: the naive loop observes every tick, the skip loop only
   // span boundaries plus the busy ticks - a mostly-sleeping workload must
   // collapse most of the run into spans.
-  EXPECT_EQ(naive_observer.calls(), kTicks);
-  EXPECT_LT(skip_observer.calls(), kTicks / 2);
+  EXPECT_EQ(naive_observer.calls(), ticks) << label;
+  EXPECT_LT(skip_observer.calls(), ticks / 2) << label;
 
   // And the end states still match bitwise, analog state included.
   SimulationState& a = skip_machine.state();
   SimulationState& b = naive_machine.state();
-  EXPECT_EQ(a.now(), b.now());
-  EXPECT_EQ(a.TotalWorkDone(), b.TotalWorkDone());
-  EXPECT_EQ(a.TotalTaskEnergy(), b.TotalTaskEnergy());
-  EXPECT_EQ(a.migration_count(), b.migration_count());
+  EXPECT_EQ(a.now(), b.now()) << label;
+  EXPECT_EQ(a.TotalWorkDone(), b.TotalWorkDone()) << label;
+  EXPECT_EQ(a.TotalTaskEnergy(), b.TotalTaskEnergy()) << label;
+  EXPECT_EQ(a.migration_count(), b.migration_count()) << label;
   for (std::size_t phys = 0; phys < a.num_physical(); ++phys) {
-    EXPECT_EQ(a.Temperature(phys), b.Temperature(phys)) << phys;
-    EXPECT_EQ(a.TruePower(phys), b.TruePower(phys)) << phys;
+    EXPECT_EQ(a.Temperature(phys), b.Temperature(phys)) << label << " package " << phys;
+    EXPECT_EQ(a.TruePower(phys), b.TruePower(phys)) << label << " package " << phys;
   }
   for (std::size_t cpu = 0; cpu < a.num_cpus(); ++cpu) {
     EXPECT_EQ(a.ThermalPower(static_cast<int>(cpu)), b.ThermalPower(static_cast<int>(cpu)))
-        << cpu;
+        << label << " cpu " << cpu;
   }
+}
+
+TEST(SkipAheadTest, FastPathEngagesOnSparseWorkloadAndMatchesNaive) {
+  // The default box, one package, odd package counts, SMT siblings, and a
+  // CPU count that is not a multiple of the stepper's block width.
+  for (const std::string topology : {"", "1:1:1", "1:3:1", "2:4:2", "3:3:1"}) {
+    ExpectFastPathMatchesNaive(topology, /*tasks=*/3, /*ticks=*/50'000);
+  }
+}
+
+TEST(SkipAheadTest, IdleMachineMatchesNaiveThroughFixedPoints) {
+  // No tasks: the whole run is one span. The CPU averages start at their
+  // fixed point (seeded at idle power) and are left untouched; the package
+  // temperatures reach theirs ~310k ticks in, so the stepper's early exit is
+  // what ends the span.
+  ExpectFastPathMatchesNaive("", /*tasks=*/0, /*ticks=*/2'000'000);
 }
 
 }  // namespace
