@@ -28,17 +28,18 @@ Measurement MeasureAlone(const eas::Program& program) {
   config.cooling = eas::CoolingProfile::Uniform(1, eas::ThermalParams{});
   config.explicit_max_power_physical = 100.0;  // no throttling interference
   eas::Machine machine(config);
-  eas::Task* task = machine.Spawn(program);
+  eas::SimulationState& state = machine.state();
+  eas::Task* task = state.Spawn(program);
 
   Measurement m;
   double sum = 0.0;
   int samples = 0;
   const eas::Tick ticks = 60'000;  // one minute covers all phases
   for (eas::Tick t = 0; t < ticks; ++t) {
-    machine.Step();
+    machine.Run(1);
     // Sample only while the task runs (interactive programs sleep).
     if (task->state() == eas::TaskState::kRunning) {
-      const double p = machine.TruePower(0);
+      const double p = state.TruePower(0);
       sum += p;
       ++samples;
       m.min_true = std::min(m.min_true, p);

@@ -3,8 +3,8 @@
 // Both the baseline load balancer (this module) and the paper's merged
 // energy/load balancer plus hot task migration (src/core) are policies over
 // the same machine state: runqueues, the domain hierarchy, and per-CPU power
-// metrics. The Machine (src/sim) implements this interface; unit tests
-// implement it with hand-built fixtures.
+// metrics. SimulationState (src/sim) is the simulator's one implementation;
+// unit tests implement it with hand-built fixtures.
 
 #ifndef SRC_SCHED_BALANCE_ENV_H_
 #define SRC_SCHED_BALANCE_ENV_H_

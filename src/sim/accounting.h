@@ -25,7 +25,7 @@ class Accounting : public TickObserver {
   // temperature series per package ("physN") of `state`. The sampling grid
   // is anchored at `state`'s current tick, so series ticks are relative to
   // the moment the accounting was created (run-start), not absolute machine
-  // time - a second Run on the same machine starts its traces at 0 again.
+  // time.
   Accounting(const SimulationState& state, const Options& options);
 
   // Adds a CPU-residency trace for `task` (named "<program>#<id>"). Call

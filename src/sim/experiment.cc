@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "src/sim/accounting.h"
@@ -50,13 +51,14 @@ double RunResult::MaxThermalSpreadAfter(Tick tick) const {
 }
 
 Experiment::Experiment(const MachineConfig& config, const Options& options)
-    : options_(options), machine_(std::make_unique<Machine>(config)) {}
-
-RunResult Experiment::Run(const std::vector<const Program*>& programs) {
-  return Run(Workload(programs));
-}
+    : options_(options), machine_(config) {}
 
 RunResult Experiment::Run(const Workload& workload) {
+  SimulationState& state = machine_.state();
+  SimulationEngine& engine = machine_.engine();
+  if (state.now() != 0 || !state.tasks().empty()) {
+    throw std::logic_error("Experiment::Run needs a fresh machine (tick 0, no tasks)");
+  }
   RunResult result;
   const std::vector<TaskArrival>& arrivals = workload.arrivals();
 
@@ -64,7 +66,7 @@ RunResult Experiment::Run(const Workload& workload) {
   std::vector<Task*> spawned;
   std::size_t next = 0;
   while (next < arrivals.size() && arrivals[next].tick <= 0) {
-    spawned.push_back(machine_->Spawn(*arrivals[next].program, arrivals[next].nice));
+    spawned.push_back(state.Spawn(*arrivals[next].program, arrivals[next].nice));
     ++next;
   }
 
@@ -72,17 +74,14 @@ RunResult Experiment::Run(const Workload& workload) {
   // start of their tick, before that tick's wakeups, which is exactly when
   // the chunked stop-and-spawn loop this replaced injected them. An arrival
   // at or past the end tick never spawns (no tick starts at `now` >= the
-  // duration), matching the old loop's cutoff. Arrival ticks are relative to
-  // the run start: a machine that already ran keeps its tick counter.
-  const Tick start = machine_->now();
+  // duration), matching the old loop's cutoff.
   for (; next < arrivals.size(); ++next) {
-    machine_->state().ScheduleArrival(*arrivals[next].program, arrivals[next].nice,
-                                      start + arrivals[next].tick);
+    state.ScheduleArrival(*arrivals[next].program, arrivals[next].nice, arrivals[next].tick);
   }
 
   Accounting::Options accounting_options;
   accounting_options.sample_interval_ticks = options_.sample_interval_ticks;
-  Accounting accounting(machine_->state(), accounting_options);
+  Accounting accounting(state, accounting_options);
   if (options_.record_task_cpu) {
     for (const Task* task : spawned) {
       accounting.TraceTask(task);
@@ -93,33 +92,31 @@ RunResult Experiment::Run(const Workload& workload) {
   // chaos schedule that loses a task or unbalances a ledger throws out of
   // Run instead of producing silently-wrong records.
   std::unique_ptr<InvariantChecker> checker;
-  if (machine_->config().faulted()) {
-    checker = std::make_unique<InvariantChecker>(machine_->state());
-    machine_->engine().AddObserver(checker.get());
+  const MachineConfig& config = state.config();
+  if (config.faulted()) {
+    checker = std::make_unique<InvariantChecker>(state);
+    engine.AddObserver(checker.get());
   }
 
-  machine_->engine().AddObserver(&accounting);
-  machine_->Run(options_.duration_ticks);
-  machine_->engine().RemoveObserver(&accounting);
+  engine.AddObserver(&accounting);
+  machine_.Run(options_.duration_ticks);
+  engine.RemoveObserver(&accounting);
   if (checker != nullptr) {
-    machine_->engine().RemoveObserver(checker.get());
+    engine.RemoveObserver(checker.get());
   }
-  // Arrivals scheduled at or past the duration are still pending; a later
-  // run on this machine must not inherit them.
-  machine_->state().ClearPendingArrivals();
 
   result.thermal_power = std::move(accounting.thermal_power());
   result.temperature = std::move(accounting.temperature());
   result.task_cpu = std::move(accounting.task_cpu());
   result.frequency = std::move(accounting.frequency());
 
-  result.migrations = machine_->migration_count();
-  result.completions = machine_->TotalCompletions();
-  result.work_done_ticks = machine_->TotalWorkDone();
+  result.migrations = state.migration_count();
+  result.completions = state.TotalCompletions();
+  result.work_done_ticks = state.TotalWorkDone();
   result.duration_seconds = TicksToSeconds(options_.duration_ticks);
-  const CpuTopology& topology = machine_->config().topology;
-  for (std::size_t cpu = 0; cpu < machine_->num_cpus(); ++cpu) {
-    const ThrottleController& logical = machine_->throttle(static_cast<int>(cpu));
+  const CpuTopology& topology = config.topology;
+  for (std::size_t cpu = 0; cpu < state.num_cpus(); ++cpu) {
+    const ThrottleController& logical = state.throttle(static_cast<int>(cpu));
     if (logical.demand_ticks() > 0) {
       result.throttled_fraction.push_back(logical.ThrottledFraction());
     } else {
@@ -128,14 +125,12 @@ RunResult Experiment::Run(const Workload& workload) {
       // package's halt fraction instead, consistent with what the hlt gate
       // actually did to this CPU.
       const std::size_t phys = topology.PhysicalOf(static_cast<int>(cpu));
-      result.throttled_fraction.push_back(
-          machine_->state().package_throttle(phys).ThrottledFraction());
+      result.throttled_fraction.push_back(state.package_throttle(phys).ThrottledFraction());
     }
   }
-  if (machine_->config().governed()) {
-    for (std::size_t cpu = 0; cpu < machine_->num_cpus(); ++cpu) {
-      const FrequencyDomain& domain =
-          machine_->state().freq_domain(topology.PhysicalOf(static_cast<int>(cpu)));
+  if (config.governed()) {
+    for (std::size_t cpu = 0; cpu < state.num_cpus(); ++cpu) {
+      const FrequencyDomain& domain = state.freq_domain(topology.PhysicalOf(static_cast<int>(cpu)));
       std::vector<double> residency;
       residency.reserve(domain.table().size());
       for (std::size_t p = 0; p < domain.table().size(); ++p) {
@@ -145,9 +140,9 @@ RunResult Experiment::Run(const Workload& workload) {
       result.average_frequency.push_back(domain.AverageFrequency());
     }
   }
-  if (machine_->config().faulted()) {
-    result.faults_fired = machine_->state().faults_fired();
-    result.offline_cpu_ticks = machine_->state().offline_cpu_ticks();
+  if (config.faulted()) {
+    result.faults_fired = state.faults_fired();
+    result.offline_cpu_ticks = state.offline_cpu_ticks();
   }
   return result;
 }

@@ -1,4 +1,4 @@
-// Experiment harness: runs workloads on a Machine and collects the
+// Experiment harness: runs one workload on a fresh machine and collects the
 // quantities the paper's evaluation reports (thermal power traces, migration
 // counts, throttle percentages, throughput).
 
@@ -7,12 +7,10 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "src/base/series.h"
 #include "src/sim/machine.h"
-#include "src/task/program.h"
 #include "src/workloads/workload.h"
 
 namespace eas {
@@ -79,6 +77,7 @@ class Experiment {
     bool record_task_cpu = false;      // Figure 9 residency trace
   };
 
+  // Throws what Machine's constructor throws.
   Experiment(const MachineConfig& config, const Options& options);
 
   // Runs `workload` for the configured duration: arrivals at tick <= 0 spawn
@@ -86,16 +85,17 @@ class Experiment {
   // tick (arrivals at or past the duration never spawn). Only the initial
   // spawn set is traced when `record_task_cpu` is set - mid-run arrivals
   // would not share the sampling grid's start.
+  //
+  // An experiment runs once: the result's counters are machine totals, so
+  // Run throws std::logic_error unless the machine is fresh (tick 0, no
+  // tasks).
   RunResult Run(const Workload& workload);
 
-  // Legacy shape: spawns `programs` (in order) at tick 0.
-  RunResult Run(const std::vector<const Program*>& programs);
-
-  Machine& machine() { return *machine_; }
+  Machine& machine() { return machine_; }
 
  private:
   Options options_;
-  std::unique_ptr<Machine> machine_;
+  Machine machine_;
 };
 
 // Relative throughput increase of `test` over `baseline` (e.g. 0.05 = +5%).

@@ -11,6 +11,4 @@ Machine::Machine(const MachineConfig& config) : state_(config), engine_(config.s
   FrequencyGovernorRegistry::Global().CreateOrThrow(config.frequency_governor);
 }
 
-void Machine::Run(Tick n) { engine_.Advance(state_, n); }
-
 }  // namespace eas

@@ -1,115 +1,35 @@
-// The simulated multiprocessor machine - a facade over the layered engine.
+// The simulated multiprocessor machine: the (state, engine) pair.
 //
 // Stands in for the paper's IBM xSeries 445 plus modified Linux kernel. The
 // state (runqueues, counters, power metrics, thermal models, tasks) lives in
-// SimulationState; the per-tick behaviour lives in the SimulationEngine's
-// phase components (sched_tick, throttle_gate, counter_sampler,
-// thermal_stepper) with balancing policies resolved by name through the
-// BalancePolicyRegistry. Machine wires the two together and keeps the
-// public surface the experiments, tests and tools program against.
-//
-// The machine implements BalanceEnv (by forwarding to its state), so the
-// policy code in src/sched and src/core runs against it unchanged.
+// SimulationState, which is also the BalanceEnv every balancing policy runs
+// against; the per-tick behaviour lives in the SimulationEngine's phase
+// components, with balancing policies resolved by name through the
+// BalancePolicyRegistry. Machine only owns the two and validates the
+// configuration up front: callers spawn, observe and migrate through
+// state(), and attach observers through engine().
 
 #ifndef SRC_SIM_MACHINE_H_
 #define SRC_SIM_MACHINE_H_
 
-#include <memory>
-#include <vector>
-
-#include "src/sched/balance_env.h"
 #include "src/sim/machine_config.h"
 #include "src/sim/simulation_engine.h"
 #include "src/sim/simulation_state.h"
 
 namespace eas {
 
-class Machine : public BalanceEnv {
+class Machine {
  public:
-  // Throws std::invalid_argument if the configured balancing policy name is
-  // not registered.
+  // Throws std::invalid_argument if the configured balancing policy or
+  // frequency governor name is not registered.
   explicit Machine(const MachineConfig& config);
 
-  // --- workload management --------------------------------------------------
+  // Advances by `n` ticks (skip-ahead applies where the config allows it).
+  void Run(Tick n) { engine_.Advance(state_, n); }
 
-  // Creates a task running `program` and places it (energy-aware placement
-  // if enabled, least-loaded otherwise). Returns the task. `nice` scales the
-  // task's timeslices (Task::TimesliceForNice).
-  Task* Spawn(const Program& program, int nice = 0) { return state_.Spawn(program, nice); }
-
-  // Advances the machine by one tick.
-  void Step() { engine_.Tick(state_); }
-
-  // Advances by `n` ticks.
-  void Run(Tick n);
-
-  Tick now() const { return state_.now(); }
-
-  // --- layered internals ----------------------------------------------------
   SimulationState& state() { return state_; }
   const SimulationState& state() const { return state_; }
   SimulationEngine& engine() { return engine_; }
-
-  // --- BalanceEnv -----------------------------------------------------------
-  const CpuTopology& topology() const override { return state_.topology(); }
-  const DomainHierarchy& domains() const override { return state_.domains(); }
-  Runqueue& runqueue(int cpu) override { return state_.runqueue(cpu); }
-  const Runqueue& runqueue(int cpu) const override { return state_.runqueue(cpu); }
-  double RunqueuePower(int cpu) const override { return state_.RunqueuePower(cpu); }
-  double ThermalPower(int cpu) const override { return state_.ThermalPower(cpu); }
-  double MaxPower(int cpu) const override { return state_.MaxPower(cpu); }
-  bool MigrateTask(Task* task, int from, int to) override {
-    return state_.MigrateTask(task, from, to);
-  }
-  std::int64_t migration_count() const override { return state_.migration_count(); }
-
-  // --- observation ----------------------------------------------------------
-  std::size_t num_cpus() const { return state_.num_cpus(); }
-  std::size_t num_physical() const { return state_.num_physical(); }
-
-  // True die temperature of a physical package (deg C).
-  double Temperature(std::size_t physical) const { return state_.Temperature(physical); }
-
-  // True electrical power of a physical package during the last tick (W).
-  double TruePower(std::size_t physical) const { return state_.TruePower(physical); }
-
-  // Throttle statistics of a logical CPU. A tick counts as throttled for a
-  // logical CPU if its package was halted while the CPU had a task to run.
-  const ThrottleController& throttle(int cpu) const { return state_.throttle(cpu); }
-
-  // Whether a physical package is currently halted by thermal control. Only
-  // physical processors overheat (Section 4.7), so the decision compares the
-  // sum of the sibling thermal powers against the package's maximum power.
-  bool PackageThrottled(std::size_t physical) const {
-    return state_.package_throttle(physical).throttled();
-  }
-
-  // Idle (halted) power attributed to one logical CPU (W).
-  double IdlePowerPerLogical() const { return state_.IdlePowerPerLogical(); }
-
-  // Maximum power of a physical package (W).
-  double MaxPowerPhysical(std::size_t physical) const {
-    return state_.MaxPowerPhysical(physical);
-  }
-
-  // Sum of work ticks executed by all tasks (the throughput numerator).
-  double TotalWorkDone() const { return state_.TotalWorkDone(); }
-
-  // Sum of program completions over all tasks.
-  std::int64_t TotalCompletions() const { return state_.TotalCompletions(); }
-
-  // Estimated total energy attributed to tasks so far (J).
-  double TotalTaskEnergy() const { return state_.TotalTaskEnergy(); }
-
-  const std::vector<Task*>& tasks() const { return state_.tasks(); }
-  Task* task(std::size_t i) { return state_.task(i); }
-
-  const BinaryRegistry& binary_registry() const { return state_.binary_registry(); }
-  const EnergyEstimator& estimator() const { return state_.estimator(); }
-  const MachineConfig& config() const { return state_.config(); }
-
-  // Logical CPU a task occupies, or kInvalidCpu if sleeping/finished.
-  static int TaskCpu(const Task& task) { return SimulationState::TaskCpu(task); }
 
  private:
   SimulationState state_;

@@ -313,8 +313,6 @@ void SimulationState::ScheduleArrival(const Program& program, int nice, Tick tic
   arrival_queue_.Push(tick, next_arrival_seq_++, PendingArrival{&program, nice});
 }
 
-void SimulationState::ClearPendingArrivals() { arrival_queue_.Clear(); }
-
 void SimulationState::SwitchInIfIdle(int cpu) {
   Runqueue& rq = runqueue(cpu);
   if (rq.current() != nullptr) {

@@ -114,8 +114,9 @@ class SimulationState : public BalanceEnv {
   // --- workload -------------------------------------------------------------
 
   // Creates a task running `program` and places it (energy-aware placement
-  // if enabled, least-loaded otherwise).
-  EAS_CROSS_SHARD Task* Spawn(const Program& program, int nice);
+  // if enabled, least-loaded otherwise). `nice` scales the task's timeslices
+  // (Task::TimesliceForNice).
+  EAS_CROSS_SHARD Task* Spawn(const Program& program, int nice = 0);
 
   // Placement for a (re)spawned task per the configured policy: energy-aware
   // placement seeds the profile from the binary registry; the baseline picks
@@ -143,10 +144,6 @@ class SimulationState : public BalanceEnv {
   // Schedules `program` to be spawned with `nice` at the start of `tick`
   // (before that tick's wakeups). Insertion order breaks ties.
   EAS_CROSS_SHARD void ScheduleArrival(const Program& program, int nice, Tick tick);
-
-  // Drops arrivals that have not fired yet (end of an experiment run: a
-  // leftover arrival must not leak into a later run on the same machine).
-  EAS_CROSS_SHARD void ClearPendingArrivals();
 
   struct PendingArrival {
     const Program* program = nullptr;

@@ -3,7 +3,8 @@
 // A task executes its program's phases tick by tick, emits counter events,
 // carries its energy profile, and records scheduling state (runnable /
 // running / sleeping), CPU placement, migration bookkeeping and completion
-// statistics. Tasks are owned by the Machine; schedulers hold raw pointers.
+// statistics. Tasks are owned by the SimulationState (src/sim); schedulers
+// hold raw pointers.
 
 #ifndef SRC_TASK_TASK_H_
 #define SRC_TASK_TASK_H_

@@ -108,13 +108,14 @@ TEST(PolicyRegistryTest, RuntimePolicySelectableByString) {
   // Least-loaded placement spreads tasks; with the null policy nothing may
   // ever migrate afterwards, however unbalanced things get.
   Machine machine(config);
+  SimulationState& state = machine.state();
   EXPECT_EQ(machine.engine().policy().name(), "null_policy");
   const ProgramLibrary library(EnergyModel::Default());
-  machine.Spawn(library.bitcnts());
-  machine.Spawn(library.bitcnts());
-  machine.Spawn(library.memrw());
+  state.Spawn(library.bitcnts());
+  state.Spawn(library.bitcnts());
+  state.Spawn(library.memrw());
   machine.Run(10'000);
-  EXPECT_EQ(machine.migration_count(), 0);
+  EXPECT_EQ(state.migration_count(), 0);
 }
 
 

@@ -43,11 +43,11 @@ TEST_F(FaultInjectionTest, OfflineDrainsTheRunqueueAndReplacesItsTasks) {
   MachineConfig config = SmallConfig();
   config.fault_spec = "off:1@100";
   Machine machine(config);
-  Task* a = machine.Spawn(library_.bitcnts());
-  Task* b = machine.Spawn(library_.bitcnts());
+  SimulationState& state = machine.state();
+  Task* a = state.Spawn(library_.bitcnts());
+  Task* b = state.Spawn(library_.bitcnts());
   machine.Run(300);
 
-  const SimulationState& state = machine.state();
   EXPECT_FALSE(state.CpuOnline(1));
   EXPECT_TRUE(state.CpuOnline(0));
   EXPECT_EQ(state.runqueue(1).nr_running(), 0u);
@@ -63,11 +63,11 @@ TEST_F(FaultInjectionTest, OnlineRestoresCapacityWithExactAccounting) {
   MachineConfig config = SmallConfig();
   config.fault_spec = "off:1@100,on:1@200";
   Machine machine(config);
-  machine.Spawn(library_.bitcnts());
-  machine.Spawn(library_.bitcnts());
+  SimulationState& state = machine.state();
+  state.Spawn(library_.bitcnts());
+  state.Spawn(library_.bitcnts());
   machine.Run(2'000);
 
-  const SimulationState& state = machine.state();
   EXPECT_TRUE(state.CpuOnline(1));
   EXPECT_EQ(state.offline_cpu_count(), 0);
   // The ledger accumulates exactly one offline CPU for exactly the ticks of
@@ -85,10 +85,10 @@ TEST_F(FaultInjectionTest, LastOnlineCpuRefusesToGoOffline) {
   MachineConfig config = SmallConfig();
   config.fault_spec = "off:0@50,off:1@60";
   Machine machine(config);
-  Task* task = machine.Spawn(library_.bitcnts());
+  SimulationState& state = machine.state();
+  Task* task = state.Spawn(library_.bitcnts());
   machine.Run(200);
 
-  const SimulationState& state = machine.state();
   // CPU 0 went down; the plan's attempt on CPU 1 - the last online CPU -
   // was refused, so the machine never loses its ability to run work.
   EXPECT_FALSE(state.CpuOnline(0));
@@ -104,19 +104,19 @@ TEST_F(FaultInjectionTest, ThermalSpikeForcesTheGovernorToTheDeepestPState) {
   config.frequency_governor = "thermal-stepdown";
   config.fault_spec = "spike:0@50:15:200";
   Machine machine(config);
-  machine.Spawn(library_.memrw());  // light load: the governor would sit at P0
-  const double before = machine.Temperature(0);
+  SimulationState& state = machine.state();
+  state.Spawn(library_.memrw());  // light load: the governor would sit at P0
+  const double before = state.Temperature(0);
   machine.Run(100);  // now = 100, inside the emergency window [50, 250)
 
-  const SimulationState& state = machine.state();
   EXPECT_TRUE(state.EmergencyActive(0));
   EXPECT_EQ(state.freq_domain(0).current(), state.freq_domain(0).table().deepest());
-  EXPECT_GT(machine.Temperature(0), before);
+  EXPECT_GT(state.Temperature(0), before);
   // The other package is untouched.
   EXPECT_FALSE(state.EmergencyActive(1));
 
   machine.Run(300);  // past the window: the governor is free again
-  EXPECT_FALSE(machine.state().EmergencyActive(0));
+  EXPECT_FALSE(state.EmergencyActive(0));
 }
 
 TEST_F(FaultInjectionTest, ThermalSpikeEngagesTheHltBackstopWhenUngoverned) {
@@ -126,10 +126,10 @@ TEST_F(FaultInjectionTest, ThermalSpikeEngagesTheHltBackstopWhenUngoverned) {
   config.throttling_enabled = false;
   config.fault_spec = "spike:0@50:20:300";
   Machine machine(config);
-  machine.Spawn(library_.bitcnts());
+  SimulationState& state = machine.state();
+  state.Spawn(library_.bitcnts());
   machine.Run(1'000);
 
-  const SimulationState& state = machine.state();
   EXPECT_GT(state.package_throttle(0).ThrottledFraction(), 0.0);
   EXPECT_EQ(state.package_throttle(1).ThrottledFraction(), 0.0);
 }
@@ -139,36 +139,38 @@ TEST_F(FaultInjectionTest, ClampFloorsThePStateForItsWindow) {
   config.frequency_governor = "thermal-stepdown";
   config.fault_spec = "clamp:0@50:2:200";
   Machine machine(config);
-  machine.Spawn(library_.memrw());  // light load: governor alone would pick P0
+  SimulationState& state = machine.state();
+  state.Spawn(library_.memrw());  // light load: governor alone would pick P0
   machine.Run(100);  // inside the clamp window
 
-  const SimulationState& state = machine.state();
   EXPECT_TRUE(state.ClampActive(0));
   EXPECT_GE(state.freq_domain(0).current(), 2u);
 
   machine.Run(300);  // window expired
-  EXPECT_FALSE(machine.state().ClampActive(0));
+  EXPECT_FALSE(state.ClampActive(0));
 }
 
 TEST_F(FaultInjectionTest, ClampRestoresAnUngovernedDomainOnExpiry) {
   MachineConfig config = SmallConfig();
   config.fault_spec = "clamp:0@50:3:100";
   Machine machine(config);
-  machine.Spawn(library_.bitcnts());
+  SimulationState& state = machine.state();
+  state.Spawn(library_.bitcnts());
   machine.Run(100);  // inside the window: the ungoverned domain sits at the floor
-  EXPECT_EQ(machine.state().freq_domain(0).current(), 3u);
+  EXPECT_EQ(state.freq_domain(0).current(), 3u);
   machine.Run(100);  // expired: the FaultPhase restores P0 (the ungoverned rest state)
-  EXPECT_EQ(machine.state().freq_domain(0).current(), 0u);
+  EXPECT_EQ(state.freq_domain(0).current(), 0u);
 }
 
 TEST_F(FaultInjectionTest, InvariantCheckerPassesACleanChaosRun) {
   MachineConfig config = SmallConfig();
   config.fault_spec = "churn:4@800:9,spike:0@100:10:200,clamp:1@300:2:200";
   Machine machine(config);
-  InvariantChecker checker(machine.state());
+  SimulationState& state = machine.state();
+  InvariantChecker checker(state);
   machine.engine().AddObserver(&checker);
-  machine.Spawn(library_.bitcnts());
-  machine.Spawn(library_.memrw());
+  state.Spawn(library_.bitcnts());
+  state.Spawn(library_.memrw());
   machine.Run(1'000);
   machine.engine().RemoveObserver(&checker);
   // Faulted runs never take the closed-form skip path, so the checker saw
@@ -180,13 +182,14 @@ TEST_F(FaultInjectionTest, InvariantCheckerThrowsOnACorruptedQueue) {
   MachineConfig config = SmallConfig();
   config.fault_spec = "off:1@500000";  // arm the checker path; never fires here
   Machine machine(config);
-  Task* task = machine.Spawn(library_.bitcnts());
+  SimulationState& state = machine.state();
+  Task* task = state.Spawn(library_.bitcnts());
   machine.Run(10);
 
-  InvariantChecker checker(machine.state());
+  InvariantChecker checker(state);
   // Corrupt the bookkeeping: the task sits on one queue but claims another.
   task->set_cpu(task->cpu() == 0 ? 1 : 0);
-  EXPECT_THROW(checker.OnTick(machine.state()), std::runtime_error);
+  EXPECT_THROW(checker.OnTick(state), std::runtime_error);
 }
 
 // --- determinism contracts ---------------------------------------------------

@@ -85,17 +85,19 @@ TEST(FreqPipelineTest, ThermalStepdownScalesProgressAndEnergy) {
   const ProgramLibrary library(EnergyModel::Default());
   Machine baseline(config);
   Machine dvfs(governed);
-  baseline.Spawn(library.bitcnts());
-  baseline.Spawn(library.bitcnts());
-  dvfs.Spawn(library.bitcnts());
-  dvfs.Spawn(library.bitcnts());
+  SimulationState& baseline_state = baseline.state();
+  SimulationState& dvfs_state = dvfs.state();
+  baseline_state.Spawn(library.bitcnts());
+  baseline_state.Spawn(library.bitcnts());
+  dvfs_state.Spawn(library.bitcnts());
+  dvfs_state.Spawn(library.bitcnts());
   baseline.Run(20'000);
   dvfs.Run(20'000);
 
-  EXPECT_LT(dvfs.TotalWorkDone(), baseline.TotalWorkDone());
-  EXPECT_LT(dvfs.TotalTaskEnergy(), baseline.TotalTaskEnergy());
-  for (std::size_t phys = 0; phys < dvfs.num_physical(); ++phys) {
-    const FrequencyDomain& domain = dvfs.state().freq_domain(phys);
+  EXPECT_LT(dvfs_state.TotalWorkDone(), baseline_state.TotalWorkDone());
+  EXPECT_LT(dvfs_state.TotalTaskEnergy(), baseline_state.TotalTaskEnergy());
+  for (std::size_t phys = 0; phys < dvfs_state.num_physical(); ++phys) {
+    const FrequencyDomain& domain = dvfs_state.freq_domain(phys);
     EXPECT_EQ(domain.total_ticks(), 20'000) << phys;
     EXPECT_LT(domain.AverageFrequency(), 1.0) << phys;
   }

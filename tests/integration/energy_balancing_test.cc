@@ -78,7 +78,7 @@ TEST(EnergyBalancingIntegration, AllTasksMakeProgress) {
   options.duration_ticks = 60'000;
   Experiment experiment(PaperConfig(false, true), options);
   experiment.Run(MixedWorkload(library, 3));
-  for (const auto& task : experiment.machine().tasks()) {
+  for (const auto& task : experiment.machine().state().tasks()) {
     const double total_work =
         task->work_done_ticks() + static_cast<double>(task->completions()) *
                                       static_cast<double>(task->program().total_work_ticks());
@@ -93,9 +93,9 @@ TEST(EnergyBalancingIntegration, LoadStaysBalanced) {
   Experiment experiment(PaperConfig(false, true), options);
   experiment.Run(MixedWorkload(library, 3));
   // 18 CPU-bound tasks on 8 CPUs: queues must stay within 2..3 tasks.
-  Machine& machine = experiment.machine();
-  for (std::size_t cpu = 0; cpu < machine.num_cpus(); ++cpu) {
-    const std::size_t nr = machine.runqueue(static_cast<int>(cpu)).nr_running();
+  const SimulationState& state = experiment.machine().state();
+  for (std::size_t cpu = 0; cpu < state.num_cpus(); ++cpu) {
+    const std::size_t nr = state.runqueue(static_cast<int>(cpu)).nr_running();
     EXPECT_GE(nr, 1u) << "cpu " << cpu;
     EXPECT_LE(nr, 4u) << "cpu " << cpu;
   }

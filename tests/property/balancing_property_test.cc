@@ -110,7 +110,7 @@ TEST_P(BalancingProperty, FairnessPreserved) {
   // Every task of the same program class must get a comparable CPU share.
   double min_work = 1e18;
   double max_work = 0.0;
-  for (const auto& task : experiment.machine().tasks()) {
+  for (const auto& task : experiment.machine().state().tasks()) {
     const double work =
         task->work_done_ticks() + static_cast<double>(task->completions()) *
                                       static_cast<double>(task->program().total_work_ticks());

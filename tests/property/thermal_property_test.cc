@@ -82,12 +82,13 @@ TEST_P(ThrottleDutyProperty, DutyCycleMatchesAnalytic) {
   config.sched = EnergySchedConfig::Baseline();
   config.estimator_weights = EnergyModel::Default().weights();
   Machine machine(config);
+  SimulationState& state = machine.state();
   const ProgramLibrary library(EnergyModel::Default());
-  machine.Spawn(library.bitcnts());
+  state.Spawn(library.bitcnts());
   machine.Run(240'000);  // 4 minutes >> tau
 
   const double expected = (61.0 - limit) / (61.0 - 13.6);
-  EXPECT_NEAR(machine.throttle(0).ThrottledFraction(), expected, 0.05) << "limit " << limit;
+  EXPECT_NEAR(state.throttle(0).ThrottledFraction(), expected, 0.05) << "limit " << limit;
 }
 
 INSTANTIATE_TEST_SUITE_P(Limits, ThrottleDutyProperty,
@@ -112,14 +113,15 @@ TEST_P(MigrationCadenceProperty, HopIntervalMatchesAnalytic) {
   config.sched = EnergySchedConfig::EnergyAware();
   config.estimator_weights = EnergyModel::Default().weights();
   Machine machine(config);
+  SimulationState& state = machine.state();
   const ProgramLibrary library(EnergyModel::Default());
-  Task* task = machine.Spawn(library.bitcnts());
+  Task* task = state.Spawn(library.bitcnts());
 
   std::vector<Tick> hop_times;
   int last_cpu = task->cpu();
   for (Tick t = 0; t < 150'000; ++t) {
-    machine.Step();
-    const int cpu = Machine::TaskCpu(*task);
+    machine.Run(1);
+    const int cpu = SimulationState::TaskCpu(*task);
     if (cpu >= 0 && cpu != last_cpu) {
       hop_times.push_back(t);
       last_cpu = cpu;

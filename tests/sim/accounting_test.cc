@@ -19,13 +19,14 @@ TEST(AccountingTest, SmtSiblingAttributionSumsToPackagePower) {
   config.explicit_max_power_physical = 200.0;
   config.estimator_weights = EnergyModel::Default().weights();
   Machine machine(config);
+  SimulationState& state = machine.state();
   const ProgramLibrary library(EnergyModel::Default());
-  machine.Spawn(library.bitcnts());
-  machine.Spawn(library.memrw());
+  state.Spawn(library.bitcnts());
+  state.Spawn(library.memrw());
   machine.Run(90'000);  // >> tau
 
-  const double sum = machine.ThermalPower(0) + machine.ThermalPower(1);
-  EXPECT_NEAR(sum, machine.TruePower(0), machine.TruePower(0) * 0.05);
+  const double sum = state.ThermalPower(0) + state.ThermalPower(1);
+  EXPECT_NEAR(sum, state.TruePower(0), state.TruePower(0) * 0.05);
 }
 
 TEST(AccountingTest, IdleSiblingGetsHaltShare) {
@@ -35,13 +36,14 @@ TEST(AccountingTest, IdleSiblingGetsHaltShare) {
   config.explicit_max_power_physical = 200.0;
   config.estimator_weights = EnergyModel::Default().weights();
   Machine machine(config);
+  SimulationState& state = machine.state();
   const ProgramLibrary library(EnergyModel::Default());
-  Task* task = machine.Spawn(library.bitcnts());
+  Task* task = state.Spawn(library.bitcnts());
   machine.Run(90'000);
   const int busy = task->cpu();
   const int idle = busy == 0 ? 1 : 0;
-  EXPECT_NEAR(machine.ThermalPower(idle), 6.8, 0.5);
-  EXPECT_GT(machine.ThermalPower(busy), 45.0);
+  EXPECT_NEAR(state.ThermalPower(idle), 6.8, 0.5);
+  EXPECT_GT(state.ThermalPower(busy), 45.0);
 }
 
 TEST(AccountingTest, SleepingTaskWakesOnSameCpu) {
@@ -54,15 +56,16 @@ TEST(AccountingTest, SleepingTaskWakesOnSameCpu) {
   config.estimator_weights = EnergyModel::Default().weights();
   config.sched = EnergySchedConfig::Baseline();
   Machine machine(config);
+  SimulationState& state = machine.state();
   const ProgramLibrary library(EnergyModel::Default());
-  Task* daemon = machine.Spawn(library.bash());
+  Task* daemon = state.Spawn(library.bash());
 
   int wake_cpu_mismatches = 0;
   int sleeps = 0;
   int last_run_cpu = daemon->cpu();
   bool was_sleeping = false;
   for (int i = 0; i < 20'000; ++i) {
-    machine.Step();
+    machine.Run(1);
     const bool sleeping = daemon->state() == TaskState::kSleeping;
     if (sleeping && !was_sleeping) {
       ++sleeps;
@@ -92,13 +95,14 @@ TEST(AccountingTest, ThrottleStatsOnlyCountBlockedWork) {
   config.sched = EnergySchedConfig::Baseline();
   config.estimator_weights = EnergyModel::Default().weights();
   Machine machine(config);
+  SimulationState& state = machine.state();
   const ProgramLibrary library(EnergyModel::Default());
-  Task* task = machine.Spawn(library.bitcnts());
+  Task* task = state.Spawn(library.bitcnts());
   machine.Run(120'000);
   const int busy = task->cpu();
   const int idle = busy == 0 ? 1 : 0;
-  EXPECT_GT(machine.throttle(busy).ThrottledFraction(), 0.3);
-  EXPECT_DOUBLE_EQ(machine.throttle(idle).ThrottledFraction(), 0.0);
+  EXPECT_GT(state.throttle(busy).ThrottledFraction(), 0.3);
+  EXPECT_DOUBLE_EQ(state.throttle(idle).ThrottledFraction(), 0.0);
 }
 
 TEST(AccountingTest, TrueEnergyConservedAcrossIdleAndBusy) {
@@ -109,14 +113,15 @@ TEST(AccountingTest, TrueEnergyConservedAcrossIdleAndBusy) {
   config.explicit_max_power_physical = 200.0;
   config.estimator_weights = EnergyModel::Default().weights();
   Machine machine(config);
+  SimulationState& state = machine.state();
   const ProgramLibrary library(EnergyModel::Default());
-  Task* task = machine.Spawn(library.aluadd());
+  Task* task = state.Spawn(library.aluadd());
   double idle_energy = 0.0;
-  const int busy_phys = static_cast<int>(machine.config().topology.PhysicalOf(task->cpu()));
+  const int busy_phys = static_cast<int>(state.config().topology.PhysicalOf(task->cpu()));
   const std::size_t idle_phys = busy_phys == 0 ? 1 : 0;
   for (int i = 0; i < 1'000; ++i) {
-    machine.Step();
-    idle_energy += machine.TruePower(idle_phys) * kTickSeconds;
+    machine.Run(1);
+    idle_energy += state.TruePower(idle_phys) * kTickSeconds;
   }
   EXPECT_NEAR(idle_energy, 13.6 * 1.0, 1e-6);
 }

@@ -286,7 +286,7 @@ TEST(EnginePipelineTest, ObserversSeeAdvancedTick) {
   EXPECT_EQ(observer.seen[0], 1);
   EXPECT_EQ(observer.seen[1], 2);
   EXPECT_EQ(observer.seen[2], 3);
-  EXPECT_EQ(machine.now(), 5);
+  EXPECT_EQ(machine.state().now(), 5);
 }
 
 }  // namespace

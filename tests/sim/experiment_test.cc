@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/workloads/programs.h"
 #include "src/workloads/workload_builder.h"
 
@@ -23,17 +25,18 @@ TEST(ExperimentTest, CollectsThermalSeriesPerCpu) {
   options.duration_ticks = 2'000;
   options.sample_interval_ticks = 100;
   Experiment experiment(QuickConfig(), options);
-  const RunResult result = experiment.Run({&library.bitcnts()});
+  const RunResult result = experiment.Run(Workload({&library.bitcnts()}));
   EXPECT_EQ(result.thermal_power.size(), 2u);
   EXPECT_EQ(result.temperature.size(), 2u);
   EXPECT_EQ(result.thermal_power.at(0).size(), 20u);
   EXPECT_DOUBLE_EQ(result.duration_seconds, 2.0);
 }
 
-TEST(ExperimentTest, SecondRunArrivalsAreRelativeToRunStart) {
-  // The machine keeps its tick counter across Run calls; a second run's
-  // mid-run arrivals must still fire relative to that run's start, and
-  // arrivals at or past the duration must not leak into later runs.
+TEST(ExperimentTest, SecondRunThrows) {
+  // An experiment runs once: its result reports machine totals (work,
+  // completions, migrations, throttle and P-state fractions) over one run's
+  // duration, so a second Run on the same machine would report cumulative
+  // work as if it fit in one run.
   ProgramLibrary library(EnergyModel::Default());
   Experiment::Options options;
   options.duration_ticks = 1'000;
@@ -43,18 +46,16 @@ TEST(ExperimentTest, SecondRunArrivalsAreRelativeToRunStart) {
   first.Add(library.bitcnts());
   first.Add(library.memrw(), /*tick=*/5'000);  // past the duration: never spawns
   experiment.Run(first);
-  EXPECT_EQ(experiment.machine().tasks().size(), 1u);
+  const SimulationState& state = experiment.machine().state();
+  EXPECT_EQ(state.now(), 1'000);
+  EXPECT_EQ(state.tasks().size(), 1u);
 
   Workload second;
-  second.Add(library.memrw(), /*tick=*/100);  // run-relative, not absolute
-  experiment.Run(second);
-  EXPECT_EQ(experiment.machine().now(), 2'000);
-  ASSERT_EQ(experiment.machine().tasks().size(), 2u);
-  // Spawned 100 ticks into the second run: it missed 1'100 of the 2'000
-  // ticks the machine has seen, so its work is well short of a full-run
-  // task's but clearly nonzero.
-  EXPECT_GT(experiment.machine().tasks()[1]->work_done_ticks(), 0.0);
-  EXPECT_LT(experiment.machine().tasks()[1]->work_done_ticks(), 901.0);
+  second.Add(library.memrw(), /*tick=*/100);
+  EXPECT_THROW(experiment.Run(second), std::logic_error);
+  // The refused run left the machine as the first run did.
+  EXPECT_EQ(state.now(), 1'000);
+  EXPECT_EQ(state.tasks().size(), 1u);
 }
 
 TEST(ExperimentTest, RecordsTaskCpuTraceWhenAsked) {
@@ -64,7 +65,7 @@ TEST(ExperimentTest, RecordsTaskCpuTraceWhenAsked) {
   options.sample_interval_ticks = 100;
   options.record_task_cpu = true;
   Experiment experiment(QuickConfig(), options);
-  const RunResult result = experiment.Run({&library.bitcnts(), &library.memrw()});
+  const RunResult result = experiment.Run(Workload({&library.bitcnts(), &library.memrw()}));
   EXPECT_EQ(result.task_cpu.size(), 2u);
   EXPECT_GT(result.task_cpu.at(0).size(), 0u);
 }
@@ -119,7 +120,7 @@ TEST(ExperimentTest, ThrottledFractionsCollected) {
   Experiment::Options options;
   options.duration_ticks = 60'000;
   Experiment experiment(config, options);
-  const RunResult result = experiment.Run({&library.bitcnts(), &library.bitcnts()});
+  const RunResult result = experiment.Run(Workload({&library.bitcnts(), &library.bitcnts()}));
   ASSERT_EQ(result.throttled_fraction.size(), 2u);
   EXPECT_GT(result.AverageThrottledFraction(), 0.05);
 }
@@ -141,10 +142,10 @@ TEST(ExperimentTest, ZeroDemandCpuReportsPackageHaltFraction) {
   options.duration_ticks = 2'000;
   Experiment experiment(config, options);
   // One task: it occupies one package; the other has zero demand all run.
-  const RunResult result = experiment.Run({&library.bitcnts()});
+  const RunResult result = experiment.Run(Workload({&library.bitcnts()}));
 
   ASSERT_EQ(result.throttled_fraction.size(), 2u);
-  const int busy_cpu = SimulationState::TaskCpu(*experiment.machine().tasks()[0]);
+  const int busy_cpu = SimulationState::TaskCpu(*experiment.machine().state().tasks()[0]);
   ASSERT_GE(busy_cpu, 0);
   const int idle_cpu = 1 - busy_cpu;
   // The busy CPU's task was blocked every tick; the idle CPU reports the
@@ -163,7 +164,7 @@ TEST(ExperimentTest, ThrottlingDisabledReportsZeroFractions) {
   Experiment::Options options;
   options.duration_ticks = 1'000;
   Experiment experiment(config, options);
-  const RunResult result = experiment.Run({&library.bitcnts()});
+  const RunResult result = experiment.Run(Workload({&library.bitcnts()}));
   for (double fraction : result.throttled_fraction) {
     EXPECT_DOUBLE_EQ(fraction, 0.0);
   }

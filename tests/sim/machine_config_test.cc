@@ -27,9 +27,10 @@ TEST(MachineConfigTest, TempLimitDerivesMaxPower) {
   config.explicit_max_power_physical.reset();
   config.temp_limit = 38.0;
   Machine machine(config);
+  SimulationState& state = machine.state();
   // (38 - 22) / 0.3 = 53.33 W per package, one logical per package.
-  EXPECT_NEAR(machine.MaxPower(0), 16.0 / 0.3, 1e-9);
-  EXPECT_NEAR(machine.MaxPowerPhysical(0), 16.0 / 0.3, 1e-9);
+  EXPECT_NEAR(state.MaxPower(0), 16.0 / 0.3, 1e-9);
+  EXPECT_NEAR(state.MaxPowerPhysical(0), 16.0 / 0.3, 1e-9);
 }
 
 TEST(MachineConfigTest, SmtSplitsMaxPowerAcrossSiblings) {
@@ -38,11 +39,12 @@ TEST(MachineConfigTest, SmtSplitsMaxPowerAcrossSiblings) {
   config.cooling = CoolingProfile::Uniform(1, ThermalParams{});
   config.explicit_max_power_physical = 40.0;
   Machine machine(config);
-  EXPECT_NEAR(machine.MaxPower(0), 20.0, 1e-9);
-  EXPECT_NEAR(machine.MaxPower(1), 20.0, 1e-9);
-  EXPECT_NEAR(machine.MaxPowerPhysical(0), 40.0, 1e-9);
+  SimulationState& state = machine.state();
+  EXPECT_NEAR(state.MaxPower(0), 20.0, 1e-9);
+  EXPECT_NEAR(state.MaxPower(1), 20.0, 1e-9);
+  EXPECT_NEAR(state.MaxPowerPhysical(0), 40.0, 1e-9);
   // Idle power also splits.
-  EXPECT_NEAR(machine.IdlePowerPerLogical(), 6.8, 1e-9);
+  EXPECT_NEAR(state.IdlePowerPerLogical(), 6.8, 1e-9);
 }
 
 TEST(MachineConfigTest, SelfCalibrationPathWorks) {
@@ -51,8 +53,9 @@ TEST(MachineConfigTest, SelfCalibrationPathWorks) {
   config.estimator_weights.reset();
   config.meter_error_stddev = 0.02;
   Machine machine(config);
+  SimulationState& state = machine.state();
   const ProgramLibrary library(EnergyModel::Default());
-  Task* task = machine.Spawn(library.bitcnts());
+  Task* task = state.Spawn(library.bitcnts());
   machine.Run(5'000);
   // Calibrated weights keep the profile within the paper's 10% bound.
   EXPECT_NEAR(task->profile().power(), 61.0, 6.1);
@@ -63,11 +66,12 @@ TEST(MachineConfigTest, WarmupPenaltySlowsMigratedTask) {
   config.warmup_ticks_same_node = 50;
   config.warmup_speed = 0.5;
   Machine machine(config);
+  SimulationState& state = machine.state();
   const ProgramLibrary library(EnergyModel::Default());
-  Task* task = machine.Spawn(library.bitcnts());
+  Task* task = state.Spawn(library.bitcnts());
   machine.Run(10);
   const double before = task->work_done_ticks();
-  machine.MigrateTask(task, task->cpu(), 1 - task->cpu());
+  state.MigrateTask(task, task->cpu(), 1 - task->cpu());
   machine.Run(50);
   // ~50 ticks at half speed (plus a switch-in tick).
   EXPECT_LT(task->work_done_ticks() - before, 32.0);
@@ -80,10 +84,11 @@ TEST(MachineConfigTest, CrossNodeWarmupIsLonger) {
   config.topology = CpuTopology(2, 1, 1);
   config.cooling = CoolingProfile::Uniform(2, ThermalParams{});
   Machine machine(config);
+  SimulationState& state = machine.state();
   const ProgramLibrary library(EnergyModel::Default());
-  Task* task = machine.Spawn(library.bitcnts());
+  Task* task = state.Spawn(library.bitcnts());
   machine.Run(10);
-  machine.MigrateTask(task, task->cpu(), 1 - task->cpu());
+  state.MigrateTask(task, task->cpu(), 1 - task->cpu());
   EXPECT_EQ(task->warmup_ticks_left(), config.warmup_ticks_cross_node);
   EXPECT_EQ(task->node_migrations(), 1);
 }
@@ -94,9 +99,10 @@ TEST(MachineConfigTest, CorunSpeedConfigurable) {
   config.cooling = CoolingProfile::Uniform(1, ThermalParams{});
   config.smt_corun_speed = 0.5;
   Machine machine(config);
+  SimulationState& state = machine.state();
   const ProgramLibrary library(EnergyModel::Default());
-  Task* a = machine.Spawn(library.bitcnts());
-  Task* b = machine.Spawn(library.aluadd());
+  Task* a = state.Spawn(library.bitcnts());
+  Task* b = state.Spawn(library.aluadd());
   machine.Run(1'000);
   EXPECT_NEAR(a->work_done_ticks(), 500.0, 60.0);
   EXPECT_NEAR(b->work_done_ticks(), 500.0, 60.0);
@@ -107,8 +113,9 @@ TEST(MachineConfigTest, SingleSiblingRunsFullSpeedOnSmt) {
   config.topology = CpuTopology(1, 1, 2);
   config.cooling = CoolingProfile::Uniform(1, ThermalParams{});
   Machine machine(config);
+  SimulationState& state = machine.state();
   const ProgramLibrary library(EnergyModel::Default());
-  Task* a = machine.Spawn(library.bitcnts());
+  Task* a = state.Spawn(library.bitcnts());
   machine.Run(1'000);
   EXPECT_NEAR(a->work_done_ticks(), 1'000.0, 10.0);
 }
@@ -119,9 +126,10 @@ TEST(MachineConfigTest, CustomTimesliceRespected) {
   config.cooling = CoolingProfile::Uniform(1, ThermalParams{});
   config.timeslice_ticks = 20;
   Machine machine(config);
+  SimulationState& state = machine.state();
   const ProgramLibrary library(EnergyModel::Default());
-  Task* a = machine.Spawn(library.bitcnts());
-  Task* b = machine.Spawn(library.memrw());
+  Task* a = state.Spawn(library.bitcnts());
+  Task* b = state.Spawn(library.memrw());
   machine.Run(200);
   // With 20-tick slices, both ran several rounds already.
   EXPECT_GT(a->work_done_ticks(), 50.0);
@@ -138,13 +146,14 @@ TEST(MachineConfigTest, ThrottleHysteresisWidensDutyCycle) {
     config.throttling_enabled = true;
     config.sched = EnergySchedConfig::Baseline();
     Machine machine(config);
+    SimulationState& state = machine.state();
     const ProgramLibrary library(EnergyModel::Default());
-    machine.Spawn(library.bitcnts());
+    state.Spawn(library.bitcnts());
     int flips = 0;
     bool last = false;
     for (int i = 0; i < 120'000; ++i) {
-      machine.Step();
-      const bool now = machine.PackageThrottled(0);
+      machine.Run(1);
+      const bool now = state.package_throttle(0).throttled();
       if (now != last) {
         ++flips;
       }
@@ -160,25 +169,27 @@ TEST(MachineConfigTest, NoRespawnRetiresTask) {
   MachineConfig config = BaseConfig();
   config.respawn_completed = false;
   Machine machine(config);
+  SimulationState& state = machine.state();
   const ProgramLibrary library(EnergyModel::Default());
-  Task* task = machine.Spawn(library.short_hot());  // 500 ticks of work
+  Task* task = state.Spawn(library.short_hot());  // 500 ticks of work
   machine.Run(1'000);
   EXPECT_EQ(task->state(), TaskState::kFinished);
   EXPECT_EQ(task->completions(), 0);
-  EXPECT_EQ(Machine::TaskCpu(*task), kInvalidCpu);
+  EXPECT_EQ(SimulationState::TaskCpu(*task), kInvalidCpu);
   // The CPU is free again.
-  EXPECT_TRUE(machine.runqueue(task->cpu()).Idle());
+  EXPECT_TRUE(state.runqueue(task->cpu()).Idle());
 }
 
 TEST(MachineConfigTest, DeterministicAcrossRuns) {
   auto run = []() {
     MachineConfig config = BaseConfig();
     Machine machine(config);
+    SimulationState& state = machine.state();
     const ProgramLibrary library(EnergyModel::Default());
-    machine.Spawn(library.bitcnts());
-    machine.Spawn(library.openssl());
+    state.Spawn(library.bitcnts());
+    state.Spawn(library.openssl());
     machine.Run(20'000);
-    return std::make_pair(machine.TotalWorkDone(), machine.TotalTaskEnergy());
+    return std::make_pair(state.TotalWorkDone(), state.TotalTaskEnergy());
   };
   const auto a = run();
   const auto b = run();
@@ -191,10 +202,11 @@ TEST(MachineConfigTest, SeedChangesStochasticPath) {
     MachineConfig config = BaseConfig();
     config.seed = seed;
     Machine machine(config);
+    SimulationState& state = machine.state();
     const ProgramLibrary library(EnergyModel::Default());
-    machine.Spawn(library.openssl());
+    state.Spawn(library.openssl());
     machine.Run(20'000);
-    return machine.TotalTaskEnergy();
+    return state.TotalTaskEnergy();
   };
   EXPECT_NE(run(1), run(2));
 }

@@ -131,14 +131,14 @@ TEST(ScenarioRunTest, MidRunArrivalsSpawnTasks) {
   scenario.options.duration_ticks = 61'000;  // past the first bitcnts wave
   Experiment experiment(scenario.config, scenario.options);
   experiment.Run(scenario.workload);
-  EXPECT_GT(experiment.machine().tasks().size(), initial);
-  EXPECT_LT(experiment.machine().tasks().size(), scenario.workload.size());
+  EXPECT_GT(experiment.machine().state().tasks().size(), initial);
+  EXPECT_LT(experiment.machine().state().tasks().size(), scenario.workload.size());
 
   // Boundary: an arrival at exactly the end tick never spawns.
   scenario.options.duration_ticks = 60'000;  // == the first wave's tick
   Experiment boundary(scenario.config, scenario.options);
   boundary.Run(scenario.workload);
-  EXPECT_EQ(boundary.machine().tasks().size(), initial);
+  EXPECT_EQ(boundary.machine().state().tasks().size(), initial);
 }
 
 }  // namespace

@@ -176,13 +176,15 @@ void ExpectFastPathMatchesNaive(const std::string& topology, int tasks, Tick tic
 
   Machine skip_machine(skip_config);
   Machine naive_machine(naive_config);
+  SimulationState& a = skip_machine.state();
+  SimulationState& b = naive_machine.state();
   CountingObserver skip_observer;
   CountingObserver naive_observer;
   skip_machine.engine().AddObserver(&skip_observer);
   naive_machine.engine().AddObserver(&naive_observer);
   for (int i = 0; i < tasks; ++i) {
-    skip_machine.Spawn(cron);
-    naive_machine.Spawn(cron);
+    a.Spawn(cron);
+    b.Spawn(cron);
   }
   skip_machine.Run(ticks);
   naive_machine.Run(ticks);
@@ -194,8 +196,6 @@ void ExpectFastPathMatchesNaive(const std::string& topology, int tasks, Tick tic
   EXPECT_LT(skip_observer.calls(), ticks / 2) << label;
 
   // And the end states still match bitwise, analog state included.
-  SimulationState& a = skip_machine.state();
-  SimulationState& b = naive_machine.state();
   EXPECT_EQ(a.now(), b.now()) << label;
   EXPECT_EQ(a.TotalWorkDone(), b.TotalWorkDone()) << label;
   EXPECT_EQ(a.TotalTaskEnergy(), b.TotalTaskEnergy()) << label;

@@ -47,27 +47,28 @@ TEST(WakeQueueTest, SleeperWakesOnExactTickCurrentTaskCompletes) {
   const Program daemon = MakeBusyProgram("daemon", 2, /*total_work_ticks=*/0);
 
   Machine machine(config);
-  Task* a = machine.Spawn(worker);
-  Task* b = machine.Spawn(daemon);
+  SimulationState& state = machine.state();
+  Task* a = state.Spawn(worker);
+  Task* b = state.Spawn(daemon);
 
   // Put the daemon to sleep so that it wakes at tick 49 - the exact tick the
   // worker executes its 50th work tick and completes.
-  ASSERT_TRUE(machine.state().runqueue(0).Remove(b));
-  machine.state().StartSleep(*b, 49);
+  ASSERT_TRUE(state.runqueue(0).Remove(b));
+  state.StartSleep(*b, 49);
   EXPECT_EQ(b->wake_tick(), 49);
 
   machine.Run(49);  // ticks 0..48: the worker runs, one tick of work short
   EXPECT_EQ(b->state(), TaskState::kSleeping);
-  EXPECT_EQ(machine.runqueue(0).current(), a);
+  EXPECT_EQ(state.runqueue(0).current(), a);
 
   machine.Run(1);  // tick 49: b wakes at the start, a completes at the end
   EXPECT_EQ(a->state(), TaskState::kFinished);
   EXPECT_EQ(b->state(), TaskState::kRunnable);
-  EXPECT_EQ(machine.runqueue(0).current(), nullptr);
-  EXPECT_EQ(machine.runqueue(0).nr_queued(), 1u);
+  EXPECT_EQ(state.runqueue(0).current(), nullptr);
+  EXPECT_EQ(state.runqueue(0).nr_queued(), 1u);
 
   machine.Run(1);  // tick 50: the woken daemon switches in
-  EXPECT_EQ(machine.runqueue(0).current(), b);
+  EXPECT_EQ(state.runqueue(0).current(), b);
   EXPECT_EQ(b->state(), TaskState::kRunning);
 }
 
@@ -120,20 +121,21 @@ TEST(ArrivalQueueTest, ArrivalSpawnsBeforeWakeupOnSameTick) {
   const Program newcomer = MakeBusyProgram("newcomer", 3, 0);
 
   Machine machine(config);
-  machine.Spawn(busy);  // becomes and stays current
-  Task* sleeper = machine.Spawn(daemon);
-  ASSERT_TRUE(machine.state().runqueue(0).Remove(sleeper));
-  machine.state().StartSleep(*sleeper, 10);
-  machine.state().ScheduleArrival(newcomer, /*nice=*/0, /*tick=*/10);
+  SimulationState& state = machine.state();
+  state.Spawn(busy);  // becomes and stays current
+  Task* sleeper = state.Spawn(daemon);
+  ASSERT_TRUE(state.runqueue(0).Remove(sleeper));
+  state.StartSleep(*sleeper, 10);
+  state.ScheduleArrival(newcomer, /*nice=*/0, /*tick=*/10);
 
   machine.Run(11);  // through tick 10, where the arrival and the wake collide
 
   // The arrival spawned first (placement saw the pre-wake queue), then the
   // wakeup enqueued at the front: the woken task runs before the newcomer.
-  ASSERT_EQ(machine.runqueue(0).nr_queued(), 2u);
-  EXPECT_EQ(machine.runqueue(0).queued()[0], sleeper);
-  EXPECT_EQ(machine.runqueue(0).queued()[1]->name(), "newcomer");
-  EXPECT_EQ(machine.tasks().size(), 3u);
+  ASSERT_EQ(state.runqueue(0).nr_queued(), 2u);
+  EXPECT_EQ(state.runqueue(0).queued()[0], sleeper);
+  EXPECT_EQ(state.runqueue(0).queued()[1]->name(), "newcomer");
+  EXPECT_EQ(state.tasks().size(), 3u);
 }
 
 // --- golden traces: event-driven engine vs the scan-based loop ---------------

@@ -40,9 +40,10 @@ MachineConfig OneCpuConfig() {
 
 TEST(PriorityTest, HigherPriorityGetsLargerShare) {
   Machine machine(OneCpuConfig());
+  SimulationState& state = machine.state();
   const ProgramLibrary library(EnergyModel::Default());
-  Task* important = machine.Spawn(library.aluadd(), /*nice=*/-10);  // 150-tick slices
-  Task* nice_task = machine.Spawn(library.aluadd(), /*nice=*/10);   // 50-tick slices
+  Task* important = state.Spawn(library.aluadd(), /*nice=*/-10);  // 150-tick slices
+  Task* nice_task = state.Spawn(library.aluadd(), /*nice=*/10);   // 50-tick slices
   machine.Run(40'000);
   // Round-robin with 150 vs 50 tick slices -> ~3:1 CPU share.
   const double ratio = important->work_done_ticks() / nice_task->work_done_ticks();
@@ -54,9 +55,10 @@ TEST(PriorityTest, ProfilesComparableAcrossPriorities) {
   // a 150-tick-slice task running the same program must end up with the same
   // *power* profile, or cross-priority balancing decisions would be biased.
   Machine machine(OneCpuConfig());
+  SimulationState& state = machine.state();
   const ProgramLibrary library(EnergyModel::Default());
-  Task* important = machine.Spawn(library.bitcnts(), /*nice=*/-10);
-  Task* nice_task = machine.Spawn(library.bitcnts(), /*nice=*/10);
+  Task* important = state.Spawn(library.bitcnts(), /*nice=*/-10);
+  Task* nice_task = state.Spawn(library.bitcnts(), /*nice=*/10);
   machine.Run(60'000);
   EXPECT_NEAR(important->profile().power(), nice_task->profile().power(), 2.0);
   EXPECT_NEAR(important->profile().power(), 61.0, 2.5);
@@ -64,8 +66,9 @@ TEST(PriorityTest, ProfilesComparableAcrossPriorities) {
 
 TEST(PriorityTest, DefaultSpawnIsNiceZero) {
   Machine machine(OneCpuConfig());
+  SimulationState& state = machine.state();
   const ProgramLibrary library(EnergyModel::Default());
-  Task* task = machine.Spawn(library.memrw());
+  Task* task = state.Spawn(library.memrw());
   EXPECT_EQ(task->nice(), 0);
   EXPECT_EQ(task->timeslice_left(), 100);
 }

@@ -1,6 +1,6 @@
 // A hand-controllable BalanceEnv for unit-testing balancing policies without
-// a full Machine: thermal powers and max powers are set directly, tasks are
-// created with fixed profile powers.
+// a full SimulationState: thermal powers and max powers are set directly,
+// tasks are created with fixed profile powers.
 
 #ifndef TESTS_TESTING_FAKE_ENV_H_
 #define TESTS_TESTING_FAKE_ENV_H_
