@@ -1,6 +1,7 @@
 #include "src/base/rng.h"
 
 #include <cmath>
+#include <cstddef>
 
 namespace eas {
 namespace {
@@ -14,6 +15,29 @@ std::uint64_t SplitMix64(std::uint64_t& x) {
 }
 
 std::uint64_t Rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+// A point (u, v) in the unit disc minus its centre, with s = u*u + v*v.
+struct DiscPoint {
+  double u;
+  double v;
+  double s;
+};
+
+// The polar step, shared by NextGaussian and NextGaussians: rejection-samples
+// a uniform DiscPoint. `inline` keeps it inlined into both callers; a call
+// per pair costs the batch much of its gain.
+inline DiscPoint DrawDiscPoint(Rng& rng) {
+  DiscPoint p{};
+  do {
+    p.u = rng.Uniform(-1.0, 1.0);
+    p.v = rng.Uniform(-1.0, 1.0);
+    p.s = p.u * p.u + p.v * p.v;
+  } while (p.s >= 1.0 || p.s == 0.0);
+  return p;
+}
+
+// Scales a disc point's coordinates into two independent standard normals.
+double PolarFactor(double s) { return std::sqrt(-2.0 * std::log(s) / s); }
 
 }  // namespace
 
@@ -53,18 +77,47 @@ double Rng::NextGaussian() {
     has_spare_gaussian_ = false;
     return spare_gaussian_;
   }
-  double u;
-  double v;
-  double s;
-  do {
-    u = Uniform(-1.0, 1.0);
-    v = Uniform(-1.0, 1.0);
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double factor = std::sqrt(-2.0 * std::log(s) / s);
-  spare_gaussian_ = v * factor;
+  const DiscPoint p = DrawDiscPoint(*this);
+  const double factor = PolarFactor(p.s);
+  spare_gaussian_ = p.v * factor;
   has_spare_gaussian_ = true;
-  return u * factor;
+  return p.u * factor;
+}
+
+void Rng::NextGaussians(std::span<double> out) {
+  std::size_t next = 0;
+  if (has_spare_gaussian_ && !out.empty()) {
+    has_spare_gaussian_ = false;
+    out[next++] = spare_gaussian_;
+  }
+  // Blocks of three pairs: all three rejection loops run first, in stream
+  // order, and only then the three factors, which consume no randomness.
+  // When only five normals remain, the block's sixth becomes the spare.
+  constexpr std::size_t kBlockPairs = 3;
+  while (out.size() - next >= 2 * kBlockPairs - 1) {
+    DiscPoint points[kBlockPairs]{};
+    for (DiscPoint& point : points) {
+      point = DrawDiscPoint(*this);
+    }
+    double factors[kBlockPairs]{};
+    for (std::size_t i = 0; i < kBlockPairs; ++i) {
+      factors[i] = PolarFactor(points[i].s);
+    }
+    for (std::size_t i = 0; i < kBlockPairs; ++i) {
+      out[next++] = points[i].u * factors[i];
+      const double second = points[i].v * factors[i];
+      if (next < out.size()) {
+        out[next++] = second;
+      } else {
+        spare_gaussian_ = second;
+        has_spare_gaussian_ = true;
+      }
+    }
+  }
+  // A tail shorter than a block draws one normal at a time: the same stream.
+  while (next < out.size()) {
+    out[next++] = NextGaussian();
+  }
 }
 
 double Rng::Gaussian(double mean, double stddev) { return mean + stddev * NextGaussian(); }

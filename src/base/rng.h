@@ -9,6 +9,7 @@
 #define SRC_BASE_RNG_H_
 
 #include <cstdint>
+#include <span>
 
 namespace eas {
 
@@ -30,8 +31,18 @@ class Rng {
   // Uniform integer in [0, n). n must be > 0.
   std::uint64_t NextBelow(std::uint64_t n);
 
-  // Standard normal variate (Box-Muller, cached spare).
+  // Standard normal variate by Marsaglia's polar method: rejection-sample
+  // (u, v) uniformly in the unit disc, then one log and one sqrt turn the pair
+  // into two normals. The second is cached as the spare for the next call.
   double NextGaussian();
+
+  // Fills `out` with exactly the values out.size() successive NextGaussian()
+  // calls would return, and leaves the same generator state and spare: a
+  // pending spare comes first, the pairs draw their (u, v) in stream order,
+  // and an odd remainder leaves the last pair's second normal as the spare.
+  // One call draws several pairs before their log/sqrt factors, so those
+  // independent chains overlap instead of running one behind another.
+  void NextGaussians(std::span<double> out);
 
   // Gaussian with the given mean and standard deviation.
   double Gaussian(double mean, double stddev);

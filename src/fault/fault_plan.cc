@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "src/base/rng.h"
@@ -52,6 +53,11 @@ bool ParseDouble(const std::string& text, double* out) {
   }
   *out = value;
   return true;
+}
+
+std::string TooManyEvents() {
+  return "the plan would hold more than " + std::to_string(kMaxFaultPlanEvents) +
+         " events (the limit on an expanded plan)";
 }
 
 bool Fail(std::string* error, const std::string& clause, const std::string& why) {
@@ -111,6 +117,10 @@ bool ParsePackageFault(const std::string& clause, const std::string& body, Fault
   if (duration < 1) {
     return Fail(error, clause, "duration must be >= 1 tick");
   }
+  // The window closes at tick + dur, which must be a representable Tick.
+  if (duration > std::numeric_limits<Tick>::max() - tick) {
+    return Fail(error, clause, "tick + duration overflows the tick range");
+  }
   FaultEvent event;
   event.kind = kind;
   event.tick = tick;
@@ -155,6 +165,14 @@ bool ParseChurn(const std::string& clause, const std::string& body,
   if (horizon < 2) {
     return Fail(error, clause, "horizon must be >= 2 ticks");
   }
+  // The latest online event lands at most at horizon + horizon/4 + 1.
+  if (horizon > std::numeric_limits<Tick>::max() - horizon / 4 - 1) {
+    return Fail(error, clause, "horizon + horizon/4 + 1 overflows the tick range");
+  }
+  // Counted before expanding: each pair adds two events.
+  if (static_cast<std::uint64_t>(count) > (kMaxFaultPlanEvents - plan->events.size()) / 2) {
+    return Fail(error, clause, TooManyEvents());
+  }
   Rng rng(static_cast<std::uint64_t>(seed));
   const std::uint64_t logical = topology.num_logical();
   const std::uint64_t max_duration =
@@ -190,6 +208,10 @@ std::optional<FaultPlan> ParseFaultPlan(const std::string& spec, const CpuTopolo
       if (error != nullptr) {
         *error = "empty clause (stray comma?)";
       }
+      return std::nullopt;
+    }
+    if (plan.events.size() == kMaxFaultPlanEvents) {
+      Fail(error, clause, TooManyEvents());
       return std::nullopt;
     }
     const std::size_t colon = clause.find(':');
@@ -239,6 +261,10 @@ std::string FaultPlanGrammar() {
       "                                   over ticks [1, horizon]; the schedule is a\n"
       "                                   function of the spec text alone\n"
       "  none                             the empty plan (cancels a scenario's)\n"
+      "limits: a plan expands to at most " + std::to_string(kMaxFaultPlanEvents) +
+      " events (a churn pair\n"
+      "  counts two); tick + dur must fit in int64, and so must a churn's latest\n"
+      "  online event, horizon + horizon/4 + 1\n"
       "example:\n"
       "  --faults churn:10@50000:1337,spike:0@6000:12:2500,clamp:2@10000:3:6000\n";
 }

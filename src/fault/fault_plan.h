@@ -26,6 +26,12 @@
 // spec text alone and two runs differing only in workload see identical
 // fault timings. The literal spec "none" parses to an empty plan; requests
 // use it to cancel a scenario's baked-in plan.
+//
+// Two limits keep every accepted plan runnable: the expanded plan holds at
+// most kMaxFaultPlanEvents events (a churn pair counts two), checked before
+// a churn clause expands; and every tick a plan implies fits in a Tick, so a
+// spike/clamp needs tick + dur <= INT64_MAX and a churn needs its latest
+// possible online event, horizon + horizon/4 + 1, to fit.
 
 #ifndef SRC_FAULT_FAULT_PLAN_H_
 #define SRC_FAULT_FAULT_PLAN_H_
@@ -57,6 +63,9 @@ struct FaultEvent {
   Tick duration = 0;         // kThermalSpike/kPStateClamp: ticks held
 };
 
+// The most events one expanded plan may hold, summed over its clauses.
+inline constexpr std::size_t kMaxFaultPlanEvents = 100'000;
+
 struct FaultPlan {
   // Events in clause/generation order; the engine queues them keyed
   // (tick, position), so same-tick events fire in spec order.
@@ -66,9 +75,10 @@ struct FaultPlan {
 };
 
 // Parses `spec` against `topology` (CPU and package indices must be in
-// range, durations >= 1, spike deltas finite). Returns nullopt and fills
-// *error with a diagnostic on a malformed spec - the ParseTopologySpec
-// idiom. "none" and the empty string parse to an empty plan.
+// range, durations >= 1, spike deltas finite, the limits above respected).
+// Returns nullopt and fills *error with a diagnostic on a malformed spec -
+// the ParseTopologySpec idiom. "none" and the empty string parse to an
+// empty plan.
 std::optional<FaultPlan> ParseFaultPlan(const std::string& spec, const CpuTopology& topology,
                                         std::string* error);
 

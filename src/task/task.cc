@@ -31,9 +31,13 @@ EventVector Task::ExecuteTick(double speed_factor) {
   assert(speed_factor > 0.0 && speed_factor <= 1.0);
   const Phase& phase = current_phase();
 
+  // One batch draws the six normals the per-event Gaussian(0.0, sigma) calls
+  // would; `0.0 + sigma * g` is that call's arithmetic, so the bits match.
+  std::array<double, kNumEventTypes> normals{};
+  rng_.NextGaussians(normals);
   EventVector events{};
   for (std::size_t i = 0; i < kNumEventTypes; ++i) {
-    const double noise = 1.0 + rng_.Gaussian(0.0, phase.rate_noise);
+    const double noise = 1.0 + (0.0 + phase.rate_noise * normals[i]);
     events[i] = phase.rates[i] * speed_factor * std::max(0.0, noise);
   }
 

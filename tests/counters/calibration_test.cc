@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "src/counters/energy_estimator.h"
 
 namespace eas {
@@ -16,6 +19,21 @@ TEST(CalibrationTest, RecoversWeightsWithinTolerance) {
   EXPECT_LT(result.max_relative_weight_error, 0.10);
   for (std::size_t i = 0; i < kNumEventTypes; ++i) {
     EXPECT_GT(result.weights[i], 0.0) << "weight " << i << " must be positive";
+  }
+}
+
+TEST(CalibrationTest, DefaultWeightsKnownAnswer) {
+  // The exact weights one seed calibrates to: any change to the order or
+  // arithmetic of the calibration noise moves at least one of these bits.
+  const CalibrationResult result =
+      Calibrator::CalibrateDefault(EnergyModel::Default(), 123, 0.02);
+  constexpr std::uint64_t kExpected[kNumEventTypes] = {
+      0x3ee12f12bc76d58bULL, 0x3ee5d34461c371b0ULL, 0x3ef83fb96635bbc8ULL,
+      0x3eff0a8c11a16a72ULL, 0x3f0862b78d4e1ed4ULL, 0x3ed9c82b78a74160ULL,
+  };
+  for (std::size_t i = 0; i < kNumEventTypes; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.weights[i]), kExpected[i])
+        << "weight " << i << " = " << result.weights[i];
   }
 }
 

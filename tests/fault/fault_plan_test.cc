@@ -5,6 +5,7 @@
 
 #include "src/fault/fault_plan.h"
 
+#include <cstdint>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -136,11 +137,63 @@ TEST(FaultPlanTest, RejectsMalformedSpecsNamingTheClause) {
   MustFail("churn:3@1:7");                                                     // horizon >= 2
 }
 
+TEST(FaultPlanTest, RejectsPlansPastTheEventLimitBeforeExpanding) {
+  // A huge churn count is refused before a single pair is drawn, with a
+  // diagnostic that names the clause and the limit.
+  const std::string limit = std::to_string(kMaxFaultPlanEvents);
+  const std::string huge = MustFail("churn:100000000000@1000:1");
+  EXPECT_NE(huge.find("churn:100000000000@1000:1"), std::string::npos) << huge;
+  EXPECT_NE(huge.find(limit), std::string::npos) << huge;
+  MustFail("churn:9223372036854775807@1000:1");
+
+  // The limit is on the whole plan: clauses that fit alone add up past it.
+  const std::string half = "churn:" + std::to_string(kMaxFaultPlanEvents / 2) + "@1000:";
+  std::string error;
+  const auto full = ParseFaultPlan(half + "1", SmallTopology(), &error);
+  ASSERT_TRUE(full.has_value()) << error;
+  EXPECT_EQ(full->events.size(), kMaxFaultPlanEvents);
+  EXPECT_NE(MustFail(half + "1,off:0@5").find(limit), std::string::npos);
+  EXPECT_NE(MustFail("off:0@5," + half + "1").find(limit), std::string::npos);
+  EXPECT_NE(MustFail(half + "1," + half + "2").find(half + "2"), std::string::npos);
+}
+
+TEST(FaultPlanTest, RejectsWindowsPastTheTickRange) {
+  // spike/clamp close their window at tick + dur; it must fit in a Tick.
+  for (const char* spec : {"spike:0@5:10:9223372036854775807",
+                           "clamp:1@1:2:9223372036854775807",
+                           "spike:0@9223372036854775807:10:1"}) {
+    const std::string error = MustFail(spec);
+    EXPECT_NE(error.find(spec), std::string::npos) << error;
+    EXPECT_NE(error.find("overflow"), std::string::npos) << error;
+  }
+  std::string error;
+  const auto widest =
+      ParseFaultPlan("spike:0@5:10:9223372036854775802,clamp:1@9223372036854775806:2:1",
+                     SmallTopology(), &error);
+  ASSERT_TRUE(widest.has_value()) << error;
+  EXPECT_EQ(widest->events[0].tick + widest->events[0].duration, INT64_MAX);
+  EXPECT_EQ(widest->events[1].tick + widest->events[1].duration, INT64_MAX);
+
+  // churn's latest possible online event is horizon + horizon/4 + 1.
+  const std::string churn = MustFail("churn:50@9223372036854775807:1");
+  EXPECT_NE(churn.find("churn:50@9223372036854775807:1"), std::string::npos) << churn;
+  MustFail("churn:50@7378697629483820646:1");
+  const auto latest = ParseFaultPlan("churn:50@7378697629483820645:1", SmallTopology(), &error);
+  ASSERT_TRUE(latest.has_value()) << error;
+  for (std::size_t i = 0; i < latest->events.size(); i += 2) {
+    EXPECT_GE(latest->events[i].tick, 1) << i;
+    EXPECT_GT(latest->events[i + 1].tick, latest->events[i].tick) << i;
+  }
+}
+
 TEST(FaultPlanTest, GrammarDocumentsEveryClauseKind) {
   const std::string grammar = FaultPlanGrammar();
   for (const char* kind : {"off:", "on:", "spike:", "clamp:", "churn:", "none"}) {
     EXPECT_NE(grammar.find(kind), std::string::npos) << kind;
   }
+  // ...and both limits.
+  EXPECT_NE(grammar.find(std::to_string(kMaxFaultPlanEvents)), std::string::npos);
+  EXPECT_NE(grammar.find("horizon + horizon/4 + 1"), std::string::npos);
 }
 
 }  // namespace

@@ -246,6 +246,29 @@ TEST(ExperimentServiceTest, OversizedRunsRejectBeforeResolving) {
   EXPECT_EQ(status.completed_submissions, 1u);
 }
 
+TEST(ExperimentServiceTest, FaultPlansPastTheirLimitsRejectAndServingContinues) {
+  // A churn count that would expand past the plan's event limit, and a spike
+  // window past the tick range, are structured `faults` errors at resolve
+  // time - not an allocation failure or a wrapped tick inside the daemon.
+  ExperimentService service({/*queue_depth=*/8, /*workers=*/1, /*start_workers=*/true});
+  Collector collector;
+  for (const char* faults : {"churn:100000000000@1000:1", "spike:0@5:10:9223372036854775807"}) {
+    const auto rejected = service.Submit(
+        std::string("workload = hot:1; duration-s = 1; faults = ") + faults, collector.fn());
+    ASSERT_FALSE(rejected.ok()) << faults;
+    EXPECT_EQ(rejected.error().code, RequestErrorCode::kBadValue) << faults;
+    EXPECT_EQ(rejected.error().key, "faults") << faults;
+    EXPECT_NE(rejected.error().message.find(faults), std::string::npos)
+        << rejected.error().Render();
+  }
+
+  const auto normal = service.Submit(kQuickRequest, collector.fn());
+  ASSERT_TRUE(normal.ok()) << normal.error().Render();
+  service.Drain();
+  EXPECT_EQ(collector.Lines(normal->submission), OfflineLines(kQuickRequest));
+  EXPECT_EQ(service.Status().rejected_submissions, 2u);
+}
+
 TEST(ExperimentServiceTest, MalformedRequestsRejectBeforeAdmission) {
   ExperimentService service({/*queue_depth=*/8, /*workers=*/1, /*start_workers=*/false});
   Collector collector;
