@@ -5,18 +5,17 @@
 // an armed FaultPhase through every tick; "chaos" is the scenario's full
 // baked-in plan (hotplug churn, thermal spikes, P-state clamps).
 //
-// The bench asserts the fault-layer contract in-process: an armed-but-idle
-// plan must leave the simulated physics bit-identical to the fault-free run
-// (the fault columns are the only difference), and that verdict is emitted
-// as the armed-idle row's "identical_physics" field so the CI gate fails if
-// it ever stops holding. Wall ticks/s per row is what makes idle overhead
-// visible: a regression in the armed-idle rate against the fault-free
-// baseline rate means the fault layer started costing ticks it did not
-// before.
+// The bench asserts the fault-layer contract in-process, as invariant rows
+// that fail the bench and the CI gate if they ever stop holding: an
+// armed-but-idle plan leaves the simulated physics bit-identical to the
+// fault-free run and fires nothing, the chaos plan fires faults, and the
+// fault-free run grows no fault columns. Wall ticks/s per row is what makes
+// idle overhead visible: a regression in the armed-idle rate against the
+// baseline means the fault layer started costing ticks it did not before.
 //
-// Writes BENCH_chaos.json (JSONL: config header, one record per row with
-// simulated throughput + wall rate + fault counters, a wall-clock trailer).
-// CI gates it against bench/baselines/ with tools/bench_compare.py.
+// Writes BENCH_chaos.json (simulated throughput and wall rate per row, plus
+// the invariants). CI gates it against bench/baselines/ with
+// tools/bench_compare.py.
 //
 //   $ bench_chaos_overhead [--duration=20000] [--threads=0] [--out=BENCH_chaos.json]
 
@@ -27,16 +26,11 @@
 #include <utility>
 #include <vector>
 
+#include "bench/bench_report.h"
 #include "src/api/run_session.h"
 #include "src/base/flags.h"
 
 namespace {
-#ifdef NDEBUG
-constexpr const char kBuildType[] = "release";
-#else
-constexpr const char kBuildType[] = "debug";
-#endif
-
 // One clause, parked far past any horizon this bench runs: the FaultPhase
 // is armed (skip-ahead stays bounded, the ledger ticks) but never reacts.
 constexpr const char kNeverFiring[] = "off:0@900000000";
@@ -66,14 +60,7 @@ int main(int argc, char** argv) {
       {"chaos", nullptr},
   };
 
-  eas::RunSession session(threads);
-  eas::JsonlSink jsonl(out);
-  char header[224];
-  std::snprintf(header, sizeof(header),
-                "{\"bench\": \"chaos_overhead\", \"scenario\": \"chaos-soak\", "
-                "\"duration_ticks\": %lld, \"threads\": %zu, \"build_type\": \"%s\"}",
-                static_cast<long long>(duration), session.runner().num_threads(), kBuildType);
-  jsonl.AppendLine(header);
+  const eas::RunSession session(threads);
 
   std::printf("== chaos overhead: chaos-soak x 3 fault plans, %lld ticks ==\n\n",
               static_cast<long long>(duration));
@@ -100,8 +87,7 @@ int main(int argc, char** argv) {
     batch.push_back(std::move(*resolved));
     const auto start = std::chrono::steady_clock::now();
     std::vector<eas::RunRecord> ran = session.Run(batch);
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    const double elapsed = eas::bench::SecondsSince(start);
     if (ran.size() != 1) {
       std::fprintf(stderr, "%s: expected 1 record, got %zu\n", row.name.c_str(), ran.size());
       return 1;
@@ -110,60 +96,37 @@ int main(int argc, char** argv) {
     records.push_back(std::move(ran.front()));
   }
 
+  eas::bench::BenchReport report("chaos_overhead");
+  report.Config("scenario", "chaos-soak");
+  report.Config("duration_ticks", duration);
+  report.Config("threads", session.runner().num_threads());
+  report.Config("build_type", eas::bench::BuildType());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const eas::RunRecord& record = records[i];
+    report.Tight(record.spec.name, "throughput", record.result.Throughput(), "work-ticks/s");
+    report.Noisy(record.spec.name, "wall_ticks_per_second", wall_rates[i], "ticks/s");
+    std::printf("  %-12s %9.1f work-ticks/s  %10.0f wall-ticks/s  %lld faults  %lld offline "
+                "cpu-ticks\n",
+                record.spec.name.c_str(), record.result.Throughput(), wall_rates[i],
+                static_cast<long long>(record.result.faults_fired.value_or(0)),
+                static_cast<long long>(record.result.offline_cpu_ticks.value_or(0)));
+  }
+
   // The armed-but-idle contract: a plan that never fires must leave every
   // simulated quantity bit-identical to the fault-free run - the fault
   // columns are bookkeeping, not physics.
   const eas::RunResult& clean = records[0].result;
   const eas::RunResult& idle = records[1].result;
-  const bool identical_physics = clean.Throughput() == idle.Throughput() &&
-                                 clean.AverageThrottledFraction() ==
-                                     idle.AverageThrottledFraction() &&
-                                 clean.AverageFrequencyMultiplier() ==
-                                     idle.AverageFrequencyMultiplier();
+  const eas::RunResult& chaos = records[2].result;
+  report.Invariant("armed-idle", "identical_physics",
+                   clean.Throughput() == idle.Throughput() &&
+                       clean.AverageThrottledFraction() == idle.AverageThrottledFraction() &&
+                       clean.AverageFrequencyMultiplier() == idle.AverageFrequencyMultiplier());
+  report.Invariant("armed-idle", "fires_nothing", idle.faults_fired == 0);
+  report.Invariant("chaos", "fires_faults", chaos.faults_fired.value_or(0) > 0);
+  // Fault columns render only when a plan is armed; "none" arms nothing.
+  report.Invariant("fault-free", "fault_columns_absent", !clean.faults_fired.has_value());
 
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const eas::RunRecord& record = records[i];
-    char line[384];
-    int n = std::snprintf(line, sizeof(line),
-                          "{\"name\": \"%s\", \"throughput\": %.6f, "
-                          "\"wall_ticks_per_second\": %.1f",
-                          record.spec.name.c_str(), record.result.Throughput(),
-                          wall_rates[i]);
-    if (record.result.faults_fired.has_value()) {
-      n += std::snprintf(line + n, sizeof(line) - static_cast<std::size_t>(n),
-                         ", \"faults_fired\": %lld",
-                         static_cast<long long>(*record.result.faults_fired));
-    }
-    if (record.result.offline_cpu_ticks.has_value()) {
-      n += std::snprintf(line + n, sizeof(line) - static_cast<std::size_t>(n),
-                         ", \"offline_cpu_ticks\": %lld",
-                         static_cast<long long>(*record.result.offline_cpu_ticks));
-    }
-    if (record.spec.name == "armed-idle") {
-      n += std::snprintf(line + n, sizeof(line) - static_cast<std::size_t>(n),
-                         ", \"identical_physics\": %s", identical_physics ? "true" : "false");
-    }
-    std::snprintf(line + n, sizeof(line) - static_cast<std::size_t>(n), "}");
-    jsonl.AppendLine(line);
-    std::printf("  %-12s %9.1f work-ticks/s  %10.0f wall-ticks/s  %lld faults\n",
-                record.spec.name.c_str(), record.result.Throughput(), wall_rates[i],
-                static_cast<long long>(record.result.faults_fired.value_or(0)));
-  }
-  if (!identical_physics) {
-    std::fprintf(stderr, "\narmed-idle run diverged from the fault-free run\n");
-  }
-
-  const double elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                       bench_start)
-                             .count();
-  char trailer[96];
-  std::snprintf(trailer, sizeof(trailer), "{\"wall_seconds\": %.4f}", elapsed);
-  jsonl.AppendLine(trailer);
-  jsonl.Finish();
-  if (!jsonl.ok()) {
-    std::fprintf(stderr, "%s\n", jsonl.error().c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s (%.1f s wall)\n", out.c_str(), elapsed);
-  return identical_physics ? 0 : 1;
+  std::printf("\n%.1f s wall\n", eas::bench::SecondsSince(bench_start));
+  return report.Write(out);
 }

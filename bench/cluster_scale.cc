@@ -23,7 +23,7 @@
 // invalidated between sweeps. With per-domain aggregate rollups one pass
 // costs O(fanout x depth), so the per-pass cost must stay near-constant as
 // the machine grows 8x; the balance_scaling row asserts the measured ratio
-// stays sublinear (< 4x for 8x the CPUs).
+// stays sublinear (< 4x for 8x the CPUs), and the bench fails if it does not.
 //
 //   $ bench_cluster_scale [--ticks=2000] [--intra=4] [--out=BENCH_cluster_scale.json]
 
@@ -34,23 +34,18 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_report.h"
 #include "src/api/run_request.h"
 #include "src/base/flags.h"
 #include "src/core/policy_registry.h"
 #include "src/counters/energy_model.h"
-#include "src/sim/csv_export.h"
 #include "src/sim/simulation_engine.h"
 #include "src/workloads/programs.h"
 
 namespace {
 
 using eas::Tick;
-
-#ifdef NDEBUG
-constexpr const char kBuildType[] = "release";
-#else
-constexpr const char kBuildType[] = "debug";
-#endif
+using eas::bench::SecondsSince;
 
 // 2 racks x 4 boards x 16 nodes x 4 packages x SMT-2 = 512 physical, 1024
 // logical - the ISSUE's 1k-CPU point. The balance probe's small machine is
@@ -58,10 +53,6 @@ constexpr const char kBuildType[] = "debug";
 // changes, not the tree depth.
 constexpr const char kClusterTopology[] = "2:4:16:4:2";
 constexpr const char kSmallTopology[] = "2:2:4:4:2";
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
 
 eas::MachineConfig BenchConfig(const char* topology, std::size_t intra_threads) {
   auto resolved = eas::ResolveRunRequest(*eas::ParseRunRequest(
@@ -117,7 +108,6 @@ struct PoolRow {
   std::string name;
   std::size_t intra_threads = 0;
   std::size_t cpus = 0;
-  Tick ticks = 0;
   double ticks_per_second = 0.0;
   double speedup_vs_pool_serial = 0.0;
   bool identical = false;
@@ -131,7 +121,6 @@ PoolRow MeasurePool(const std::string& name, const eas::ProgramLibrary& library,
   row.name = name;
   row.intra_threads = intra_threads;
   row.cpus = config.topology.num_logical();
-  row.ticks = ticks;
   row.state = std::make_unique<eas::SimulationState>(config);
   eas::SimulationEngine engine(config.sched);
   SpawnClusterPopulation(*row.state, library);
@@ -204,8 +193,6 @@ int main(int argc, char** argv) {
   std::printf("== cluster scale: %lld ticks at 1024 logical CPUs ==\n\n",
               static_cast<long long>(ticks));
 
-  const auto bench_start = std::chrono::steady_clock::now();
-
   PoolRow pool_serial = MeasurePool("pool_serial", library, 1, ticks);
   PoolRow pool_on = MeasurePool("pool_on", library, intra, ticks);
 
@@ -237,8 +224,6 @@ int main(int argc, char** argv) {
   const bool sublinear =
       per_pass_cost_ratio > 0.0 && per_pass_cost_ratio < cpu_ratio / 2.0;
 
-  const double wall_seconds = SecondsSince(bench_start);
-
   std::printf("  %-12s  %6s  %6s  %14s  %8s  %s\n", "row", "intra", "cpus", "ticks/s",
               "speedup", "identical");
   const PoolRow* pool_rows[] = {&pool_serial, &pool_on};
@@ -256,47 +241,19 @@ int main(int argc, char** argv) {
   std::printf("\n  balance per-pass cost x%.2f for x%.0f CPUs -> %s\n", per_pass_cost_ratio,
               cpu_ratio, sublinear ? "sublinear" : "NOT SUBLINEAR");
 
-  std::string json = "{\n  \"bench\": \"cluster_scale\",\n  \"ticks\": " +
-                     std::to_string(static_cast<long long>(ticks)) +
-                     ",\n  \"intra_threads\": " + std::to_string(intra) +
-                     ",\n  \"balance_sweeps\": " + std::to_string(sweeps) +
-                     ",\n  \"threads\": 1,\n  \"build_type\": \"" + kBuildType +
-                     "\",\n  \"rows\": [\n";
-  char entry[320];
+  eas::bench::BenchReport report("cluster_scale");
+  report.Config("ticks", ticks);
+  report.Config("intra_threads", intra);
+  report.Config("balance_sweeps", sweeps);
+  report.Config("threads", 1);
+  report.Config("build_type", eas::bench::BuildType());
   for (const PoolRow* row : pool_rows) {
-    std::snprintf(entry, sizeof(entry),
-                  "    {\"name\": \"%s\", \"intra_threads\": %zu, \"cpus\": %zu, "
-                  "\"ticks\": %lld, \"ticks_per_second\": %.1f, "
-                  "\"speedup_vs_pool_serial\": %.3f, \"identical\": %s},\n",
-                  row->name.c_str(), row->intra_threads, row->cpus,
-                  static_cast<long long>(row->ticks), row->ticks_per_second,
-                  row->speedup_vs_pool_serial, row->identical ? "true" : "false");
-    json += entry;
+    report.Noisy(row->name, "ticks_per_second", row->ticks_per_second, "ticks/s");
+    report.Invariant(row->name, "identical", row->identical);
   }
   for (const BalanceRow* row : balance_rows) {
-    std::snprintf(entry, sizeof(entry),
-                  "    {\"name\": \"%s\", \"cpus\": %zu, \"passes\": %lld, "
-                  "\"passes_per_second\": %.0f},\n",
-                  row->name.c_str(), row->cpus, row->passes, row->passes_per_second);
-    json += entry;
+    report.Noisy(row->name, "passes_per_second", row->passes_per_second, "passes/s");
   }
-  std::snprintf(entry, sizeof(entry),
-                "    {\"name\": \"balance_scaling\", \"cpu_ratio\": %.1f, "
-                "\"per_pass_cost_ratio\": %.3f, \"sublinear\": %s}\n",
-                cpu_ratio, per_pass_cost_ratio, sublinear ? "true" : "false");
-  json += entry;
-  char tail[64];
-  std::snprintf(tail, sizeof(tail), "  ],\n  \"wall_seconds\": %.4f\n}\n", wall_seconds);
-  json += tail;
-
-  if (!eas::WriteFile(out, json)) {
-    std::fprintf(stderr, "failed to write %s\n", out.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s\n", out.c_str());
-  if (!pool_serial.identical) {
-    std::fprintf(stderr, "ERROR: tick pipeline diverged across worker counts\n");
-    return 1;
-  }
-  return 0;
+  report.Invariant("balance_scaling", "sublinear", sublinear);
+  return report.Write(out);
 }

@@ -6,11 +6,11 @@
 // baseline, the governed rows show how much halting each governor trades
 // for lower frequency.
 //
-// Writes BENCH_governors.json (JSONL: config header, one record per run
-// with every metric-schema scalar plus the request that reproduces it, a
-// wall-clock trailer). CI gates it against bench/baselines/ with
-// tools/bench_compare.py - the simulation is deterministic, so the per-row
-// throughput values are comparable across machines.
+// Writes BENCH_governors.json with each row's simulated throughput and its
+// DVFS-column verdict: governed rows carry the avg_frequency_cpu* columns,
+// the pure-hlt "none" rows must not. CI gates it against bench/baselines/
+// with tools/bench_compare.py - the simulation is deterministic, so the
+// per-row throughput values are comparable across machines.
 //
 //   $ bench_governor_sweep [--duration=40000] [--threads=0] [--out=BENCH_governors.json]
 
@@ -20,18 +20,12 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_report.h"
 #include "src/api/run_session.h"
 #include "src/base/flags.h"
 #include "src/core/policy_registry.h"
 #include "src/freq/governor_registry.h"
-
-namespace {
-#ifdef NDEBUG
-constexpr const char kBuildType[] = "release";
-#else
-constexpr const char kBuildType[] = "debug";
-#endif
-}  // namespace
+#include "src/sim/metrics.h"
 
 int main(int argc, char** argv) {
   const eas::FlagParser flags(argc, argv);
@@ -78,36 +72,30 @@ int main(int argc, char** argv) {
   std::printf("== governor sweep: %zu governors x %zu policies ==\n\n", governors.size(),
               policies.size());
 
-  eas::JsonlSink jsonl(out);
-  eas::RunSession session(threads);
-  session.AddSink(jsonl);
-  char header[224];
-  std::snprintf(header, sizeof(header),
-                "{\"bench\": \"governor_sweep\", \"scenario\": \"governor-comparison\", "
-                "\"duration_ticks\": %lld, \"threads\": %zu, \"build_type\": \"%s\"}",
-                static_cast<long long>(duration), session.runner().num_threads(), kBuildType);
-  jsonl.AppendLine(header);
-
+  const eas::RunSession session(threads);
   const auto start = std::chrono::steady_clock::now();
   const std::vector<eas::RunRecord> records = session.Run(resolved);
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  const double elapsed = eas::bench::SecondsSince(start);
 
+  eas::bench::BenchReport report("governor_sweep");
+  report.Config("scenario", "governor-comparison");
+  report.Config("duration_ticks", duration);
   for (const eas::RunRecord& record : records) {
     std::printf("  %-32s %9.1f work-ticks/s  %5.2f%% throttled  %.3fx avg freq\n",
                 record.spec.name.c_str(), record.result.Throughput(),
                 record.result.AverageThrottledFraction() * 100,
                 record.result.AverageFrequencyMultiplier());
+    report.Tight(record.spec.name, "throughput", record.result.Throughput(), "work-ticks/s");
+    // The DVFS presence rule, read off the metric schema every sink renders.
+    const std::vector<eas::MetricValue> columns =
+        eas::MetricRegistry::Global().Scalars(record.result);
+    const bool dvfs_columns =
+        std::any_of(columns.begin(), columns.end(),
+                    [](const eas::MetricValue& m) { return m.name == "avg_frequency_cpu0"; });
+    const bool governed = record.request.governor != "none";
+    report.Invariant(record.spec.name, governed ? "dvfs_columns_present" : "dvfs_columns_absent",
+                     dvfs_columns == governed);
   }
-
-  char trailer[96];
-  std::snprintf(trailer, sizeof(trailer), "{\"wall_seconds\": %.4f}", elapsed);
-  jsonl.AppendLine(trailer);
-  jsonl.Finish();
-  if (!jsonl.ok()) {
-    std::fprintf(stderr, "%s\n", jsonl.error().c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s (%.1f s wall)\n", out.c_str(), elapsed);
-  return 0;
+  std::printf("\n%.1f s wall\n", elapsed);
+  return report.Write(out);
 }

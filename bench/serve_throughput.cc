@@ -9,7 +9,8 @@
 //                 workflow a sweep script would have used
 //
 // and reported as requests/s, plus the byte-identity cross-check: every
-// path must produce the same JSONL bytes, or the speedup is meaningless.
+// path must produce the same JSONL bytes, or the speedup is meaningless and
+// the bench fails.
 //
 //   $ bench_serve_throughput [--requests=24] [--duration=2000] [--threads=4]
 //                            [--eastool=PATH] [--out=BENCH_serve.json]
@@ -27,25 +28,17 @@
 #include <fstream>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_report.h"
 #include "src/base/flags.h"
 #include "src/service/experiment_server.h"
 #include "src/service/service_client.h"
 
 namespace {
 
-#ifdef NDEBUG
-constexpr const char kBuildType[] = "release";
-#else
-constexpr const char kBuildType[] = "debug";
-#endif
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
+using eas::bench::SecondsSince;
 
 std::vector<std::string> MakeRequests(int count, long long duration_ms) {
   std::vector<std::string> texts;
@@ -198,21 +191,26 @@ int main(int argc, char** argv) {
   std::printf("  warm_socket : %7.3f s  (%.1f requests/s)\n", warm_socket.seconds,
               RequestsPerSecond(texts.size(), warm_socket.seconds));
 
-  const bool socket_identical = warm_socket.lines == warm_service.lines;
-  if (!socket_identical) {
-    std::printf("  WARNING: socket bytes differ from in-process bytes!\n");
-  }
+  eas::bench::BenchReport report("serve_throughput");
+  report.Config("requests", requests);
+  report.Config("duration_ms", duration_ms);
+  report.Config("threads", workers);
+  report.Config("build_type", eas::bench::BuildType());
+  // warm_service is the reference the other legs' bytes are checked against.
+  report.Noisy("warm_service", "requests_per_second",
+               RequestsPerSecond(texts.size(), warm_service.seconds), "requests/s");
+  report.Invariant("warm_service", "identical", true);
+  report.Noisy("warm_socket", "requests_per_second",
+               RequestsPerSecond(texts.size(), warm_socket.seconds), "requests/s");
+  report.Invariant("warm_socket", "identical", warm_socket.lines == warm_service.lines);
 
-  LegResult fork;
-  bool fork_identical = false;
   if (!eastool.empty()) {
-    fork = RunForkPerRun(texts, eastool);
+    const LegResult fork = RunForkPerRun(texts, eastool);
     std::printf("  fork_per_run: %7.3f s  (%.1f requests/s)\n", fork.seconds,
                 RequestsPerSecond(texts.size(), fork.seconds));
-    fork_identical = fork.lines == warm_service.lines;
-    if (!fork_identical) {
-      std::printf("  WARNING: fork-per-run bytes differ from warm-service bytes!\n");
-    }
+    report.Noisy("fork_per_run", "requests_per_second",
+                 RequestsPerSecond(texts.size(), fork.seconds), "requests/s");
+    report.Invariant("fork_per_run", "identical", fork.lines == warm_service.lines);
     const double speedup =
         fork.seconds > 0.0 && warm_service.seconds > 0.0 ? fork.seconds / warm_service.seconds
                                                          : 0.0;
@@ -221,44 +219,5 @@ int main(int argc, char** argv) {
     std::printf("  fork_per_run: skipped (pass --eastool=PATH to measure it)\n");
   }
 
-  std::ostringstream json;
-  char row[256];
-  json << "{\n"
-       << "  \"bench\": \"serve_throughput\",\n"
-       << "  \"requests\": " << requests << ",\n"
-       << "  \"duration_ms\": " << duration_ms << ",\n"
-       << "  \"threads\": " << workers << ",\n"
-       << "  \"build_type\": \"" << kBuildType << "\",\n"
-       << "  \"rows\": [\n";
-  std::snprintf(row, sizeof(row),
-                "    {\"name\": \"warm_service\", \"seconds\": %.4f, "
-                "\"requests_per_second\": %.2f, \"identical\": true},\n",
-                warm_service.seconds, RequestsPerSecond(texts.size(), warm_service.seconds));
-  json << row;
-  std::snprintf(row, sizeof(row),
-                "    {\"name\": \"warm_socket\", \"seconds\": %.4f, "
-                "\"requests_per_second\": %.2f, \"identical\": %s}",
-                warm_socket.seconds, RequestsPerSecond(texts.size(), warm_socket.seconds),
-                socket_identical ? "true" : "false");
-  json << row;
-  if (!eastool.empty()) {
-    std::snprintf(row, sizeof(row),
-                  ",\n    {\"name\": \"fork_per_run\", \"seconds\": %.4f, "
-                  "\"requests_per_second\": %.2f, \"identical\": %s}",
-                  fork.seconds, RequestsPerSecond(texts.size(), fork.seconds),
-                  fork_identical ? "true" : "false");
-    json << row;
-  }
-  json << "\n  ]\n}\n";
-
-  std::FILE* file = std::fopen(out.c_str(), "wb");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out.c_str());
-    return 1;
-  }
-  const std::string text = json.str();
-  std::fwrite(text.data(), 1, text.size(), file);
-  std::fclose(file);
-  std::printf("\nwrote %s\n", out.c_str());
-  return (socket_identical && (eastool.empty() || fork_identical)) ? 0 : 1;
+  return report.Write(out);
 }

@@ -8,7 +8,8 @@
 //
 // --threads pins the multi-thread leg (0 = all hardware threads); the JSON
 // records it plus the build type so tools/bench_compare.py can refuse to
-// diff runs measured under different configurations.
+// diff runs measured under different configurations. The bench fails if
+// the aggregate work differs across thread counts.
 
 #include <algorithm>
 #include <chrono>
@@ -16,21 +17,11 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_report.h"
 #include "src/api/run_request.h"
 #include "src/base/flags.h"
-#include "src/sim/csv_export.h"
 
 namespace {
-
-#ifdef NDEBUG
-constexpr const char kBuildType[] = "release";
-#else
-constexpr const char kBuildType[] = "debug";
-#endif
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
 
 std::vector<eas::ExperimentSpec> MakeSweep(int runs, eas::Tick duration) {
   // The sweep described as a request (the same one `eastool --request`
@@ -59,7 +50,7 @@ double TimeSweep(const std::vector<eas::ExperimentSpec>& specs, std::size_t thre
   const eas::ExperimentRunner runner(threads);
   const auto start = std::chrono::steady_clock::now();
   const std::vector<eas::RunResult> results = runner.RunAll(specs);
-  const double elapsed = SecondsSince(start);
+  const double elapsed = eas::bench::SecondsSince(start);
   *work_done = 0.0;
   for (const eas::RunResult& result : results) {
     *work_done += result.work_done_ticks;
@@ -104,30 +95,13 @@ int main(int argc, char** argv) {
       single > 0.0 ? static_cast<double>(runs) * static_cast<double>(duration) / single : 0.0;
   std::printf("  speedup  : %6.2fx\n", speedup);
   std::printf("  1-thread engine rate: %.0f machine-ticks/s\n", ticks_per_second);
-  if (work_single != work_multi) {
-    std::printf("  WARNING: aggregate work differs across thread counts!\n");
-  }
 
-  char json[512];
-  std::snprintf(json, sizeof(json),
-                "{\n"
-                "  \"bench\": \"sweep_scaling\",\n"
-                "  \"runs\": %d,\n"
-                "  \"duration_ticks\": %lld,\n"
-                "  \"threads\": %zu,\n"
-                "  \"build_type\": \"%s\",\n"
-                "  \"single_thread_seconds\": %.4f,\n"
-                "  \"multi_thread_seconds\": %.4f,\n"
-                "  \"speedup\": %.4f,\n"
-                "  \"single_thread_ticks_per_second\": %.0f,\n"
-                "  \"deterministic_across_threads\": %s\n"
-                "}\n",
-                runs, static_cast<long long>(duration), hardware, kBuildType, single, multi,
-                speedup, ticks_per_second, work_single == work_multi ? "true" : "false");
-  if (!eas::WriteFile(out, json)) {
-    std::fprintf(stderr, "failed to write %s\n", out.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s\n", out.c_str());
-  return 0;
+  eas::bench::BenchReport report("sweep_scaling");
+  report.Config("runs", runs);
+  report.Config("duration_ticks", duration);
+  report.Config("threads", hardware);
+  report.Config("build_type", eas::bench::BuildType());
+  report.Noisy("sweep", "single_thread_ticks_per_second", ticks_per_second, "ticks/s");
+  report.Invariant("sweep", "deterministic_across_threads", work_single == work_multi);
+  return report.Write(out);
 }

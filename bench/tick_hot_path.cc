@@ -8,8 +8,8 @@
 // sleeper-heavy workload (interactive daemons that spend most ticks blocked,
 // the worst case for the wake scan) at 100 / 1k / 10k tasks, then measures
 // skip-ahead vs naive ticking on a cron-style mostly-idle workload where
-// the machine is quiescent ~99% of ticks, and writes the ticks/sec table
-// plus the speedups to BENCH_tick_hot_path.json.
+// the machine is quiescent ~99% of ticks. It prints the ticks/sec table
+// plus the speedups and writes the gated rows to BENCH_tick_hot_path.json.
 //
 //   $ bench_tick_hot_path [--ticks=2000] [--out=BENCH_tick_hot_path.json]
 //
@@ -19,9 +19,9 @@
 // bit-identical states; the sparse row cross-checks that skip-ahead and the
 // naive tick loop do too (the engine's bit-identity contract).
 //
-// Every row carries a "name" and the document carries the run configuration
-// (threads, build type, wall time), so tools/bench_compare.py can refuse to
-// diff runs measured under different conditions.
+// The document records the run configuration (ticks, threads, build type),
+// so tools/bench_compare.py refuses to diff runs measured under different
+// conditions.
 
 #include <algorithm>
 #include <chrono>
@@ -29,10 +29,10 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_report.h"
 #include "src/api/run_request.h"
 #include "src/base/flags.h"
 #include "src/counters/energy_model.h"
-#include "src/sim/csv_export.h"
 #include "src/sim/scan_reference.h"
 #include "src/sim/simulation_engine.h"
 #include "src/workloads/programs.h"
@@ -40,16 +40,7 @@
 namespace {
 
 using eas::Tick;
-
-#ifdef NDEBUG
-constexpr const char kBuildType[] = "release";
-#else
-constexpr const char kBuildType[] = "debug";
-#endif
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
+using eas::bench::SecondsSince;
 
 eas::MachineConfig BenchConfig() {
   // The bench machine as a request (paper topology, 60 W cap, seed 7), then
@@ -104,11 +95,8 @@ eas::Program MakeCronProgram(const eas::EnergyModel& model) {
 
 struct Measurement {
   std::string name;
-  int tasks = 0;
-  Tick ticks = 0;
   double engine_ticks_per_second = 0.0;  // the optimized path (always gated)
   double reference_ticks_per_second = 0.0;
-  const char* reference_key = "scan_ticks_per_second";
   double speedup = 0.0;
   bool identical = false;
 };
@@ -136,8 +124,6 @@ Measurement MeasurePopulation(const eas::ProgramLibrary& library, int tasks, Tic
 
   Measurement m;
   m.name = "tasks_" + std::to_string(tasks);
-  m.tasks = tasks;
-  m.ticks = ticks;
   m.engine_ticks_per_second =
       engine_seconds > 0.0 ? static_cast<double>(ticks) / engine_seconds : 0.0;
   m.reference_ticks_per_second =
@@ -193,9 +179,6 @@ Measurement MeasureSparse(const eas::EnergyModel& model, Tick ticks) {
 
   Measurement m;
   m.name = "sparse_idle";
-  m.tasks = kTasks;
-  m.ticks = ticks;
-  m.reference_key = "naive_ticks_per_second";
   m.engine_ticks_per_second =
       skip_seconds > 0.0 ? static_cast<double>(ticks) / skip_seconds : 0.0;
   m.reference_ticks_per_second =
@@ -229,50 +212,23 @@ int main(int argc, char** argv) {
   std::printf("  %-12s  %14s  %14s  %8s  %s\n", "row", "engine tick/s", "reference",
               "speedup", "identical");
 
-  const auto bench_start = std::chrono::steady_clock::now();
   std::vector<Measurement> rows;
   for (int tasks : kPopulations) {
     rows.push_back(MeasurePopulation(library, tasks, ticks));
   }
   rows.push_back(MeasureSparse(model, sparse_ticks));
-  const double wall_seconds = SecondsSince(bench_start);
 
-  bool all_identical = true;
-  std::string json = "{\n  \"bench\": \"tick_hot_path\",\n  \"ticks\": " +
-                     std::to_string(static_cast<long long>(ticks)) +
-                     ",\n  \"sparse_ticks\": " +
-                     std::to_string(static_cast<long long>(sparse_ticks)) +
-                     ",\n  \"threads\": 1,\n  \"build_type\": \"" + kBuildType +
-                     "\",\n  \"populations\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Measurement& m = rows[i];
-    all_identical = all_identical && m.identical;
+  eas::bench::BenchReport report("tick_hot_path");
+  report.Config("ticks", ticks);
+  report.Config("sparse_ticks", sparse_ticks);
+  report.Config("threads", 1);
+  report.Config("build_type", eas::bench::BuildType());
+  for (const Measurement& m : rows) {
     std::printf("  %-12s  %14.0f  %14.0f  %7.2fx  %s\n", m.name.c_str(),
                 m.engine_ticks_per_second, m.reference_ticks_per_second, m.speedup,
                 m.identical ? "yes" : "NO");
-    char entry[320];
-    std::snprintf(entry, sizeof(entry),
-                  "    {\"name\": \"%s\", \"tasks\": %d, \"ticks\": %lld, "
-                  "\"engine_ticks_per_second\": %.0f, \"%s\": %.0f, "
-                  "\"speedup\": %.2f, \"identical\": %s}%s\n",
-                  m.name.c_str(), m.tasks, static_cast<long long>(m.ticks),
-                  m.engine_ticks_per_second, m.reference_key, m.reference_ticks_per_second,
-                  m.speedup, m.identical ? "true" : "false",
-                  i + 1 < rows.size() ? "," : "");
-    json += entry;
+    report.Noisy(m.name, "engine_ticks_per_second", m.engine_ticks_per_second, "ticks/s");
+    report.Invariant(m.name, "identical", m.identical);
   }
-  char tail[64];
-  std::snprintf(tail, sizeof(tail), "  ],\n  \"wall_seconds\": %.4f\n}\n", wall_seconds);
-  json += tail;
-
-  if (!eas::WriteFile(out, json)) {
-    std::fprintf(stderr, "failed to write %s\n", out.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s\n", out.c_str());
-  if (!all_identical) {
-    std::fprintf(stderr, "ERROR: optimized and reference loops diverged\n");
-    return 1;
-  }
-  return 0;
+  return report.Write(out);
 }

@@ -1,367 +1,180 @@
 #!/usr/bin/env python3
-"""Benchmark regression gate: diff a fresh BENCH_*.json against a committed baseline.
+"""Benchmark regression gate: diff fresh BENCH_*.json files against committed baselines.
 
 Usage:
-    bench_compare.py --baseline bench/baselines/BENCH_tick_hot_path.json \
-                     --current build/BENCH_tick_hot_path.json [--threshold 0.25]
+    bench_compare.py --baseline bench/baselines --current build [--threshold 0.25]
 
-Compares the throughput-style metrics of the known bench formats and
-exits non-zero when the current run regresses by more than the threshold
-(default 25%, overridable via --threshold or the BENCH_COMPARE_THRESHOLD
-environment variable - CI runners are noisy, calibrate there, not here):
+Every BENCH_*.json in the baseline directory is compared with the file of
+the same name in the current directory; a baseline without a current file
+fails. Files without a baseline are not gated. Every gated bench writes one
+document shape (bench/bench_report.h):
 
-  tick_hot_path:  engine_ticks_per_second per named row (the population rows
-                  plus the sparse_idle skip-ahead row), and every row's
-                  bit-identity cross-check (engine vs scan, skip vs naive)
-                  must still report identical states.
-  sweep_scaling:  single_thread_ticks_per_second, and the sweep must still be
-                  deterministic across thread counts.
-  governor_sweep: simulated throughput (work-ticks/s) per governor x policy
-                  row - deterministic simulation output, so rows are
-                  comparable across machines and gate at the tighter of the
-                  global threshold and 1% - plus the DVFS-columns presence
-                  rule (governed rows carry avg_frequency_cpu*, pure-hlt
-                  "none" rows must not).
-  cluster_scale:  ticks/s per tick-pipeline row and balance passes/s per
-                  balance row at 1k CPUs, plus the worker-count bit-identity
-                  and sublinear-balance invariants.
-  serve_throughput: requests/s per execution-path row (warm in-process
-                  service, warm socket daemon, fork-per-run eastool), plus
-                  every row's byte-identity cross-check against the offline
-                  JSONL replay.
-  chaos_overhead: chaos-soak under three fault plans - fault-free,
-                  armed-but-never-firing, full chaos. Simulated throughput
-                  gates tight (deterministic rows), wall ticks/s gates at
-                  the global threshold (the armed-idle wall rate is the
-                  fault layer's idle cost), plus three invariants: the
-                  armed-idle run leaves physics bit-identical, the chaos
-                  run actually fires faults, and the fault-free row never
-                  grows fault columns.
+    {"bench": NAME, "config": {KEY: VALUE, ...},
+     "rows": [{"name": ..., "metric": ..., "value": ..., "unit": ..., "gate": ...}]}
 
-Row sets compare asymmetrically: a baseline row missing from the current run
-fails (a gated metric disappeared), while a current-run row absent from the
-baseline is warned and skipped - new rows gate only after the baseline is
-refreshed.
+and every pair is compared the same way:
 
-Files are either one JSON document (tick_hot_path, sweep_scaling) or JSONL
-as the result sinks write it (governor_sweep: a header object with "bench",
-one object per run keyed by "name", optional trailer objects merged into
-the header).
+  config     each key must hold the same value on both sides: rates measured
+             under different flags, thread counts or build types are not
+             comparable, and silently gating nothing is worse than failing.
+  rows       keyed by (name, metric) and compared asymmetrically: a baseline
+             row missing from the current run fails (a gated metric stopped
+             being measured), while a current row the baseline lacks is
+             warned and skipped - new rows gate only after the baseline is
+             refreshed.
+  tight      deterministic simulation output. A drop of more than
+             min(threshold, 1%) fails: enough slack for floating-point drift
+             across compilers, tight enough that a real behavioural shift
+             (which the wall-clock threshold would hide) fails loudly.
+  noisy      wall-clock rates. A drop of more than the threshold fails
+             (default 25%; CI runners are noisy, calibrate there, not here).
+  invariant  a verdict the bench computed; the current value must be true.
 
-Only regressions gate; improvements are reported and pass. To refresh a
-baseline after an intentional change, copy the current file over the
-committed one (the gate prints the exact command).
+A rate whose baseline is not positive is skipped, and a document that
+compared no rate at all fails. Only regressions gate; improvements are
+reported and pass. To refresh a baseline after an intentional change, copy
+the current file over the committed one (the gate prints the command).
 
 Stdlib only - no third-party imports.
 """
 
 import argparse
+import glob
 import json
 import os
 import sys
+
+GATES = ("tight", "noisy", "invariant")
+TIGHT_LIMIT = 0.01
+
+
+class SchemaError(Exception):
+    """A file that cannot be read as a bench document."""
+
+
+def parse_document(doc, source):
+    """Validates a loaded bench document and indexes its rows by (name, metric)."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("bench"), str):
+        raise SchemaError(f"{source}: no 'bench' name")
+    if not isinstance(doc.get("config"), dict):
+        raise SchemaError(f"{source}: no 'config' object")
+    if not isinstance(doc.get("rows"), list):
+        raise SchemaError(f"{source}: no 'rows' list")
+    rows = {}
+    for row in doc["rows"]:
+        if not isinstance(row, dict) or not all(
+                isinstance(row.get(field), str) for field in ("name", "metric", "unit")):
+            raise SchemaError(f"{source}: row {row} needs a string name, metric and unit")
+        key = (row["name"], row["metric"])
+        label = f"{row['metric']}[{row['name']}]"
+        if row.get("gate") not in GATES:
+            raise SchemaError(f"{source}: {label}: unknown gate {row.get('gate')!r} "
+                              f"(known: {', '.join(GATES)})")
+        value = row.get("value")
+        if isinstance(value, bool) != (row["gate"] == "invariant") or not isinstance(
+                value, (int, float)):
+            raise SchemaError(f"{source}: {label}: value {value!r} must be true/false for "
+                              f"an invariant and a number otherwise")
+        if key in rows:
+            raise SchemaError(f"{source}: duplicate row {label}")
+        rows[key] = row
+    return {"bench": doc["bench"], "config": doc["config"], "rows": rows}
 
 
 def load(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as error:
-        sys.exit(f"bench_compare: cannot read {path}: {error}")
-    try:
-        return json.loads(text)
-    except ValueError:
-        pass  # not a single document - try JSONL
-    merged = {"runs": []}
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except ValueError as error:
-            sys.exit(f"bench_compare: {path}:{number}: bad JSON line: {error}")
-        if "name" in obj:
-            merged["runs"].append(obj)
+            doc = json.load(handle)
+    except (OSError, ValueError) as error:
+        raise SchemaError(f"cannot read {path}: {error}") from None
+    return parse_document(doc, path)
+
+
+def compare(baseline, current, threshold):
+    """Gates one parsed document pair; returns (report lines, failures)."""
+    if baseline["bench"] != current["bench"]:
+        return [], [f"baseline is '{baseline['bench']}' but current is '{current['bench']}' "
+                    f"- wrong file pairing?"]
+    lines, failures = [], []
+    for key in sorted(baseline["config"].keys() | current["config"].keys()):
+        base, cur = baseline["config"].get(key), current["config"].get(key)
+        lines.append(f"  config {key}: baseline {base}, current {cur}")
+        if base != cur:
+            failures.append(f"config mismatch on '{key}': baseline ran with {base}, current "
+                            f"with {cur} - align the bench flags or refresh the baseline")
+    missing = [f"{metric}[{name}]" for name, metric in baseline["rows"]
+               if (name, metric) not in current["rows"]]
+    if missing:
+        failures.append(f"rows missing from current run: {', '.join(missing)} - "
+                        f"a gated metric is no longer measured")
+
+    rates_compared = 0
+    for key, row in current["rows"].items():
+        label = f"{row['metric']}[{row['name']}]"
+        base = baseline["rows"].get(key)
+        if base is None:
+            lines.append(f"  {label}: not in baseline; skipped (refresh the baseline to gate it)")
+        elif base["gate"] != row["gate"]:
+            failures.append(f"{label}: gate changed from {base['gate']} to {row['gate']} - "
+                            f"refresh the baseline")
+        elif row["gate"] == "invariant":
+            lines.append(f"  {label}: {'ok' if row['value'] else 'VIOLATED'}")
+            if not row["value"]:
+                failures.append(f"{label} no longer holds")
+        elif base["value"] <= 0:
+            lines.append(f"  {label}: baseline {base['value']:.0f} not positive; skipped")
         else:
-            merged.update(obj)  # header/trailer metadata
-    if "bench" not in merged:
-        sys.exit(f"bench_compare: {path} is neither a bench JSON document nor bench JSONL")
-    return merged
+            limit = min(threshold, TIGHT_LIMIT) if row["gate"] == "tight" else threshold
+            rates_compared += 1
+            change = (row["value"] - base["value"]) / base["value"]
+            verdict = "ok"
+            if change < -limit:
+                verdict = "REGRESSION"
+                failures.append(f"{label}: {base['value']:.0f} -> {row['value']:.0f} "
+                                f"({change:+.1%}, limit -{limit:.0%})")
+            lines.append(f"  {label}: {base['value']:.0f} -> {row['value']:.0f} "
+                         f"({change:+.1%}, {row['gate']}) {verdict}")
+    if rates_compared == 0:
+        failures.append("no rates were compared - the gate gated nothing")
+    return lines, failures
 
 
-class Gate:
-    """Collects metric comparisons and renders the verdict."""
-
-    def __init__(self, threshold):
-        self.threshold = threshold
-        self.failures = []
-        self.lines = []
-        self.rates_compared = 0
-
-    def config(self, name, baseline, current):
-        """Run-configuration fields must match exactly - ticks/s measured
-        under different flags are not comparable, and silently gating
-        nothing is worse than failing loudly."""
-        self.lines.append(f"  config {name}: baseline {baseline}, current {current}")
-        if baseline != current:
-            self.failures.append(
-                f"config mismatch on '{name}': baseline ran with {baseline}, current with "
-                f"{current} - align the bench flags or refresh the baseline"
-            )
-
-    def rows(self, baseline_names, current_names):
-        """Row-set comparison, asymmetric on purpose: a row the baseline
-        gated that vanished from the current run is a failure (a metric
-        silently stopped being measured), but a row the current run added
-        that the baseline has never seen is only warned and skipped - a
-        bench growing a new row must not fail every checkout until the
-        baseline is refreshed."""
-        baseline_names = set(baseline_names)
-        current_names = set(current_names)
-        missing = sorted(baseline_names - current_names)
-        if missing:
-            self.failures.append(
-                f"rows missing from current run: {', '.join(missing)} - "
-                f"a gated metric is no longer measured"
-            )
-        for name in sorted(current_names - baseline_names):
-            self.lines.append(
-                f"  row '{name}': not in baseline; skipped (refresh the baseline to gate it)"
-            )
-
-    def rate(self, name, baseline, current, threshold=None):
-        """`threshold` overrides the gate-wide tolerance for this metric -
-        deterministic metrics gate much tighter than wall-clock ones."""
-        if baseline <= 0:
-            self.lines.append(f"  {name}: baseline {baseline:.0f} not positive; skipped")
-            return
-        if threshold is None:
-            threshold = self.threshold
-        self.rates_compared += 1
-        change = (current - baseline) / baseline
-        verdict = "ok"
-        if change < -threshold:
-            verdict = "REGRESSION"
-            self.failures.append(
-                f"{name}: {baseline:.0f} -> {current:.0f} ({change:+.1%}, "
-                f"limit -{threshold:.0%})"
-            )
-        self.lines.append(f"  {name}: {baseline:.0f} -> {current:.0f} ({change:+.1%}) {verdict}")
-
-    def invariant(self, name, holds):
-        self.lines.append(f"  {name}: {'ok' if holds else 'VIOLATED'}")
-        if not holds:
-            self.failures.append(f"{name} no longer holds")
-
-
-def compare_tick_hot_path(baseline, current, gate):
-    # Wall-clock ticks/s depend on the measurement conditions, so the run
-    # configuration must match before any rate is comparable.
-    for field in ("ticks", "sparse_ticks", "threads", "build_type"):
-        gate.config(field, baseline.get(field), current.get(field))
-    base_rows = {row["name"]: row for row in baseline.get("populations", [])}
-    gate.rows(base_rows, [row["name"] for row in current.get("populations", [])])
-    for row in current.get("populations", []):
-        name = row["name"]
-        base = base_rows.get(name)
-        if base is None:
-            continue  # warned and skipped via the rows check
-        gate.rate(
-            f"engine_ticks_per_second[{name}]",
-            base["engine_ticks_per_second"],
-            row["engine_ticks_per_second"],
-        )
-        gate.invariant(f"bit-identical states[{name}]", row.get("identical", False))
-
-
-def compare_sweep_scaling(baseline, current, gate):
-    # threads and build_type shape the wall-clock numbers as much as the
-    # sweep shape does - a debug run or a different thread count against a
-    # release baseline must refuse, not silently "pass".
-    for field in ("runs", "duration_ticks", "threads", "build_type"):
-        gate.config(field, baseline.get(field), current.get(field))
-    gate.rate(
-        "single_thread_ticks_per_second",
-        baseline["single_thread_ticks_per_second"],
-        current["single_thread_ticks_per_second"],
-    )
-    gate.invariant(
-        "deterministic_across_threads", current.get("deterministic_across_threads", False)
-    )
-
-
-def compare_governor_sweep(baseline, current, gate):
-    # Simulated throughput is deterministic, so rows gate at the tighter of
-    # the global threshold and 1% - enough slack to absorb floating-point
-    # jitter across compilers, tight enough that a real behavioral shift
-    # (the wall-clock benches' 25% would hide a -20% scheduling regression)
-    # fails loudly.
-    threshold = min(gate.threshold, 0.01)
-    for field in ("scenario", "duration_ticks"):
-        gate.config(field, baseline.get(field), current.get(field))
-    base_rows = {row["name"]: row for row in baseline.get("runs", [])}
-    gate.rows(base_rows, [row["name"] for row in current.get("runs", [])])
-    for row in current.get("runs", []):
-        name = row["name"]
-        base = base_rows.get(name)
-        if base is None:
-            continue  # warned and skipped via the rows check
-        gate.rate(f"throughput[{name}]", base["throughput"], row["throughput"], threshold)
-        # The DVFS presence rule: governed rows carry the avg_frequency
-        # columns, pure-hlt "none" rows must not grow them.
-        governed = not name.startswith("none/")
-        gate.invariant(
-            f"dvfs columns {'present' if governed else 'absent'}[{name}]",
-            ("avg_frequency_cpu0" in row) == governed,
-        )
-
-
-def compare_cluster_scale(baseline, current, gate):
-    # Wall-clock ticks/s and balance passes/s, so the run shape must match.
-    # The pool_on speedup is a property of the measuring machine's core
-    # count, not of the code - it is informational here; what gates is each
-    # row's own throughput against the baseline plus the two invariants the
-    # bench asserts (worker-count bit-identity, sublinear balance scaling).
-    for field in ("ticks", "intra_threads", "balance_sweeps", "threads", "build_type"):
-        gate.config(field, baseline.get(field), current.get(field))
-    base_rows = {row["name"]: row for row in baseline.get("rows", [])}
-    gate.rows(base_rows, [row["name"] for row in current.get("rows", [])])
-    for row in current.get("rows", []):
-        name = row["name"]
-        base = base_rows.get(name)
-        if base is None:
-            continue  # warned and skipped via the rows check
-        if "ticks_per_second" in row:
-            gate.rate(
-                f"ticks_per_second[{name}]",
-                base.get("ticks_per_second", 0),
-                row["ticks_per_second"],
-            )
-            gate.invariant(f"bit-identical states[{name}]", row.get("identical", False))
-        elif "passes_per_second" in row:
-            gate.rate(
-                f"passes_per_second[{name}]",
-                base.get("passes_per_second", 0),
-                row["passes_per_second"],
-            )
-        elif name == "balance_scaling":
-            gate.invariant("balance per-pass cost sublinear", row.get("sublinear", False))
-
-
-def compare_serve_throughput(baseline, current, gate):
-    # Requests/s through the resident service (in-process and over the
-    # socket) vs fork-per-run eastool. All three are wall-clock, so the run
-    # shape must match; what gates beyond the rates is the byte-identity
-    # cross-check every row carries - a "faster" serve path that streams
-    # different bytes than the offline replay is a correctness bug, not a
-    # win.
-    for field in ("requests", "duration_ms", "threads", "build_type"):
-        gate.config(field, baseline.get(field), current.get(field))
-    base_rows = {row["name"]: row for row in baseline.get("rows", [])}
-    gate.rows(base_rows, [row["name"] for row in current.get("rows", [])])
-    for row in current.get("rows", []):
-        name = row["name"]
-        base = base_rows.get(name)
-        if base is None:
-            continue  # warned and skipped via the rows check
-        gate.rate(
-            f"requests_per_second[{name}]",
-            base["requests_per_second"],
-            row["requests_per_second"],
-        )
-        gate.invariant(
-            f"byte-identical records[{name}]", row.get("identical", False)
-        )
-
-
-def compare_chaos_overhead(baseline, current, gate):
-    # Three rows over the same scenario and horizon. Simulated throughput is
-    # deterministic, so it gates at the tighter of the global threshold and
-    # 1% (same rationale as the governor sweep); wall ticks/s is
-    # machine-bound and gates at the global threshold - the armed-idle row's
-    # wall rate is the one that catches a fault layer that starts costing
-    # ticks while doing nothing.
-    deterministic = min(gate.threshold, 0.01)
-    for field in ("scenario", "duration_ticks", "threads", "build_type"):
-        gate.config(field, baseline.get(field), current.get(field))
-    base_rows = {row["name"]: row for row in baseline.get("runs", [])}
-    gate.rows(base_rows, [row["name"] for row in current.get("runs", [])])
-    for row in current.get("runs", []):
-        name = row["name"]
-        base = base_rows.get(name)
-        if base is None:
-            continue  # warned and skipped via the rows check
-        gate.rate(f"throughput[{name}]", base["throughput"], row["throughput"], deterministic)
-        gate.rate(
-            f"wall_ticks_per_second[{name}]",
-            base["wall_ticks_per_second"],
-            row["wall_ticks_per_second"],
-        )
-        if name == "armed-idle":
-            gate.invariant(
-                "armed-but-idle plan leaves physics identical",
-                row.get("identical_physics", False),
-            )
-            gate.invariant("armed-idle fires nothing", row.get("faults_fired", -1) == 0)
-        elif name == "chaos":
-            gate.invariant("chaos plan fires faults", row.get("faults_fired", 0) > 0)
-        elif name == "fault-free":
-            gate.invariant("fault columns absent[fault-free]", "faults_fired" not in row)
-
-
-COMPARATORS = {
-    "tick_hot_path": compare_tick_hot_path,
-    "sweep_scaling": compare_sweep_scaling,
-    "governor_sweep": compare_governor_sweep,
-    "cluster_scale": compare_cluster_scale,
-    "serve_throughput": compare_serve_throughput,
-    "chaos_overhead": compare_chaos_overhead,
-}
-
-
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", required=True, help="committed baseline JSON")
-    parser.add_argument("--current", required=True, help="freshly produced JSON")
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=float(os.environ.get("BENCH_COMPARE_THRESHOLD", "0.25")),
-        help="maximum tolerated relative regression (default 0.25 = 25%%)",
-    )
-    args = parser.parse_args()
+    parser.add_argument("--baseline", required=True,
+                        help="directory of committed BENCH_*.json baselines")
+    parser.add_argument("--current", required=True,
+                        help="directory of freshly produced BENCH_*.json files")
+    parser.add_argument("--threshold", type=float, default=0.25,
+                        help="maximum tolerated relative regression (default 0.25 = 25%%)")
+    args = parser.parse_args(argv)
 
-    baseline = load(args.baseline)
-    current = load(args.current)
-
-    bench = current.get("bench")
-    if bench != baseline.get("bench"):
-        sys.exit(
-            f"bench_compare: baseline is '{baseline.get('bench')}' "
-            f"but current is '{bench}' - wrong file pairing?"
-        )
-    comparator = COMPARATORS.get(bench)
-    if comparator is None:
-        sys.exit(f"bench_compare: no comparator for bench '{bench}' "
-                 f"(known: {', '.join(sorted(COMPARATORS))})")
-
-    gate = Gate(args.threshold)
-    comparator(baseline, current, gate)
-    if gate.rates_compared == 0:
-        gate.failures.append("no throughput metrics were compared - the gate gated nothing")
-
-    print(f"bench_compare: {bench} (threshold {gate.threshold:.0%})")
-    for line in gate.lines:
-        print(line)
-    if gate.failures:
-        print("\nFAIL: benchmark regression gate")
-        for failure in gate.failures:
-            print(f"  - {failure}")
-        print(
-            f"\nIf intentional, refresh the baseline:\n"
-            f"  cp {args.current} {args.baseline}"
-        )
+    baselines = sorted(glob.glob(os.path.join(args.baseline, "BENCH_*.json")))
+    if not baselines:
+        print(f"bench_compare: no BENCH_*.json in {args.baseline} - the gate gated nothing")
         return 1
-    print("PASS")
+    failed = []
+    for baseline_path in baselines:
+        current_path = os.path.join(args.current, os.path.basename(baseline_path))
+        print(f"bench_compare: {os.path.basename(baseline_path)} "
+              f"(threshold {args.threshold:.0%})")
+        try:
+            lines, failures = compare(load(baseline_path), load(current_path), args.threshold)
+        except SchemaError as error:
+            lines, failures = [], [str(error)]
+        for line in lines:
+            print(line)
+        for failure in failures:
+            print(f"  FAIL: {failure}")
+        if failures:
+            failed.append((baseline_path, current_path))
+
+    if failed:
+        print("\nFAIL: benchmark regression gate\n\nIf intentional, refresh the baselines:")
+        for baseline_path, current_path in failed:
+            print(f"  cp {current_path} {baseline_path}")
+        return 1
+    print("\nPASS")
     return 0
 
 
