@@ -78,7 +78,7 @@ int main() {
     // Isolate the ingredient: placement is the only energy-aware feature,
     // as in Section 6.2's short-task experiment where tasks die before
     // the balancer would ever touch them.
-    config.sched.energy_balancing = false;
+    config.sched.balancer_name = "load_only";
     config.sched.hot_task_migration = false;
     config.sched.energy_aware_placement = placement;
     add(placement ? "B/placement_on" : "B/placement_off", config, shorts);

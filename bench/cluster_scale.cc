@@ -157,8 +157,8 @@ BalanceRow MeasureBalance(const char* topology, const eas::ProgramLibrary& libra
     engine.Tick(state);
   }
 
-  auto policy = eas::BalancePolicyRegistry::Global().CreateOrThrow(
-      eas::EffectiveBalancerName(config.sched), config.sched);
+  auto policy =
+      eas::BalancePolicyRegistry::Global().CreateOrThrow(config.sched.balancer_name, config.sched);
   const int logical = static_cast<int>(config.topology.num_logical());
   const auto start = std::chrono::steady_clock::now();
   for (int sweep = 0; sweep < sweeps; ++sweep) {

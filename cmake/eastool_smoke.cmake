@@ -2,8 +2,8 @@
 # CMakeLists): one scenario end to end with both CSV outputs parsed
 # non-empty, the request-file round trip (--print-request output must rerun
 # to a byte-identical summary), per-run sweep outputs, batch mode, plus the
-# CLI rejection paths (unknown flags, bad topology, unknown policy, unknown
-# scenario) exiting non-zero.
+# CLI rejection paths (unknown or repeated flags, bad topology, unknown
+# policy, unknown scenario) exiting non-zero.
 #
 # Variables: EASTOOL (path to the binary), OUT_DIR (writable scratch dir).
 
@@ -236,6 +236,15 @@ endif()
 
 # --- rejection paths ----------------------------------------------------------
 run_expect_failure("unknown flag" ${EASTOOL} --polcy eas --duration-s 1)
+# A repeated flag must be rejected by name, not resolved to its last value.
+execute_process(COMMAND ${EASTOOL} --seed 1 --seed 2 --print-request
+                RESULT_VARIABLE result OUTPUT_QUIET ERROR_VARIABLE stderr)
+if(result EQUAL 0 OR NOT stderr MATCHES "--seed")
+  message(FATAL_ERROR "repeated --seed: want a non-zero exit naming --seed, got ${result}: ${stderr}")
+endif()
+run_expect_failure("repeated sink" ${EASTOOL} --duration-s 1
+                   --sink jsonl:${OUT_DIR}/eastool_smoke_a.jsonl
+                   --sink jsonl:${OUT_DIR}/eastool_smoke_b.jsonl)
 run_expect_failure("request flag with --batch"
                    ${EASTOOL} --batch ${batch_file} --seed 3)
 run_expect_failure("--request with --batch"

@@ -511,7 +511,7 @@ Expected<ResolvedRequest> ResolveRunRequest(const RunRequest& request, ScenarioC
     spec.config.sched = SchedConfigForPolicy(policy);
     resolved.policy = policy;
   } else {
-    resolved.policy = EffectiveBalancerName(spec.config.sched);
+    resolved.policy = spec.config.sched.balancer_name;
   }
 
   // --- frequency governor ---------------------------------------------------
@@ -560,13 +560,14 @@ Expected<ResolvedRequest> ResolveRunRequest(const RunRequest& request, ScenarioC
     const double duration_s = request.duration_s.value_or(120.0);
     // !(x > 0) also rejects NaN; the upper bound keeps the tick cast far
     // from Tick overflow (9e12 s ~ 285 millennia of simulated time).
-    if (!(duration_s > 0.0) || duration_s > 9.0e12) {
+    // Round, don't truncate: a tick count that round-tripped through
+    // seconds (e.g. a bench's duration/1000.0) must resolve to exactly that
+    // tick count, not one short. A duration that rounds to no tick at all
+    // is as empty as 0.
+    if (!(duration_s > 0.0) || duration_s > 9.0e12 || std::llround(duration_s * 1000.0) < 1) {
       return MakeError(RequestErrorCode::kBadValue, "duration-s",
                        "bad duration-s: want > 0 (and sane) simulated seconds");
     }
-    // Round, don't truncate: a tick count that round-tripped through
-    // seconds (e.g. a bench's duration/1000.0) must resolve to exactly that
-    // tick count, not one short.
     spec.options.duration_ticks = static_cast<Tick>(std::llround(duration_s * 1000.0));
   }
   if (!from_scenario) {

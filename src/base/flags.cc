@@ -14,16 +14,22 @@ FlagParser::FlagParser(int argc, const char* const* argv) {
     const std::string body = arg.substr(2);
     const std::size_t eq = body.find('=');
     if (eq != std::string::npos) {
-      values_[body.substr(0, eq)] = body.substr(eq + 1);
+      Set(body.substr(0, eq), body.substr(eq + 1));
       continue;
     }
     // "--name value" if the next token is not itself a flag; else a switch.
     if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      values_[body] = argv[i + 1];
+      Set(body, argv[i + 1]);
       ++i;
     } else {
-      values_[body] = "";
+      Set(body, "");
     }
+  }
+}
+
+void FlagParser::Set(const std::string& name, const std::string& value) {
+  if (!values_.insert_or_assign(name, value).second) {
+    repeated_.insert(name);
   }
 }
 
@@ -77,6 +83,10 @@ std::vector<std::string> FlagParser::UnknownFlags(const std::vector<std::string>
     }
   }
   return unknown;
+}
+
+std::vector<std::string> FlagParser::RepeatedFlags() const {
+  return std::vector<std::string>(repeated_.begin(), repeated_.end());
 }
 
 std::vector<std::string> FlagParser::SplitColons(const std::string& value) {

@@ -7,6 +7,7 @@
 #define SRC_BASE_FLAGS_H_
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -33,11 +34,18 @@ class FlagParser {
   // offending flag named instead of being silently ignored.
   std::vector<std::string> UnknownFlags(const std::vector<std::string>& known) const;
 
+  // Flags passed more than once, sorted. The accessors above return the
+  // last value; a tool rejects these so no value is dropped silently.
+  std::vector<std::string> RepeatedFlags() const;
+
   // Splits "a:b:c" into its fields.
   static std::vector<std::string> SplitColons(const std::string& value);
 
  private:
+  void Set(const std::string& name, const std::string& value);
+
   std::map<std::string, std::string> values_;
+  std::set<std::string> repeated_;
   std::vector<std::string> positional_;
 };
 

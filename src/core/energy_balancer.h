@@ -21,8 +21,6 @@
 #ifndef SRC_CORE_ENERGY_BALANCER_H_
 #define SRC_CORE_ENERGY_BALANCER_H_
 
-#include <utility>
-
 #include "src/sched/balance_env.h"
 #include "src/sched/load_balancer.h"
 
@@ -68,13 +66,6 @@ class EnergyLoadBalancer {
 
   // One balancing pass for `cpu` (both steps, every level).
   Result Balance(int cpu, BalanceEnv& env) const;
-
-  // Average of a per-CPU metric over a group (delegates to the sched-level
-  // definition so the semantics cannot fork).
-  template <typename Fn>
-  static double GroupAverage(const CpuGroup& group, Fn&& metric) {
-    return LoadBalancer::GroupAverage(group, std::forward<Fn>(metric));
-  }
 
   const Options& options() const { return options_; }
 

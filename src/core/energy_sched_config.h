@@ -16,30 +16,15 @@
 
 namespace eas {
 
-// Which balancing algorithm runs when a CPU rebalances.
-enum class BalancerKind {
-  kLoadOnly,          // stock Linux: load balancing only (the baseline)
-  kEnergyAware,       // the paper's merged dual-metric algorithm (Figure 4)
-  kPowerOnly,         // strawman: runqueue power only (ping-pongs)
-  kTemperatureOnly,   // strawman: thermal power only (over-balances)
-};
-
 struct EnergySchedConfig {
-  bool energy_balancing = true;
+  // The balancing policy that runs when a CPU rebalances, by
+  // BalancePolicyRegistry name (src/core/policy_registry.h): "load_only"
+  // (stock Linux, the baseline), "energy_aware" (the paper's merged
+  // dual-metric algorithm, Figure 4), the strawmen "power_only" and
+  // "temperature_only", or any policy registered at runtime.
+  std::string balancer_name = "energy_aware";
   bool hot_task_migration = true;
   bool energy_aware_placement = true;
-
-  // Effective only when energy_balancing is true; kLoadOnly is implied
-  // otherwise.
-  BalancerKind balancer_kind = BalancerKind::kEnergyAware;
-
-  // Balancing policy selected by name through the BalancePolicyRegistry
-  // (src/core/policy_registry.h). When empty, the name is derived from
-  // `balancer_kind`; setting it overrides the enum and admits policies the
-  // enum does not know about. Like `balancer_kind`, it only takes effect
-  // while `energy_balancing` is true - disabling energy balancing always
-  // means the stock "load_only" policy.
-  std::string balancer_name;
 
   // Balancing cadence (per CPU). Linux rebalances every ~100-200 ms busy.
   Tick balance_interval_ticks = 200;
@@ -54,7 +39,7 @@ struct EnergySchedConfig {
   // Everything off: stock Linux behaviour (the paper's baseline).
   static EnergySchedConfig Baseline() {
     EnergySchedConfig config;
-    config.energy_balancing = false;
+    config.balancer_name = "load_only";
     config.hot_task_migration = false;
     config.energy_aware_placement = false;
     return config;

@@ -5,78 +5,57 @@
 
 namespace eas {
 
-int InitialPlacement::PlaceLeastLoaded(const BalanceEnv& env) {
-  const std::size_t n = env.topology().num_logical();
-  int best = 0;
-  std::size_t best_load = std::numeric_limits<std::size_t>::max();
-  for (std::size_t cpu = 0; cpu < n; ++cpu) {
-    if (!env.CpuOnline(static_cast<int>(cpu))) {
+void InitialPlacement::CollectCandidates(const BalanceEnv& env) {
+  const CpuTopology& topology = env.topology();
+  const int n = static_cast<int>(topology.num_logical());
+  candidates_.clear();
+  std::size_t min_load = std::numeric_limits<std::size_t>::max();
+  std::size_t min_package_load = std::numeric_limits<std::size_t>::max();
+  for (int cpu = 0; cpu < n; ++cpu) {
+    if (!env.CpuOnline(cpu)) {
       continue;
     }
-    const std::size_t load = env.runqueue(static_cast<int>(cpu)).nr_running();
-    if (load < best_load) {
-      best_load = load;
-      best = static_cast<int>(cpu);
+    const std::size_t load = env.runqueue(cpu).nr_running();
+    if (load > min_load) {
+      continue;
     }
+    // The package's load sums every sibling; an offline one holds no tasks
+    // once drained.
+    const std::size_t physical = topology.PhysicalOf(cpu);
+    std::size_t package_load = 0;
+    for (std::size_t thread = 0; thread < topology.smt_per_physical(); ++thread) {
+      package_load += env.runqueue(topology.LogicalId(physical, thread)).nr_running();
+    }
+    if (load < min_load || package_load < min_package_load) {
+      min_load = load;
+      min_package_load = package_load;
+      candidates_.clear();
+    } else if (package_load > min_package_load) {
+      continue;
+    }
+    candidates_.push_back(cpu);
   }
-  return best;
 }
 
-int InitialPlacement::Place(Task& task, const BalanceEnv& env,
-                            const BinaryRegistry& registry) const {
+int InitialPlacement::Place(Task& task, const BalanceEnv& env, const BinaryRegistry& registry) {
   task.profile().Seed(registry.InitialPowerFor(task.program().binary_id()));
   const double task_power = task.profile().power();
 
+  // Target: the current average runqueue power ratio over all CPUs, offline
+  // ones included, summed in id order (the order fixes the rounding).
   const std::size_t n = env.topology().num_logical();
-
-  // Eligibility: no other CPU may be running fewer tasks, and (SMT) no other
-  // candidate's package may be running fewer tasks - an idle sibling of a
-  // busy die is no substitute for an idle die. Offline CPUs are never
-  // candidates (with every CPU online the guards never fire).
-  std::size_t min_load = std::numeric_limits<std::size_t>::max();
-  for (std::size_t cpu = 0; cpu < n; ++cpu) {
-    if (!env.CpuOnline(static_cast<int>(cpu))) {
-      continue;
-    }
-    min_load = std::min(min_load, env.runqueue(static_cast<int>(cpu)).nr_running());
-  }
-  auto package_load = [&env](int cpu) {
-    std::size_t load = 0;
-    for (int sibling : env.topology().SiblingsOf(cpu)) {
-      load += env.runqueue(sibling).nr_running();
-    }
-    return load;
-  };
-  std::size_t min_package_load = std::numeric_limits<std::size_t>::max();
-  for (std::size_t cpu = 0; cpu < n; ++cpu) {
-    if (!env.CpuOnline(static_cast<int>(cpu))) {
-      continue;
-    }
-    if (env.runqueue(static_cast<int>(cpu)).nr_running() == min_load) {
-      min_package_load = std::min(min_package_load, package_load(static_cast<int>(cpu)));
-    }
-  }
-
-  // Target: the current average runqueue power ratio over all CPUs.
   double avg_ratio = 0.0;
   for (std::size_t cpu = 0; cpu < n; ++cpu) {
     avg_ratio += env.RunqueuePowerRatio(static_cast<int>(cpu));
   }
   avg_ratio /= static_cast<double>(n);
 
+  CollectCandidates(env);
   int best = 0;
   double best_distance = std::numeric_limits<double>::max();
-  for (std::size_t i = 0; i < n; ++i) {
-    const int cpu = static_cast<int>(i);
-    if (!env.CpuOnline(cpu)) {
-      continue;
-    }
-    const Runqueue& rq = env.runqueue(cpu);
-    if (rq.nr_running() != min_load || package_load(cpu) != min_package_load) {
-      continue;
-    }
+  for (const int cpu : candidates_) {
     // Hypothetical runqueue power with the new task added.
-    const std::size_t count = rq.nr_running();
+    const std::size_t count = env.runqueue(cpu).nr_running();
     const double current_power = count == 0 ? 0.0 : env.RunqueuePower(cpu);
     const double hypothetical =
         (current_power * static_cast<double>(count) + task_power) /
@@ -89,6 +68,11 @@ int InitialPlacement::Place(Task& task, const BalanceEnv& env,
     }
   }
   return best;
+}
+
+int InitialPlacement::PlaceBaseline(const BalanceEnv& env, Rng& rng) {
+  CollectCandidates(env);
+  return candidates_[rng.NextBelow(candidates_.size())];
 }
 
 }  // namespace eas

@@ -1,6 +1,5 @@
 #include "src/core/naive_balancers.h"
 
-#include "src/core/energy_balancer.h"
 #include "src/sched/load_balancer.h"
 
 namespace eas {
@@ -24,14 +23,14 @@ int NaiveBalance(int cpu, BalanceEnv& env, Metric&& metric, double margin,
       const CpuGroup* hottest_group = nullptr;
       double hottest = 0.0;
       for (const auto& group : domain->groups) {
-        const double value = EnergyLoadBalancer::GroupAverage(group, metric);
+        const double value = LoadBalancer::GroupAverage(group, metric);
         if (hottest_group == nullptr || value > hottest) {
           hottest_group = &group;
           hottest = value;
         }
       }
       if (hottest_group != nullptr && hottest_group != local_group &&
-          hottest > EnergyLoadBalancer::GroupAverage(*local_group, metric) + margin) {
+          hottest > LoadBalancer::GroupAverage(*local_group, metric) + margin) {
         int hottest_cpu = -1;
         double hottest_value = 0.0;
         for (int remote : hottest_group->cpus) {

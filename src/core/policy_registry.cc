@@ -126,26 +126,6 @@ std::vector<std::string> BalancePolicyRegistry::Names() const {
   return names;
 }
 
-std::string EffectiveBalancerName(const EnergySchedConfig& config) {
-  if (!config.energy_balancing) {
-    return "load_only";
-  }
-  if (!config.balancer_name.empty()) {
-    return config.balancer_name;
-  }
-  switch (config.balancer_kind) {
-    case BalancerKind::kLoadOnly:
-      return "load_only";
-    case BalancerKind::kEnergyAware:
-      return "energy_aware";
-    case BalancerKind::kPowerOnly:
-      return "power_only";
-    case BalancerKind::kTemperatureOnly:
-      return "temperature_only";
-  }
-  return "energy_aware";
-}
-
 EnergySchedConfig SchedConfigForPolicy(const std::string& name) {
   if (name == "load_only") {
     return EnergySchedConfig::Baseline();

@@ -58,11 +58,6 @@ class BalancePolicyRegistry {
   std::map<std::string, Factory> factories_;
 };
 
-// The balancing policy `config` asks for: "load_only" when energy balancing
-// is disabled; otherwise `config.balancer_name`, falling back to the legacy
-// `balancer_kind` enum when the name is empty.
-std::string EffectiveBalancerName(const EnergySchedConfig& config);
-
 // The scheduling configuration a registry policy name stands for:
 // "load_only" is the paper's full baseline (plain load balancing, no hot
 // task migration, no energy-aware placement); any other name keeps the

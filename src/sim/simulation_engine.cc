@@ -9,7 +9,7 @@ namespace eas {
 
 BalancePhase::BalancePhase(const EnergySchedConfig& sched)
     : sched_(sched),
-      policy_(BalancePolicyRegistry::Global().CreateOrThrow(EffectiveBalancerName(sched), sched)),
+      policy_(BalancePolicyRegistry::Global().CreateOrThrow(sched.balancer_name, sched)),
       hot_migrator_(sched.hot_migration) {}
 
 void BalancePhase::Run(SimulationState& state) {

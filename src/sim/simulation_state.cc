@@ -177,49 +177,7 @@ int SimulationState::PlaceTask(Task& task) {
   if (config_.sched.energy_aware_placement) {
     return placement_.Place(task, *this, registry_);
   }
-  return PlaceLeastLoadedRandomTie();
-}
-
-int SimulationState::PlaceLeastLoadedRandomTie() {
-  // Stock Linux 2.6 exec placement through the domain hierarchy: least
-  // loaded CPU, preferring an idle *package* over the idle sibling of a
-  // busy one (SMT-aware). Remaining ties break randomly, modelling the
-  // incidental state (exec'ing CPU, parent's cache) that decides in a real
-  // system, without biasing toward CPU 0.
-  // Offline CPUs never receive placements; with every CPU online the
-  // guards vanish and the scan is the historical one, bit for bit.
-  std::size_t min_load = std::numeric_limits<std::size_t>::max();
-  for (std::size_t cpu = 0; cpu < num_cpus(); ++cpu) {
-    if (cpu_online_[cpu] == 0) {
-      continue;
-    }
-    min_load = std::min(min_load, runqueue(static_cast<int>(cpu)).nr_running());
-  }
-  std::size_t min_package_load = std::numeric_limits<std::size_t>::max();
-  for (std::size_t cpu = 0; cpu < num_cpus(); ++cpu) {
-    if (cpu_online_[cpu] == 0 || runqueue(static_cast<int>(cpu)).nr_running() != min_load) {
-      continue;
-    }
-    std::size_t package_load = 0;
-    for (int sibling : config_.topology.SiblingsOf(static_cast<int>(cpu))) {
-      package_load += runqueue(sibling).nr_running();
-    }
-    min_package_load = std::min(min_package_load, package_load);
-  }
-  std::vector<int> candidates;
-  for (std::size_t cpu = 0; cpu < num_cpus(); ++cpu) {
-    if (cpu_online_[cpu] == 0 || runqueue(static_cast<int>(cpu)).nr_running() != min_load) {
-      continue;
-    }
-    std::size_t package_load = 0;
-    for (int sibling : config_.topology.SiblingsOf(static_cast<int>(cpu))) {
-      package_load += runqueue(sibling).nr_running();
-    }
-    if (package_load == min_package_load) {
-      candidates.push_back(static_cast<int>(cpu));
-    }
-  }
-  return candidates[rng_.NextBelow(candidates.size())];
+  return placement_.PlaceBaseline(*this, rng_);
 }
 
 void SimulationState::SetCpuOnline(int cpu, bool online) {

@@ -118,9 +118,10 @@ class SimulationState : public BalanceEnv {
   // (Task::TimesliceForNice).
   EAS_CROSS_SHARD Task* Spawn(const Program& program, int nice = 0);
 
-  // Placement for a (re)spawned task per the configured policy: energy-aware
-  // placement seeds the profile from the binary registry; the baseline picks
-  // the least loaded CPU with random tie-break and leaves the profile alone.
+  // Placement for a (re)spawned task per `energy_aware_placement`:
+  // InitialPlacement::Place seeds the profile from the binary registry;
+  // InitialPlacement::PlaceBaseline draws from the state's RNG and leaves
+  // the profile alone.
   EAS_CROSS_SHARD int PlaceTask(Task& task);
 
   // Ends the current accounting period of `task` and feeds the binary
@@ -309,10 +310,6 @@ class SimulationState : public BalanceEnv {
   const EnergyEstimator& estimator() const { return *estimator_; }
 
  private:
-  // Baseline exec placement: least loaded CPU, preferring an idle package,
-  // remaining ties broken randomly.
-  int PlaceLeastLoadedRandomTie();
-
   MachineConfig config_;
   DomainHierarchy domains_;
   Rng rng_;

@@ -469,15 +469,14 @@ TEST(RunRequestResolveTest, RejectionsDiagnose) {
   request.workload = "bogus:3";
   EXPECT_NE(ResolveErr(request).Render().find("bad workload"), std::string::npos);
 
-  request = RunRequest{};
-  request.duration_s = 0.0;
-  EXPECT_NE(ResolveErr(request).Render().find("bad duration-s"), std::string::npos);
-
   // Programmatically built requests bypass the parser's finiteness guard;
-  // resolve must repeat it.
-  request = RunRequest{};
-  request.duration_s = std::nan("");
-  EXPECT_NE(ResolveErr(request).Render().find("bad duration-s"), std::string::npos);
+  // resolve must repeat it. 0.0004 s rounds to zero ticks: as empty as 0.
+  for (const double duration_s : {0.0, std::nan(""), 0.0004}) {
+    request = RunRequest{};
+    request.duration_s = duration_s;
+    EXPECT_NE(ResolveErr(request).Render().find("bad duration-s"), std::string::npos)
+        << duration_s;
+  }
 
   request = RunRequest{};
   request.max_power = std::numeric_limits<double>::infinity();

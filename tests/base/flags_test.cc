@@ -71,6 +71,15 @@ TEST(FlagsTest, UnknownFlagsNamesStrays) {
   EXPECT_TRUE(Parse({}).UnknownFlags({}).empty());
 }
 
+TEST(FlagsTest, RepeatedFlagsNamesRepeats) {
+  const FlagParser flags =
+      Parse({"--seed", "1", "--sink=jsonl:a", "--seed=2", "--sink", "jsonl:b", "--plot", "--plot"});
+  EXPECT_EQ(flags.RepeatedFlags(), (std::vector<std::string>{"plot", "seed", "sink"}));
+  EXPECT_EQ(flags.GetInt("seed", 0), 2);  // the accessors keep the last value
+  EXPECT_EQ(flags.GetString("sink"), "jsonl:b");
+  EXPECT_TRUE(Parse({"--seed", "1", "--sink=jsonl:a"}).RepeatedFlags().empty());
+}
+
 TEST(FlagsTest, SplitColons) {
   const auto fields = FlagParser::SplitColons("2:4:1");
   ASSERT_EQ(fields.size(), 3u);

@@ -203,7 +203,7 @@ TEST(EnergyBalancerTest, GroupAverageHelper) {
   env.SetThermalPower(1, 30.0);
   CpuGroup group;
   group.cpus = {0, 1};
-  const double avg = EnergyLoadBalancer::GroupAverage(
+  const double avg = LoadBalancer::GroupAverage(
       group, [&env](int cpu) { return env.ThermalPower(cpu); });
   EXPECT_DOUBLE_EQ(avg, 20.0);
 }

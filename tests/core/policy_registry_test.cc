@@ -71,17 +71,10 @@ TEST(PolicyRegistryTest, DuplicateRegistrationRejected) {
   EXPECT_FALSE(BalancePolicyRegistry::Global().Register("load_only", factory));
 }
 
-TEST(PolicyRegistryTest, EffectiveNameResolution) {
-  EnergySchedConfig config;
-  EXPECT_EQ(EffectiveBalancerName(config), "energy_aware");
-  config.balancer_kind = BalancerKind::kPowerOnly;
-  EXPECT_EQ(EffectiveBalancerName(config), "power_only");
-  config.balancer_kind = BalancerKind::kTemperatureOnly;
-  EXPECT_EQ(EffectiveBalancerName(config), "temperature_only");
-  config.balancer_name = "my_custom";  // explicit name beats the enum
-  EXPECT_EQ(EffectiveBalancerName(config), "my_custom");
-  config.energy_balancing = false;  // disabled beats everything
-  EXPECT_EQ(EffectiveBalancerName(config), "load_only");
+TEST(PolicyRegistryTest, PresetsSelectTheirPolicyByName) {
+  EXPECT_EQ(EnergySchedConfig().balancer_name, "energy_aware");
+  EXPECT_EQ(EnergySchedConfig::EnergyAware().balancer_name, "energy_aware");
+  EXPECT_EQ(EnergySchedConfig::Baseline().balancer_name, "load_only");
 }
 
 // A policy that never migrates anything, registered at runtime and selected
@@ -121,20 +114,17 @@ TEST(PolicyRegistryTest, RuntimePolicySelectableByString) {
 
 TEST(PolicyRegistryTest, SchedConfigForPolicyLoadOnlyIsFullBaseline) {
   const EnergySchedConfig config = SchedConfigForPolicy("load_only");
-  EXPECT_FALSE(config.energy_balancing);
+  EXPECT_EQ(config.balancer_name, "load_only");
   EXPECT_FALSE(config.hot_task_migration);
   EXPECT_FALSE(config.energy_aware_placement);
-  EXPECT_EQ(EffectiveBalancerName(config), "load_only");
 }
 
 TEST(PolicyRegistryTest, SchedConfigForPolicySelectsByName) {
   for (const char* name : {"energy_aware", "power_only", "temperature_only", "my_custom"}) {
     const EnergySchedConfig config = SchedConfigForPolicy(name);
-    EXPECT_TRUE(config.energy_balancing) << name;
+    EXPECT_EQ(config.balancer_name, name);
     EXPECT_TRUE(config.hot_task_migration) << name;
     EXPECT_TRUE(config.energy_aware_placement) << name;
-    EXPECT_EQ(config.balancer_name, name);
-    EXPECT_EQ(EffectiveBalancerName(config), name);
   }
 }
 

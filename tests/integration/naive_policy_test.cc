@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/sim/experiment.h"
 #include "src/workloads/programs.h"
 #include "src/workloads/workload_builder.h"
@@ -12,13 +14,13 @@
 namespace eas {
 namespace {
 
-RunResult RunWithKind(BalancerKind kind, Tick duration) {
+RunResult RunWithPolicy(const std::string& policy, Tick duration) {
   MachineConfig config;
   config.topology = CpuTopology::PaperXSeries445(false);
   config.cooling = CoolingProfile::PaperXSeries445();
   config.explicit_max_power_physical = 60.0;
   config.sched = EnergySchedConfig::EnergyAware();
-  config.sched.balancer_kind = kind;
+  config.sched.balancer_name = policy;
   config.sched.hot_task_migration = false;  // isolate the balancer
 
   const ProgramLibrary library(EnergyModel::Default());
@@ -31,8 +33,8 @@ RunResult RunWithKind(BalancerKind kind, Tick duration) {
 
 TEST(NaivePolicyIntegration, PowerOnlyMigratesMoreThanDualMetric) {
   const Tick duration = 120'000;
-  const RunResult dual = RunWithKind(BalancerKind::kEnergyAware, duration);
-  const RunResult power_only = RunWithKind(BalancerKind::kPowerOnly, duration);
+  const RunResult dual = RunWithPolicy("energy_aware", duration);
+  const RunResult power_only = RunWithPolicy("power_only", duration);
   EXPECT_GT(power_only.migrations, dual.migrations * 2)
       << "power-only should ping-pong (dual: " << dual.migrations
       << ", power-only: " << power_only.migrations << ")";
@@ -40,8 +42,8 @@ TEST(NaivePolicyIntegration, PowerOnlyMigratesMoreThanDualMetric) {
 
 TEST(NaivePolicyIntegration, TemperatureOnlyMigratesMoreThanDualMetric) {
   const Tick duration = 120'000;
-  const RunResult dual = RunWithKind(BalancerKind::kEnergyAware, duration);
-  const RunResult temp_only = RunWithKind(BalancerKind::kTemperatureOnly, duration);
+  const RunResult dual = RunWithPolicy("energy_aware", duration);
+  const RunResult temp_only = RunWithPolicy("temperature_only", duration);
   EXPECT_GT(temp_only.migrations, dual.migrations)
       << "temperature-only should over-balance (dual: " << dual.migrations
       << ", temp-only: " << temp_only.migrations << ")";
@@ -50,8 +52,8 @@ TEST(NaivePolicyIntegration, TemperatureOnlyMigratesMoreThanDualMetric) {
 TEST(NaivePolicyIntegration, DualMetricBalancesAtLeastAsWell) {
   const Tick duration = 120'000;
   const Tick settle = 60'000;
-  const RunResult dual = RunWithKind(BalancerKind::kEnergyAware, duration);
-  const RunResult power_only = RunWithKind(BalancerKind::kPowerOnly, duration);
+  const RunResult dual = RunWithPolicy("energy_aware", duration);
+  const RunResult power_only = RunWithPolicy("power_only", duration);
   // The extra churn buys nothing: the dual-metric spread is as tight.
   EXPECT_LE(dual.MaxThermalSpreadAfter(settle),
             power_only.MaxThermalSpreadAfter(settle) + 2.0);

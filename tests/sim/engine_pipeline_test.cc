@@ -27,8 +27,7 @@ namespace {
 class ManualStepper {
  public:
   explicit ManualStepper(const EnergySchedConfig& sched)
-      : policy_(BalancePolicyRegistry::Global().CreateOrThrow(EffectiveBalancerName(sched),
-                                                              sched)),
+      : policy_(BalancePolicyRegistry::Global().CreateOrThrow(sched.balancer_name, sched)),
         hot_migrator_(sched.hot_migration) {}
 
   void Step(SimulationState& s) {
@@ -260,9 +259,9 @@ TEST(EnginePipelineTest, MatchesMonolithicStepBaseline) {
 
 TEST(EnginePipelineTest, MatchesMonolithicStepNaivePolicies) {
   EnergySchedConfig sched;
-  sched.balancer_kind = BalancerKind::kPowerOnly;
+  sched.balancer_name = "power_only";
   RunEquivalence(PipelineConfig(false, false, sched), 5'000);
-  sched.balancer_kind = BalancerKind::kTemperatureOnly;
+  sched.balancer_name = "temperature_only";
   RunEquivalence(PipelineConfig(true, false, sched), 5'000);
 }
 

@@ -12,6 +12,7 @@ FakeEnv::FakeEnv(const CpuTopology& topology, double max_power_per_logical)
     runqueues_.push_back(std::make_unique<Runqueue>(static_cast<int>(cpu)));
     thermal_power_.push_back(idle_power);
     max_power_.push_back(max_power_per_logical);
+    online_.push_back(true);
   }
 }
 
@@ -42,6 +43,8 @@ void FakeEnv::SetThermalPower(int cpu, double watts) {
 void FakeEnv::SetMaxPower(int cpu, double watts) {
   max_power_[static_cast<std::size_t>(cpu)] = watts;
 }
+
+void FakeEnv::SetOnline(int cpu, bool online) { online_[static_cast<std::size_t>(cpu)] = online; }
 
 double FakeEnv::RunqueuePower(int cpu) const {
   return runqueue(cpu).AveragePower(idle_power);

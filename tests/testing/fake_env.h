@@ -1,6 +1,6 @@
 // A hand-controllable BalanceEnv for unit-testing balancing policies without
-// a full SimulationState: thermal powers and max powers are set directly,
-// tasks are created with fixed profile powers.
+// a full SimulationState: thermal powers, max powers and which CPUs are
+// online are set directly, tasks are created with fixed profile powers.
 
 #ifndef TESTS_TESTING_FAKE_ENV_H_
 #define TESTS_TESTING_FAKE_ENV_H_
@@ -27,6 +27,7 @@ class FakeEnv : public BalanceEnv {
 
   void SetThermalPower(int cpu, double watts);
   void SetMaxPower(int cpu, double watts);
+  void SetOnline(int cpu, bool online);
 
   // --- BalanceEnv -----------------------------------------------------------
   const CpuTopology& topology() const override { return topology_; }
@@ -39,6 +40,7 @@ class FakeEnv : public BalanceEnv {
   double ThermalPower(int cpu) const override;
   double MaxPower(int cpu) const override;
   bool MigrateTask(Task* task, int from, int to) override;
+  bool CpuOnline(int cpu) const override { return online_[static_cast<std::size_t>(cpu)]; }
   std::int64_t migration_count() const override { return migrations_; }
 
   double idle_power = 13.6;
@@ -51,6 +53,7 @@ class FakeEnv : public BalanceEnv {
   std::vector<std::unique_ptr<Task>> tasks_;
   std::vector<double> thermal_power_;
   std::vector<double> max_power_;
+  std::vector<bool> online_;
   std::int64_t migrations_ = 0;
   TaskId next_id_ = 1;
 };

@@ -433,6 +433,14 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 1;
   }
+  // Nor may a repeated flag keep only its last value.
+  const std::vector<std::string> repeated = flags.RepeatedFlags();
+  if (!repeated.empty()) {
+    for (const std::string& flag : repeated) {
+      std::fprintf(stderr, "flag --%s given more than once\n", flag.c_str());
+    }
+    return 1;
+  }
 
   if (flags.Has("help")) {
     PrintUsage();
