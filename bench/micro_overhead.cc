@@ -5,12 +5,16 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "src/base/rng.h"
 #include "src/core/energy_balancer.h"
 #include "src/core/initial_placement.h"
 #include "src/counters/calibration.h"
 #include "src/counters/energy_estimator.h"
 #include "src/sim/machine.h"
 #include "src/task/energy_profile.h"
+#include "src/task/task.h"
 #include "src/workloads/programs.h"
 #include "src/workloads/workload_builder.h"
 
@@ -46,6 +50,32 @@ void BM_Calibration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Calibration)->Unit(benchmark::kMillisecond);
+
+// The arguments are a task-tick's six normals and a calibration workload's
+// 12,000.
+void BM_NextGaussians(benchmark::State& state) {
+  eas::Rng rng(static_cast<std::uint64_t>(state.range(0)));
+  std::vector<double> normals(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    rng.NextGaussians(normals);
+    benchmark::DoNotOptimize(normals.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_NextGaussians)->Arg(6)->Arg(12'000);
+
+// One executed task-tick of bzip2, a paper-mixed program whose phases draw
+// rate noise, duration jitter and I/O sleeps.
+void BM_TaskExecuteTick(benchmark::State& state) {
+  const eas::ProgramLibrary library(eas::EnergyModel::Default());
+  eas::Task task(1, &library.bzip2(), 7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(task.ExecuteTick(1.0));
+    benchmark::DoNotOptimize(task.TakePendingSleep());
+  }
+}
+BENCHMARK(BM_TaskExecuteTick);
 
 eas::MachineConfig BenchConfig(bool energy_aware) {
   eas::MachineConfig config;

@@ -1,5 +1,6 @@
 #include "src/base/rng.h"
 
+#include <cassert>
 #include <cmath>
 #include <cstddef>
 
@@ -23,18 +24,20 @@ struct DiscPoint {
   double s;
 };
 
-// The polar step, shared by NextGaussian and NextGaussians: rejection-samples
-// a uniform DiscPoint. `inline` keeps it inlined into both callers; a call
-// per pair costs the batch much of its gain.
-inline DiscPoint DrawDiscPoint(Rng& rng) {
+// A candidate for the polar step: u, then v, uniform in [-1, 1), in stream
+// order. NextGaussian and NextGaussianStage both draw through it, so they see
+// the same candidates.
+inline DiscPoint DrawCandidate(Rng& rng) {
   DiscPoint p{};
-  do {
-    p.u = rng.Uniform(-1.0, 1.0);
-    p.v = rng.Uniform(-1.0, 1.0);
-    p.s = p.u * p.u + p.v * p.v;
-  } while (p.s >= 1.0 || p.s == 0.0);
+  p.u = rng.Uniform(-1.0, 1.0);
+  p.v = rng.Uniform(-1.0, 1.0);
+  p.s = p.u * p.u + p.v * p.v;
   return p;
 }
+
+// The polar step's acceptance test: the point lies in the unit disc minus its
+// centre.
+inline bool InDisc(const DiscPoint& p) { return (p.s < 1.0) & (p.s != 0.0); }
 
 // Scales a disc point's coordinates into two independent standard normals.
 double PolarFactor(double s) { return std::sqrt(-2.0 * std::log(s) / s); }
@@ -77,7 +80,10 @@ double Rng::NextGaussian() {
     has_spare_gaussian_ = false;
     return spare_gaussian_;
   }
-  const DiscPoint p = DrawDiscPoint(*this);
+  DiscPoint p = DrawCandidate(*this);
+  while (!InDisc(p)) {
+    p = DrawCandidate(*this);
+  }
   const double factor = PolarFactor(p.s);
   spare_gaussian_ = p.v * factor;
   has_spare_gaussian_ = true;
@@ -90,34 +96,48 @@ void Rng::NextGaussians(std::span<double> out) {
     has_spare_gaussian_ = false;
     out[next++] = spare_gaussian_;
   }
-  // Blocks of three pairs: all three rejection loops run first, in stream
-  // order, and only then the three factors, which consume no randomness.
-  // When only five normals remain, the block's sixth becomes the spare.
-  constexpr std::size_t kBlockPairs = 3;
-  while (out.size() - next >= 2 * kBlockPairs - 1) {
-    DiscPoint points[kBlockPairs]{};
-    for (DiscPoint& point : points) {
-      point = DrawDiscPoint(*this);
-    }
-    double factors[kBlockPairs]{};
-    for (std::size_t i = 0; i < kBlockPairs; ++i) {
-      factors[i] = PolarFactor(points[i].s);
-    }
-    for (std::size_t i = 0; i < kBlockPairs; ++i) {
-      out[next++] = points[i].u * factors[i];
-      const double second = points[i].v * factors[i];
-      if (next < out.size()) {
-        out[next++] = second;
-      } else {
-        spare_gaussian_ = second;
-        has_spare_gaussian_ = true;
-      }
-    }
+  // A stage yields at most kGaussianStageNormals, so while that many remain
+  // it writes straight into `out`. It leaves the generator past its trailing
+  // rejected candidates only when it yields fewer, and then a later draw
+  // would have rejected them anyway.
+  while (out.size() - next >= kGaussianStageNormals) {
+    next += NextGaussianStage(out.subspan(next).first<kGaussianStageNormals>());
   }
-  // A tail shorter than a block draws one normal at a time: the same stream.
+  // The tail draws one normal at a time: the same stream, and an odd count
+  // leaves the last pair's second normal as the spare.
   while (next < out.size()) {
     out[next++] = NextGaussian();
   }
+}
+
+std::size_t Rng::NextGaussianStage(std::span<double, kGaussianStageNormals> out) {
+  assert(!has_spare_gaussian_);
+  // Every candidate lands in the slot the accepted count names, and only an
+  // accepted one advances it: the compaction keeps stream order without a
+  // branch on random data.
+  DiscPoint kept[kGaussianStagePairs];
+  std::size_t accepted = 0;
+  for (std::size_t i = 0; i < kGaussianStagePairs; ++i) {
+    const DiscPoint candidate = DrawCandidate(*this);
+    kept[accepted] = candidate;
+    accepted += static_cast<std::size_t>(InDisc(candidate));
+  }
+  for (std::size_t i = 0; i < accepted; ++i) {
+    const double factor = PolarFactor(kept[i].s);
+    out[2 * i] = kept[i].u * factor;
+    out[2 * i + 1] = kept[i].v * factor;
+  }
+  return 2 * accepted;
+}
+
+void GaussianStream::Refill() {
+  // A stage accepts no pair with probability (1 - pi/4)^16, about 2e-11.
+  std::size_t count = 0;
+  while (count == 0) {
+    count = rng_.NextGaussianStage(buffer_);
+  }
+  next_ = 0;
+  end_ = static_cast<std::uint8_t>(count);
 }
 
 double Rng::Gaussian(double mean, double stddev) { return mean + stddev * NextGaussian(); }

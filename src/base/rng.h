@@ -8,10 +8,18 @@
 #ifndef SRC_BASE_RNG_H_
 #define SRC_BASE_RNG_H_
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
 namespace eas {
+
+// One stage of the staged polar kernel draws this many candidate (u, v) pairs,
+// so it yields at most kGaussianStageNormals normals.
+inline constexpr std::size_t kGaussianStagePairs = 16;
+inline constexpr std::size_t kGaussianStageNormals = 2 * kGaussianStagePairs;
 
 class Rng {
  public:
@@ -38,11 +46,21 @@ class Rng {
 
   // Fills `out` with exactly the values out.size() successive NextGaussian()
   // calls would return, and leaves the same generator state and spare: a
-  // pending spare comes first, the pairs draw their (u, v) in stream order,
-  // and an odd remainder leaves the last pair's second normal as the spare.
-  // One call draws several pairs before their log/sqrt factors, so those
-  // independent chains overlap instead of running one behind another.
+  // pending spare comes first, then full stages (below) while at least
+  // kGaussianStageNormals values remain, so every pair a stage accepts is
+  // needed, then the tail one NextGaussian() at a time.
   void NextGaussians(std::span<double> out);
+
+  // One stage of the polar method: draws exactly kGaussianStagePairs
+  // candidate (u, v) pairs in NextGaussian()'s stream order, keeps the
+  // accepted ones in order, and only then computes their log/sqrt factors, so
+  // those independent chains overlap. Writes each kept pair's two normals to
+  // the front of `out` and returns how many it wrote (even, possibly 0).
+  // Concatenated stages are the normals successive NextGaussian() calls
+  // return; only the generator's position differs, which has already drawn
+  // the stage's trailing rejected candidates. Requires no pending spare and
+  // leaves none.
+  std::size_t NextGaussianStage(std::span<double, kGaussianStageNormals> out);
 
   // Gaussian with the given mean and standard deviation.
   double Gaussian(double mean, double stddev);
@@ -58,6 +76,46 @@ class Rng {
   std::uint64_t state_[4];
   double spare_gaussian_ = 0.0;
   bool has_spare_gaussian_ = false;
+};
+
+// The normals of one privately owned generator, read ahead one stage at a
+// time and handed out in exactly the order successive NextGaussian() calls on
+// Rng(seed) would return them. Nothing can draw from the generator around the
+// stream, so the read-ahead is invisible: the stream has no uniform draw.
+class GaussianStream {
+ public:
+  explicit GaussianStream(std::uint64_t seed) : rng_(seed) {}
+
+  // The next normal.
+  double Next() {
+    if (next_ == end_) {
+      Refill();
+    }
+    return buffer_[next_++];
+  }
+
+  // The next out.size() normals, as that many Next() calls would return them.
+  void Fill(std::span<double> out) {
+    if (static_cast<std::size_t>(end_ - next_) >= out.size()) {
+      std::copy_n(buffer_.begin() + next_, out.size(), out.begin());
+      next_ = static_cast<std::uint8_t>(next_ + out.size());
+      return;
+    }
+    for (double& value : out) {
+      value = Next();
+    }
+  }
+
+ private:
+  // Replaces the drained buffer with the next non-empty stage.
+  void Refill();
+
+  // The cursors live in the generator's tail padding, so a stream costs its
+  // generator plus the buffer.
+  [[no_unique_address]] Rng rng_;
+  std::uint8_t next_ = 0;  // first unread slot of buffer_
+  std::uint8_t end_ = 0;   // one past the last normal of the current stage
+  std::array<double, kGaussianStageNormals> buffer_{};
 };
 
 }  // namespace eas

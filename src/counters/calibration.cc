@@ -12,15 +12,16 @@ Calibrator::Calibrator(const EnergyModel& truth) : truth_(truth) {}
 void Calibrator::RunWorkload(const EventRates& rates, int ticks, PowerMeter& meter, Rng& rng) {
   CalibrationRun run;
   double true_energy = 0.0;
-  std::array<double, kNumEventTypes> normals{};
-  for (int t = 0; t < ticks; ++t) {
-    // Per-tick jitter models the natural variation of real code. One batch
-    // draws what per-event Gaussian(0.0, 0.03) calls would, with the same
-    // `0.0 + sigma * g` arithmetic.
-    rng.NextGaussians(normals);
+  // Per-tick jitter models the natural variation of real code. One call draws
+  // the run's normals, exactly the ones per-event Gaussian(0.0, 0.03) calls
+  // would and no more (the caller's generator draws uniforms between
+  // workloads), and each keeps that call's `0.0 + sigma * g` arithmetic.
+  normals_.resize(ticks > 0 ? static_cast<std::size_t>(ticks) * kNumEventTypes : 0);
+  rng.NextGaussians(normals_);
+  for (std::size_t t = 0; t < normals_.size(); t += kNumEventTypes) {
     EventVector tick_events{};
     for (std::size_t i = 0; i < kNumEventTypes; ++i) {
-      const double jitter = 1.0 + (0.0 + 0.03 * normals[i]);
+      const double jitter = 1.0 + (0.0 + 0.03 * normals_[t + i]);
       tick_events[i] = rates[i] * std::max(0.0, jitter);
       run.events[i] += tick_events[i];
     }

@@ -59,6 +59,7 @@ class Calibrator {
  private:
   const EnergyModel& truth_;
   std::vector<CalibrationRun> runs_;
+  std::vector<double> normals_;  // one workload's jitter normals, reused
 };
 
 }  // namespace eas

@@ -7,7 +7,7 @@
 namespace eas {
 
 Task::Task(TaskId id, const Program* program, std::uint64_t seed)
-    : id_(id), program_(program), rng_(seed) {
+    : id_(id), program_(program), noise_(seed) {
   EnterPhase(0);
 }
 
@@ -21,7 +21,7 @@ Tick Task::TimesliceForNice(int nice, Tick base_ticks) {
 void Task::EnterPhase(std::size_t index) {
   phase_index_ = index % program_->num_phases();
   const Phase& phase = program_->phase(phase_index_);
-  const double jitter = 1.0 + rng_.Gaussian(0.0, phase.duration_jitter);
+  const double jitter = 1.0 + (0.0 + phase.duration_jitter * noise_.Next());
   ticks_left_in_phase_ =
       std::max<Tick>(1, static_cast<Tick>(std::lround(
                             static_cast<double>(phase.mean_duration) * std::max(0.1, jitter))));
@@ -31,10 +31,11 @@ EventVector Task::ExecuteTick(double speed_factor) {
   assert(speed_factor > 0.0 && speed_factor <= 1.0);
   const Phase& phase = current_phase();
 
-  // One batch draws the six normals the per-event Gaussian(0.0, sigma) calls
-  // would; `0.0 + sigma * g` is that call's arithmetic, so the bits match.
+  // Each draw keeps Gaussian(0.0, sigma)'s arithmetic, `0.0 + sigma * g`, on
+  // the normals successive NextGaussian() calls would return, so the bits
+  // match a task that drew them one at a time.
   std::array<double, kNumEventTypes> normals{};
-  rng_.NextGaussians(normals);
+  noise_.Fill(normals);
   EventVector events{};
   for (std::size_t i = 0; i < kNumEventTypes; ++i) {
     const double noise = 1.0 + (0.0 + phase.rate_noise * normals[i]);
@@ -49,7 +50,7 @@ EventVector Task::ExecuteTick(double speed_factor) {
   --ticks_left_in_phase_;
   if (ticks_left_in_phase_ <= 0) {
     if (phase.mean_sleep_after > 0) {
-      const double jitter = 1.0 + rng_.Gaussian(0.0, 0.3);
+      const double jitter = 1.0 + (0.0 + 0.3 * noise_.Next());
       pending_sleep_ = std::max<Tick>(
           1, static_cast<Tick>(std::lround(
                  static_cast<double>(phase.mean_sleep_after) * std::max(0.1, jitter))));

@@ -128,7 +128,8 @@ class Task {
  private:
   TaskId id_;
   const Program* program_;
-  Rng rng_;
+  // The task's noise: every normal its phases, event rates and sleeps draw.
+  GaussianStream noise_;
 
   std::size_t phase_index_ = 0;
   Tick ticks_left_in_phase_ = 0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -106,7 +107,9 @@ TEST(RngTest, BatchedGaussiansEqualSuccessiveCalls) {
   // the same bytes out, then the same continuation of both streams. Each n
   // is entered with and without a pending spare, so odd and even counts
   // cover every way a batch can start and end.
-  for (const std::size_t n : {0, 1, 2, 3, 5, 6, 7, 8, 9, 17, 64, 1001}) {
+  // 31..33 and 63..65 straddle the full-stage / one-at-a-time edge, and
+  // 12000 is a calibration workload's count.
+  for (const std::size_t n : {0, 1, 2, 3, 5, 6, 7, 8, 9, 17, 31, 32, 33, 63, 64, 65, 1001, 12000}) {
     for (const bool pending_spare : {false, true}) {
       SCOPED_TRACE(testing::Message() << "n = " << n << ", pending spare = " << pending_spare);
       Rng calls(97 + n);
@@ -132,6 +135,67 @@ TEST(RngTest, BatchedGaussiansEqualSuccessiveCalls) {
       }
     }
   }
+}
+
+TEST(RngTest, GaussianStagesEqualSuccessiveCalls) {
+  // Concatenated stages are the successive-call stream, and each stage draws
+  // exactly kGaussianStagePairs candidates: 2 uniforms, one word each.
+  for (const std::uint64_t seed : {1u, 7u, 2024u, 65537u}) {
+    SCOPED_TRACE(testing::Message() << "seed = " << seed);
+    Rng calls(seed);
+    Rng staged(seed);
+    Rng words(seed);
+    std::size_t drawn = 0;
+    while (drawn < 10'000) {
+      std::array<double, kGaussianStageNormals> stage{};
+      const std::size_t count = staged.NextGaussianStage(stage);
+      ASSERT_EQ(count % 2, 0u);
+      ASSERT_LE(count, kGaussianStageNormals);
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(stage[i]),
+                  std::bit_cast<std::uint64_t>(calls.NextGaussian()))
+            << "normal " << drawn + i;
+      }
+      drawn += count;
+      for (std::size_t i = 0; i < 2 * kGaussianStagePairs; ++i) {
+        words.NextU64();
+      }
+      Rng probe = staged;
+      Rng expected = words;
+      ASSERT_EQ(probe.NextU64(), expected.NextU64()) << "position after " << drawn << " normals";
+    }
+  }
+}
+
+TEST(RngTest, GaussianStreamEqualsSuccessiveCalls) {
+  // Reads of 1..7 normals, one at a time or as one Fill, land on every
+  // offset of a stage, so many of them straddle a refill.
+  for (const std::uint64_t seed : {3u, 42u, 2024u}) {
+    SCOPED_TRACE(testing::Message() << "seed = " << seed);
+    Rng calls(seed);
+    GaussianStream stream(seed);
+    std::size_t drawn = 0;
+    for (std::size_t read = 0; drawn < 10'000; ++read) {
+      const std::size_t n = 1 + read % 7;
+      std::vector<double> normals(n);
+      if (read % 2 == 0) {
+        stream.Fill(normals);
+      } else {
+        for (double& value : normals) {
+          value = stream.Next();
+        }
+      }
+      for (const double value : normals) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(value),
+                  std::bit_cast<std::uint64_t>(calls.NextGaussian()))
+            << "normal " << drawn;
+        ++drawn;
+      }
+    }
+  }
+  // The cursors sit in the generator's tail padding: a stream costs its
+  // generator plus one stage of normals.
+  EXPECT_EQ(sizeof(GaussianStream), sizeof(Rng) + kGaussianStageNormals * sizeof(double));
 }
 
 TEST(RngTest, NextBelowInRange) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <memory>
+#include <utility>
 
 namespace eas {
 namespace {
@@ -35,6 +39,110 @@ std::unique_ptr<Program> TwoPhaseProgram() {
   cool.mean_duration = 5;
   cool.duration_jitter = 0.0;
   return std::make_unique<Program>("phased", 3, std::vector<Phase>{hot, cool}, 0);
+}
+
+// Three short phases with noise on every event, duration jitter and two
+// sleeps after: phase and sleep draws interleave with each tick's six.
+std::unique_ptr<Program> NoisyProgram() {
+  std::vector<Phase> phases(3);
+  const Tick durations[3] = {3, 5, 2};
+  const Tick sleeps[3] = {4, 0, 9};
+  for (std::size_t p = 0; p < phases.size(); ++p) {
+    for (std::size_t i = 0; i < kNumEventTypes; ++i) {
+      phases[p].rates[i] = 100.0 + 10.0 * static_cast<double>(i + p);
+    }
+    phases[p].mean_duration = durations[p];
+    phases[p].duration_jitter = 0.25;
+    phases[p].mean_sleep_after = sleeps[p];
+    phases[p].rate_noise = 0.05;  // 1 + 0.05 g never clamps at max(0, .)
+  }
+  return std::make_unique<Program>("noisy", 4, phases, 0);
+}
+
+// Task's noise arithmetic replayed from Rng::Gaussian, one NextGaussian()
+// draw at a time: the reference for a task that reads its normals ahead.
+class OneDrawAtATimeTask {
+ public:
+  OneDrawAtATimeTask(const Program& program, std::uint64_t seed) : program_(program), rng_(seed) {
+    EnterPhase(0);
+  }
+
+  EventVector ExecuteTick(double speed_factor) {
+    const Phase& phase = program_.phase(phase_index_);
+    EventVector events{};
+    for (std::size_t i = 0; i < kNumEventTypes; ++i) {
+      const double noise = 1.0 + rng_.Gaussian(0.0, phase.rate_noise);
+      events[i] = phase.rates[i] * speed_factor * std::max(0.0, noise);
+    }
+    if (--ticks_left_in_phase_ <= 0) {
+      if (phase.mean_sleep_after > 0) {
+        pending_sleep_ = Jittered(phase.mean_sleep_after, 1.0 + rng_.Gaussian(0.0, 0.3));
+      }
+      EnterPhase(phase_index_ + 1);
+    }
+    return events;
+  }
+
+  Tick TakePendingSleep() { return std::exchange(pending_sleep_, 0); }
+
+  void RestartProgram() {
+    pending_sleep_ = 0;
+    EnterPhase(0);
+  }
+
+  std::size_t phase_index() const { return phase_index_; }
+
+ private:
+  static Tick Jittered(Tick mean, double jitter) {
+    return std::max<Tick>(
+        1, static_cast<Tick>(std::lround(static_cast<double>(mean) * std::max(0.1, jitter))));
+  }
+
+  void EnterPhase(std::size_t index) {
+    phase_index_ = index % program_.num_phases();
+    const Phase& phase = program_.phase(phase_index_);
+    ticks_left_in_phase_ =
+        Jittered(phase.mean_duration, 1.0 + rng_.Gaussian(0.0, phase.duration_jitter));
+  }
+
+  const Program& program_;
+  Rng rng_;
+  std::size_t phase_index_ = 0;
+  Tick ticks_left_in_phase_ = 0;
+  Tick pending_sleep_ = 0;
+};
+
+TEST(TaskTest, NoiseStreamMatchesSuccessiveCalls) {
+  // A task reads its normals ahead, a stage at a time; every event, phase
+  // change and sleep must still be the one-at-a-time stream's, bit for bit,
+  // across refills that land mid-tick and across a restart.
+  auto program = NoisyProgram();
+  for (const std::uint64_t seed : {5u, 77u, 9001u}) {
+    Task task(1, program.get(), seed);
+    OneDrawAtATimeTask reference(*program, seed);
+    int phase_changes = 0;
+    int sleeps = 0;
+    for (int tick = 0; tick < 600; ++tick) {
+      SCOPED_TRACE(testing::Message() << "seed = " << seed << ", tick = " << tick);
+      if (tick == 250) {
+        task.RestartProgram();
+        reference.RestartProgram();
+      }
+      const std::size_t phase_before = task.phase_index();
+      const double speed = tick % 3 == 0 ? 0.75 : 1.0;
+      const EventVector events = task.ExecuteTick(speed);
+      const EventVector expected = reference.ExecuteTick(speed);
+      ASSERT_EQ(std::memcmp(events.data(), expected.data(), sizeof(EventVector)), 0);
+      ASSERT_EQ(task.phase_index(), reference.phase_index());
+      const Tick sleep = task.TakePendingSleep();
+      ASSERT_EQ(sleep, reference.TakePendingSleep());
+      phase_changes += task.phase_index() != phase_before ? 1 : 0;
+      sleeps += sleep > 0 ? 1 : 0;
+    }
+    // The program really interleaves: about one phase draw every 3.3 ticks.
+    EXPECT_GT(phase_changes, 100);
+    EXPECT_GT(sleeps, 60);
+  }
 }
 
 TEST(TaskTest, ExecuteTickEmitsPhaseRates) {
