@@ -87,8 +87,7 @@ int main(int argc, char** argv) {
                 record.result.AverageFrequencyMultiplier());
     report.Tight(record.spec.name, "throughput", record.result.Throughput(), "work-ticks/s");
     // The DVFS presence rule, read off the metric schema every sink renders.
-    const std::vector<eas::MetricValue> columns =
-        eas::MetricRegistry::Global().Scalars(record.result);
+    const std::vector<eas::MetricValue> columns = eas::MetricScalars(record.result);
     const bool dvfs_columns =
         std::any_of(columns.begin(), columns.end(),
                     [](const eas::MetricValue& m) { return m.name == "avg_frequency_cpu0"; });

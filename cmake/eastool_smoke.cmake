@@ -2,18 +2,28 @@
 # CMakeLists): one scenario end to end with both CSV outputs parsed
 # non-empty, the request-file round trip (--print-request output must rerun
 # to a byte-identical summary), per-run sweep outputs, batch mode, plus the
-# CLI rejection paths (unknown or repeated flags, bad topology, unknown
-# policy, unknown scenario) exiting non-zero.
+# CLI rejection paths (unknown or repeated flags, bad flag values, bad
+# topology, unknown policy, unknown scenario, too many runs) exiting 1.
 #
 # Variables: EASTOOL (path to the binary), OUT_DIR (writable scratch dir).
 
+# A rejection is exit status 1 with a diagnostic; any other failure (a
+# crash, an abort's 134) is not one.
 function(run_expect_failure description)
   execute_process(COMMAND ${ARGN} RESULT_VARIABLE result OUTPUT_QUIET ERROR_VARIABLE stderr)
-  if(result EQUAL 0)
-    message(FATAL_ERROR "${description}: expected a non-zero exit, got success")
+  if(NOT result EQUAL 1)
+    message(FATAL_ERROR "${description}: expected exit status 1, got ${result}: ${stderr}")
   endif()
   if(stderr STREQUAL "")
     message(FATAL_ERROR "${description}: rejected silently (no stderr diagnostic)")
+  endif()
+endfunction()
+
+# A rejection whose diagnostic must name `flag`.
+function(run_expect_flag_rejected flag)
+  execute_process(COMMAND ${ARGN} RESULT_VARIABLE result OUTPUT_QUIET ERROR_VARIABLE stderr)
+  if(NOT result EQUAL 1 OR NOT stderr MATCHES "${flag}")
+    message(FATAL_ERROR "${flag}: want exit status 1 naming ${flag}, got ${result}: ${stderr}")
   endif()
 endfunction()
 
@@ -237,11 +247,21 @@ endif()
 # --- rejection paths ----------------------------------------------------------
 run_expect_failure("unknown flag" ${EASTOOL} --polcy eas --duration-s 1)
 # A repeated flag must be rejected by name, not resolved to its last value.
-execute_process(COMMAND ${EASTOOL} --seed 1 --seed 2 --print-request
-                RESULT_VARIABLE result OUTPUT_QUIET ERROR_VARIABLE stderr)
-if(result EQUAL 0 OR NOT stderr MATCHES "--seed")
-  message(FATAL_ERROR "repeated --seed: want a non-zero exit naming --seed, got ${result}: ${stderr}")
-endif()
+run_expect_flag_rejected(--seed ${EASTOOL} --seed 1 --seed 2 --print-request)
+# Flag values get the request file's strictness: a bare --throttle means
+# true, any other value must parse like `throttle = ...`; --no-skip-ahead
+# takes none; worker counts are digits only.
+run_expect_flag_rejected(--throttle ${EASTOOL} --throttle maybe --print-request)
+run_expect_flag_rejected(--no-skip-ahead ${EASTOOL} --no-skip-ahead maybe --print-request)
+run_expect_flag_rejected(--threads ${EASTOOL} --threads 4z --print-request)
+run_expect_flag_rejected(--threads ${EASTOOL} --threads abc --print-request)
+run_expect_flag_rejected(--queue-depth ${EASTOOL} --queue-depth -5 --print-request)
+# A run count past the per-request cap is a diagnosed rejection, from a flag
+# or from a request file, never an allocation abort.
+run_expect_flag_rejected(runs ${EASTOOL} --runs 18446744073709551615 --print-request)
+set(huge_runs_file ${OUT_DIR}/eastool_smoke_huge_runs.req)
+file(WRITE ${huge_runs_file} "runs = 18446744073709551615\n")
+run_expect_flag_rejected(runs ${EASTOOL} --request ${huge_runs_file} --print-request)
 run_expect_failure("repeated sink" ${EASTOOL} --duration-s 1
                    --sink jsonl:${OUT_DIR}/eastool_smoke_a.jsonl
                    --sink jsonl:${OUT_DIR}/eastool_smoke_b.jsonl)

@@ -31,7 +31,7 @@ void CsvSink::Consume(const RunRecord& record) {
       summary_ += RunSummaryToCsv(record.result);
     } else {
       rows_.push_back(Row{record.index, record.spec.name, record.seed(),
-                          MetricRegistry::Global().Scalars(record.result)});
+                          MetricScalars(record.result)});
     }
   }
   if (!trace_path_.empty()) {
@@ -144,12 +144,12 @@ std::string JsonlRecordLine(const RunRecord& record) {
   if (!record.request.tag.empty()) {
     line += ", \"tag\": \"" + JsonEscape(record.request.tag) + "\"";
   }
-  for (const MetricValue& metric : MetricRegistry::Global().Scalars(record.result)) {
+  for (const MetricValue& metric : MetricScalars(record.result)) {
     line += ", \"" + metric.name + "\": " + FormatMetricValue(metric);
   }
   // Record-derived extras the bench reports always carried. They need the
   // spec (the steady-state window is half the run), so they live here
-  // rather than in the result-only MetricRegistry schema - which also
+  // rather than in the result-only MetricScalars schema - which also
   // keeps the summary-CSV byte-identity guarantee untouched.
   char buffer[96];
   std::snprintf(buffer, sizeof(buffer), ", \"peak_thermal_w\": %.2f, \"steady_spread_w\": %.2f",

@@ -17,7 +17,7 @@
 // ("csv:out.csv", "jsonl:-", ... - src/api/sink_registry.h), the same
 // string-keyed pattern the policy/governor/scenario registries use.
 //
-// All column names, values and presence rules come from the MetricRegistry
+// All column names, values and presence rules come from MetricScalars
 // (src/sim/metrics.h), so sinks never special-case governed vs ungoverned
 // runs. Lifecycle: Begin(total) before the first record, Consume per
 // record, Finish once by the owner when done (RunSession calls Begin and

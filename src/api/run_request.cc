@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <memory>
+#include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "src/core/policy_registry.h"
@@ -18,22 +20,6 @@
 namespace eas {
 namespace {
 
-// The request-file keys, in canonical (format) order. Kept aligned with the
-// eastool flag names so a request file reads like the command line it
-// replaces.
-constexpr const char* kKeys[] = {"name",       "tag",      "scenario",   "topology",
-                                 "workload",   "policy",   "governor",   "duration-s",
-                                 "max-power",  "temp-limit", "throttle", "faults",
-                                 "skip-ahead", "intra-threads", "seed",  "runs"};
-
-std::string KnownKeys() {
-  std::string known;
-  for (const char* key : kKeys) {
-    known += known.empty() ? key : std::string(", ") + key;
-  }
-  return known;
-}
-
 std::string Trim(const std::string& text) {
   std::size_t begin = text.find_first_not_of(" \t\r");
   if (begin == std::string::npos) {
@@ -41,41 +27,6 @@ std::string Trim(const std::string& text) {
   }
   const std::size_t end = text.find_last_not_of(" \t\r");
   return text.substr(begin, end - begin + 1);
-}
-
-bool ParseDoubleValue(const std::string& text, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(text.c_str(), &end);
-  // strtod happily produces nan/inf (and overflows to inf); none of the
-  // numeric request fields can mean anything non-finite.
-  return !text.empty() && end != nullptr && *end == '\0' && std::isfinite(*out);
-}
-
-bool ParseUintValue(const std::string& text, std::uint64_t* out) {
-  if (text.empty() || text[0] == '-' || text[0] == '+') {
-    return false;
-  }
-  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), *out);
-  return ec == std::errc() && ptr == text.data() + text.size();
-}
-
-bool ParseBoolValue(const std::string& text, bool* out) {
-  if (text == "true" || text == "1" || text == "on" || text == "yes") {
-    *out = true;
-    return true;
-  }
-  if (text == "false" || text == "0" || text == "off" || text == "no") {
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
-// Shortest decimal that round-trips: "60", "0.5", "1e+30".
-std::string FormatDouble(double value) {
-  char buffer[64];
-  const auto [ptr, ec] = std::to_chars(buffer, buffer + sizeof(buffer), value);
-  return std::string(buffer, ptr);
 }
 
 RequestError MakeError(RequestErrorCode code, std::string key, std::string message) {
@@ -86,150 +37,172 @@ RequestError MakeError(RequestErrorCode code, std::string key, std::string messa
   return error;
 }
 
-// Applies one parsed `key = value` pair onto `request`; the error (with no
-// line attribution - ParseRunRequest adds it) on an unknown key or a
-// malformed value.
-std::optional<RequestError> ApplyPair(const std::string& key, const std::string& value,
-                                      RunRequest* request) {
-  if (key == "name") {
-    request->name = value;
-    return std::nullopt;
-  }
-  if (key == "tag") {
-    request->tag = value;
-    return std::nullopt;
-  }
-  if (key == "scenario") {
-    request->scenario = value;
-    return std::nullopt;
-  }
-  if (key == "topology") {
-    request->topology = value;
-    return std::nullopt;
-  }
-  if (key == "workload") {
-    request->workload = value;
-    return std::nullopt;
-  }
-  if (key == "policy") {
-    request->policy = value;
-    return std::nullopt;
-  }
-  if (key == "governor") {
-    request->governor = value;
-    return std::nullopt;
-  }
-  if (key == "faults") {
-    request->faults = value;
-    return std::nullopt;
-  }
-  if (key == "duration-s" || key == "max-power" || key == "temp-limit") {
-    double parsed = 0.0;
-    if (!ParseDoubleValue(value, &parsed)) {
-      return MakeError(RequestErrorCode::kBadValue, key,
-                       "bad value for " + key + ": \"" + value + "\" (want a number)");
-    }
-    if (key == "duration-s") {
-      request->duration_s = parsed;
-    } else if (key == "max-power") {
-      request->max_power = parsed;
-    } else {
-      request->temp_limit = parsed;
-    }
-    return std::nullopt;
-  }
-  if (key == "throttle" || key == "skip-ahead") {
-    bool parsed = false;
-    if (!ParseBoolValue(value, &parsed)) {
-      return MakeError(RequestErrorCode::kBadValue, key,
-                       "bad value for " + key + ": \"" + value + "\" (want true/false)");
-    }
-    if (key == "throttle") {
-      request->throttle = parsed;
-    } else {
-      request->skip_ahead = parsed;
-    }
-    return std::nullopt;
-  }
-  if (key == "seed" || key == "runs" || key == "intra-threads") {
-    std::uint64_t parsed = 0;
-    if (!ParseUintValue(value, &parsed)) {
-      return MakeError(
-          RequestErrorCode::kBadValue, key,
-          "bad value for " + key + ": \"" + value + "\" (want a non-negative integer)");
-    }
-    if (key == "seed") {
-      request->seed = parsed;
-    } else if (key == "runs") {
-      request->runs = parsed;
-    } else {
-      request->intra_threads = parsed;
-    }
-    return std::nullopt;
-  }
-  return MakeError(RequestErrorCode::kUnknownKey, key,
-                   "unknown key \"" + key + "\" (known: " + KnownKeys() + ")");
+// --- the value rules, by member type ------------------------------------------
+
+// Each parses `text` into `*out`: nullptr when it parsed, else the form the
+// value must take (for the "bad value" diagnostic).
+const char* ParseValue(const std::string& text, std::string* out) {
+  *out = text;
+  return nullptr;
 }
 
-void Append(std::string* out, const char* key, const std::string& value,
-            const char* separator) {
-  if (!out->empty()) {
-    *out += separator;
+const char* ParseValue(const std::string& text, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(text.c_str(), &end);
+  // strtod happily produces nan/inf (and overflows to inf); none of the
+  // numeric request fields can mean anything non-finite.
+  const bool ok = !text.empty() && end != nullptr && *end == '\0' && std::isfinite(*out);
+  return ok ? nullptr : "a number";
+}
+
+const char* ParseValue(const std::string& text, bool* out) {
+  if (text == "true" || text == "1" || text == "on" || text == "yes") {
+    *out = true;
+    return nullptr;
   }
-  *out += key;
-  *out += " = ";
-  *out += value;
+  if (text == "false" || text == "0" || text == "off" || text == "no") {
+    *out = false;
+    return nullptr;
+  }
+  return "true/false";
+}
+
+const char* ParseValue(const std::string& text, std::uint64_t* out) {
+  return ParseUintValue(text, out) ? nullptr : "a non-negative integer";
+}
+
+std::string FormatValue(const std::string& value) { return value; }
+
+// Shortest decimal that round-trips: "60", "0.5", "1e+30".
+std::string FormatValue(double value) {
+  char buffer[64];
+  const auto [ptr, ec] = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  return std::string(buffer, ptr);
+}
+
+std::string FormatValue(bool value) { return value ? "true" : "false"; }
+
+std::string FormatValue(std::uint64_t value) { return std::to_string(value); }
+
+// A field's value, or nullptr while it is unset - an empty optional, an
+// empty string, or the default runs == 1. Unset fields are not formatted.
+template <typename T>
+const T* SetValue(const std::optional<T>& field) {
+  return field.has_value() ? &*field : nullptr;
+}
+
+const std::string* SetValue(const std::string& field) {
+  return field.empty() ? nullptr : &field;
+}
+
+const std::uint64_t* SetValue(const std::uint64_t& runs) { return runs == 1 ? nullptr : &runs; }
+
+// The type a field's value parses to: the member's own, or its optional's.
+template <typename T>
+struct ValueOf {
+  using type = T;
+};
+template <typename T>
+struct ValueOf<std::optional<T>> {
+  using type = T;
+};
+
+// --- the key table ---------------------------------------------------------------
+
+// One request key and the two things every key needs, both derived from the
+// RunRequest member it names.
+struct KeyField {
+  const char* key;
+  // Parses `value` into the member, as ParseValue does (the request is left
+  // alone when it does not parse).
+  const char* (*apply)(const std::string& value, RunRequest* request);
+  // The member's canonical text; std::nullopt while it is unset.
+  std::optional<std::string> (*format)(const RunRequest& request);
+};
+
+template <auto kMember>
+const char* ApplyField(const std::string& value, RunRequest* request) {
+  typename ValueOf<std::remove_reference_t<decltype(request->*kMember)>>::type parsed{};
+  const char* wanted = ParseValue(value, &parsed);
+  if (wanted == nullptr) {
+    request->*kMember = std::move(parsed);
+  }
+  return wanted;
+}
+
+template <auto kMember>
+std::optional<std::string> FormatField(const RunRequest& request) {
+  const auto* value = SetValue(request.*kMember);
+  if (value == nullptr) {
+    return std::nullopt;
+  }
+  return FormatValue(*value);
+}
+
+template <auto kMember>
+constexpr KeyField Field(const char* key) {
+  return KeyField{key, &ApplyField<kMember>, &FormatField<kMember>};
+}
+
+// The request-file keys, in canonical (format) order: parsing, formatting,
+// the unknown-key list and the text-safety check all walk this table, so a
+// new key is one row here. Kept aligned with the eastool flag names so a
+// request file reads like the command line it replaces.
+constexpr KeyField kFields[] = {
+    Field<&RunRequest::name>("name"),
+    Field<&RunRequest::tag>("tag"),
+    Field<&RunRequest::scenario>("scenario"),
+    Field<&RunRequest::topology>("topology"),
+    Field<&RunRequest::workload>("workload"),
+    Field<&RunRequest::policy>("policy"),
+    Field<&RunRequest::governor>("governor"),
+    Field<&RunRequest::duration_s>("duration-s"),
+    Field<&RunRequest::max_power>("max-power"),
+    Field<&RunRequest::temp_limit>("temp-limit"),
+    Field<&RunRequest::throttle>("throttle"),
+    Field<&RunRequest::faults>("faults"),
+    Field<&RunRequest::skip_ahead>("skip-ahead"),
+    Field<&RunRequest::intra_threads>("intra-threads"),
+    Field<&RunRequest::seed>("seed"),
+    Field<&RunRequest::runs>("runs"),
+};
+
+// Applies one parsed `key = value` pair onto `request`; the error (no line
+// attribution - ParseRunRequest adds it) on an unknown key or a malformed
+// value.
+std::optional<RequestError> ApplyPair(const std::string& key, const std::string& value,
+                                      RunRequest* request) {
+  for (const KeyField& field : kFields) {
+    if (key != field.key) {
+      continue;
+    }
+    if (const char* wanted = field.apply(value, request)) {
+      return MakeError(RequestErrorCode::kBadValue, key,
+                       "bad value for " + key + ": \"" + value + "\" (want " + wanted + ")");
+    }
+    return std::nullopt;
+  }
+  std::string known;
+  for (const KeyField& field : kFields) {
+    known += known.empty() ? field.key : std::string(", ") + field.key;
+  }
+  return MakeError(RequestErrorCode::kUnknownKey, key,
+                   "unknown key \"" + key + "\" (known: " + known + ")");
 }
 
 std::string FormatWithSeparator(const RunRequest& request, const char* separator) {
   std::string out;
-  if (!request.name.empty()) {
-    Append(&out, "name", request.name, separator);
-  }
-  if (!request.tag.empty()) {
-    Append(&out, "tag", request.tag, separator);
-  }
-  if (!request.scenario.empty()) {
-    Append(&out, "scenario", request.scenario, separator);
-  }
-  if (request.topology.has_value()) {
-    Append(&out, "topology", *request.topology, separator);
-  }
-  if (request.workload.has_value()) {
-    Append(&out, "workload", *request.workload, separator);
-  }
-  if (request.policy.has_value()) {
-    Append(&out, "policy", *request.policy, separator);
-  }
-  if (request.governor.has_value()) {
-    Append(&out, "governor", *request.governor, separator);
-  }
-  if (request.duration_s.has_value()) {
-    Append(&out, "duration-s", FormatDouble(*request.duration_s), separator);
-  }
-  if (request.max_power.has_value()) {
-    Append(&out, "max-power", FormatDouble(*request.max_power), separator);
-  }
-  if (request.temp_limit.has_value()) {
-    Append(&out, "temp-limit", FormatDouble(*request.temp_limit), separator);
-  }
-  if (request.throttle.has_value()) {
-    Append(&out, "throttle", *request.throttle ? "true" : "false", separator);
-  }
-  if (request.faults.has_value()) {
-    Append(&out, "faults", *request.faults, separator);
-  }
-  if (request.skip_ahead.has_value()) {
-    Append(&out, "skip-ahead", *request.skip_ahead ? "true" : "false", separator);
-  }
-  if (request.intra_threads.has_value()) {
-    Append(&out, "intra-threads", std::to_string(*request.intra_threads), separator);
-  }
-  if (request.seed.has_value()) {
-    Append(&out, "seed", std::to_string(*request.seed), separator);
-  }
-  if (request.runs != 1) {
-    Append(&out, "runs", std::to_string(request.runs), separator);
+  for (const KeyField& field : kFields) {
+    const std::optional<std::string> value = field.format(request);
+    if (!value.has_value()) {
+      continue;
+    }
+    if (!out.empty()) {
+      out += separator;
+    }
+    out += field.key;
+    out += " = ";
+    out += *value;
   }
   return out;
 }
@@ -240,7 +213,20 @@ bool TextSafe(const std::string& value) {
   return value == Trim(value) && value.find_first_of("#;\n\r") == std::string::npos;
 }
 
+// A request expands into one spec per run. Like the fault plan's event cap,
+// this bound turns an absurd count into a structured error instead of an
+// allocation failure.
+constexpr std::uint64_t kMaxRuns = 100'000;
+
 }  // namespace
+
+bool ParseUintValue(const std::string& text, std::uint64_t* out) {
+  if (text.empty() || text[0] == '-' || text[0] == '+') {
+    return false;
+  }
+  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), *out);
+  return ec == std::errc() && ptr == text.data() + text.size();
+}
 
 std::optional<RequestError> ApplyRunRequestField(const std::string& key,
                                                  const std::string& value,
@@ -358,46 +344,21 @@ Expected<ResolvedRequest> ResolveRunRequest(const RunRequest& request, ScenarioC
   // format cannot carry (comment/separator characters, edge whitespace)
   // would silently replay as a *different* run, so it is rejected here,
   // where programmatically built requests also pass through.
-  const auto text_unsafe = [](const char* key) {
-    return MakeError(RequestErrorCode::kBadValue, key,
-                     std::string("bad ") + key +
-                         ": the request text format cannot carry '#', ';', newlines or "
-                         "edge whitespace");
-  };
-  if (!TextSafe(request.name)) {
-    return text_unsafe("name");
-  }
-  if (!TextSafe(request.tag)) {
-    return text_unsafe("tag");
-  }
-  if (!TextSafe(request.scenario)) {
-    return text_unsafe("scenario");
-  }
-  if (request.topology.has_value() && !TextSafe(*request.topology)) {
-    return text_unsafe("topology");
-  }
-  if (request.workload.has_value() && !TextSafe(*request.workload)) {
-    return text_unsafe("workload");
-  }
-  if (request.policy.has_value() && !TextSafe(*request.policy)) {
-    return text_unsafe("policy");
-  }
-  if (request.governor.has_value() && !TextSafe(*request.governor)) {
-    return text_unsafe("governor");
-  }
-  if (request.faults.has_value() && !TextSafe(*request.faults)) {
-    return text_unsafe("faults");
+  for (const KeyField& field : kFields) {
+    const std::optional<std::string> text = field.format(request);
+    if (text.has_value() && !TextSafe(*text)) {
+      return MakeError(RequestErrorCode::kBadValue, field.key,
+                       std::string("bad ") + field.key +
+                           ": the request text format cannot carry '#', ';', newlines or "
+                           "edge whitespace");
+    }
   }
 
   ExperimentSpec spec;
   if (from_scenario) {
     if (!ScenarioRegistry::Global().Contains(request.scenario)) {
-      std::string known;
-      for (const std::string& name : ScenarioRegistry::Global().Names()) {
-        known += known.empty() ? name : ", " + name;
-      }
       return MakeError(RequestErrorCode::kUnknownName, "scenario",
-                       "unknown scenario \"" + request.scenario + "\" (known: " + known + ")");
+                       ScenarioRegistry::Global().UnknownMessage("scenario", request.scenario));
     }
     // The cached build and a fresh factory call are the same deterministic
     // data; the cache only amortizes workload generation across requests.
@@ -458,9 +419,9 @@ Expected<ResolvedRequest> ResolveRunRequest(const RunRequest& request, ScenarioC
       const ThermalParams& params = spec.config.cooling.ParamsFor(phys);
       if (!(params.MaxPowerForTemp(spec.config.temp_limit) > 0.0)) {
         return MakeError(RequestErrorCode::kBadValue, "temp-limit",
-                         "bad temp-limit: " + FormatDouble(spec.config.temp_limit) +
+                         "bad temp-limit: " + FormatValue(spec.config.temp_limit) +
                              " C is not above package " + std::to_string(phys) +
-                             "'s ambient of " + FormatDouble(params.ambient) +
+                             "'s ambient of " + FormatValue(params.ambient) +
                              " C, so its power limit would be <= 0 W (raise "
                              "temp-limit or set max-power)");
       }
@@ -501,12 +462,8 @@ Expected<ResolvedRequest> ResolveRunRequest(const RunRequest& request, ScenarioC
   if (!from_scenario || request.policy.has_value()) {
     const std::string policy = NormalizePolicyName(request.policy.value_or("energy_aware"));
     if (!BalancePolicyRegistry::Global().Contains(policy)) {
-      std::string known;
-      for (const std::string& name : BalancePolicyRegistry::Global().Names()) {
-        known += known.empty() ? name : ", " + name;
-      }
       return MakeError(RequestErrorCode::kUnknownName, "policy",
-                       "unknown policy \"" + policy + "\" (known: " + known + ")");
+                       BalancePolicyRegistry::Global().UnknownMessage("policy", policy));
     }
     spec.config.sched = SchedConfigForPolicy(policy);
     resolved.policy = policy;
@@ -518,12 +475,8 @@ Expected<ResolvedRequest> ResolveRunRequest(const RunRequest& request, ScenarioC
   if (!from_scenario || request.governor.has_value()) {
     const std::string governor = request.governor.value_or("none");
     if (!FrequencyGovernorRegistry::Global().Contains(governor)) {
-      std::string known;
-      for (const std::string& name : FrequencyGovernorRegistry::Global().Names()) {
-        known += known.empty() ? name : ", " + name;
-      }
       return MakeError(RequestErrorCode::kUnknownName, "governor",
-                       "unknown governor \"" + governor + "\" (known: " + known + ")");
+                       FrequencyGovernorRegistry::Global().UnknownMessage("governor", governor));
     }
     spec.config.frequency_governor = governor;
   }
@@ -576,6 +529,10 @@ Expected<ResolvedRequest> ResolveRunRequest(const RunRequest& request, ScenarioC
 
   if (request.runs < 1) {
     return MakeError(RequestErrorCode::kBadValue, "runs", "bad runs: want >= 1");
+  }
+  if (request.runs > kMaxRuns) {
+    return MakeError(RequestErrorCode::kBadValue, "runs",
+                     "bad runs: want at most " + std::to_string(kMaxRuns) + " per request");
   }
   resolved.specs = request.runs == 1
                        ? std::vector<ExperimentSpec>{std::move(spec)}

@@ -124,6 +124,11 @@ std::optional<RequestError> ApplyRunRequestField(const std::string& key,
                                                  const std::string& value,
                                                  RunRequest* request);
 
+// The request file's rule for a non-negative integer value: decimal digits
+// only (no sign, no space), within uint64 range. eastool's --threads and
+// --queue-depth flags share it.
+bool ParseUintValue(const std::string& text, std::uint64_t* out);
+
 // Canonical multi-line rendering: set fields only, fixed key order,
 // shortest-round-trip numbers. Parse(Format(r)) == r for any valid r.
 std::string FormatRunRequest(const RunRequest& request);

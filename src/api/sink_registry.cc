@@ -24,26 +24,6 @@ SinkRegistry& SinkRegistry::Global() {
   return *registry;
 }
 
-bool SinkRegistry::Register(const std::string& kind, Factory factory) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return factories_.emplace(kind, std::move(factory)).second;
-}
-
-bool SinkRegistry::Contains(const std::string& kind) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return factories_.find(kind) != factories_.end();
-}
-
-std::vector<std::string> SinkRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [kind, factory] : factories_) {
-    names.push_back(kind);
-  }
-  return names;
-}
-
 Expected<std::unique_ptr<ResultSink>> SinkRegistry::Create(const std::string& spec) const {
   const std::size_t colon = spec.find(':');
   if (colon == std::string::npos || colon == 0) {
@@ -51,27 +31,16 @@ Expected<std::unique_ptr<ResultSink>> SinkRegistry::Create(const std::string& sp
   }
   const std::string kind = spec.substr(0, colon);
   const std::string rest = spec.substr(colon + 1);
-  Factory factory;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = factories_.find(kind);
-    if (it != factories_.end()) {
-      factory = it->second;
-    }
-  }
-  if (!factory) {
-    std::string known;
-    for (const std::string& name : Names()) {
-      known += known.empty() ? name : ", " + name;
-    }
-    RequestError error = SinkError("unknown sink kind \"" + kind + "\" (known: " + known + ")");
+  const std::optional<Factory> factory = Find(kind);
+  if (!factory.has_value()) {
+    RequestError error = SinkError(UnknownMessage("sink kind", kind));
     error.code = RequestErrorCode::kUnknownName;
     return error;
   }
   if (rest.empty()) {
     return SinkError("bad sink \"" + spec + "\": empty path");
   }
-  return factory(rest);
+  return (*factory)(rest);
 }
 
 void RegisterBuiltinSinks(SinkRegistry& registry) {

@@ -20,45 +20,29 @@
 #define SRC_API_SINK_REGISTRY_H_
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "src/api/request_error.h"
 #include "src/api/result_sink.h"
+#include "src/base/registry.h"
 
 namespace eas {
 
-class SinkRegistry {
+// A factory receives the spec's remainder (everything after `kind:`).
+// Default-constructs empty (tests build private ones; Global() is the
+// shared, builtin-populated instance).
+class SinkRegistry
+    : public Registry<std::function<std::unique_ptr<ResultSink>(const std::string& rest)>> {
  public:
-  // A factory receives the spec's remainder (everything after `kind:`).
-  using Factory = std::function<std::unique_ptr<ResultSink>(const std::string& rest)>;
+  using Factory = Entry;
 
   // The process-wide registry, with the built-in kinds pre-registered.
   static SinkRegistry& Global();
 
-  // Registers `factory` under `kind`. Returns false (and leaves the existing
-  // entry) if the kind is already taken.
-  bool Register(const std::string& kind, Factory factory);
-
   // Builds the sink `spec` ("kind:rest") describes; a RequestError naming
   // the known kinds for an unknown kind, or the malformed spec.
   Expected<std::unique_ptr<ResultSink>> Create(const std::string& spec) const;
-
-  bool Contains(const std::string& kind) const;
-
-  // Registered kinds, sorted.
-  std::vector<std::string> Names() const;
-
-  // An empty registry (tests build private ones; Global() is the shared,
-  // builtin-populated instance).
-  SinkRegistry() = default;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, Factory> factories_;
 };
 
 // Registers the built-in sink kinds into `registry` (exposed for tests that

@@ -78,52 +78,19 @@ BalancePolicyRegistry& BalancePolicyRegistry::Global() {
   return *registry;
 }
 
-bool BalancePolicyRegistry::Register(const std::string& name, Factory factory) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return factories_.emplace(name, std::move(factory)).second;
-}
-
 std::unique_ptr<BalancePolicy> BalancePolicyRegistry::Create(
     const std::string& name, const EnergySchedConfig& config) const {
-  Factory factory;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = factories_.find(name);
-    if (it == factories_.end()) {
-      return nullptr;
-    }
-    factory = it->second;
-  }
-  return factory(config);
+  const std::optional<Factory> factory = Find(name);
+  return factory.has_value() ? (*factory)(config) : nullptr;
 }
 
 std::unique_ptr<BalancePolicy> BalancePolicyRegistry::CreateOrThrow(
     const std::string& name, const EnergySchedConfig& config) const {
   std::unique_ptr<BalancePolicy> policy = Create(name, config);
   if (policy == nullptr) {
-    std::string known;
-    for (const std::string& candidate : Names()) {
-      known += known.empty() ? candidate : ", " + candidate;
-    }
-    throw std::invalid_argument("unknown balancing policy \"" + name + "\" (known: " + known +
-                                ")");
+    throw std::invalid_argument(UnknownMessage("balancing policy", name));
   }
   return policy;
-}
-
-bool BalancePolicyRegistry::Contains(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return factories_.contains(name);
-}
-
-std::vector<std::string> BalancePolicyRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) {
-    names.push_back(name);
-  }
-  return names;
 }
 
 EnergySchedConfig SchedConfigForPolicy(const std::string& name) {

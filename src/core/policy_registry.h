@@ -14,28 +14,23 @@
 #define SRC_CORE_POLICY_REGISTRY_H_
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
 
+#include "src/base/registry.h"
 #include "src/core/energy_sched_config.h"
 #include "src/sched/balance_policy.h"
 
 namespace eas {
 
-class BalancePolicyRegistry {
+class BalancePolicyRegistry
+    : public Registry<
+          std::function<std::unique_ptr<BalancePolicy>(const EnergySchedConfig&)>> {
  public:
-  using Factory =
-      std::function<std::unique_ptr<BalancePolicy>(const EnergySchedConfig&)>;
+  using Factory = Entry;
 
   // The process-wide registry, with the built-in policies pre-registered.
   static BalancePolicyRegistry& Global();
-
-  // Registers `factory` under `name`. Returns false (and leaves the existing
-  // entry) if the name is already taken.
-  bool Register(const std::string& name, Factory factory);
 
   // Builds the policy registered under `name`; nullptr if unknown.
   std::unique_ptr<BalancePolicy> Create(const std::string& name,
@@ -46,16 +41,8 @@ class BalancePolicyRegistry {
   std::unique_ptr<BalancePolicy> CreateOrThrow(const std::string& name,
                                                const EnergySchedConfig& config) const;
 
-  bool Contains(const std::string& name) const;
-
-  // Registered names, sorted.
-  std::vector<std::string> Names() const;
-
  private:
   BalancePolicyRegistry() = default;
-
-  mutable std::mutex mutex_;
-  std::map<std::string, Factory> factories_;
 };
 
 // The scheduling configuration a registry policy name stands for:

@@ -1,7 +1,6 @@
 #include "src/freq/governor_registry.h"
 
 #include <stdexcept>
-#include <utility>
 
 #include "src/freq/governors.h"
 
@@ -23,52 +22,19 @@ FrequencyGovernorRegistry& FrequencyGovernorRegistry::Global() {
   return *registry;
 }
 
-bool FrequencyGovernorRegistry::Register(const std::string& name, Factory factory) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return factories_.emplace(name, std::move(factory)).second;
-}
-
 std::unique_ptr<FrequencyGovernor> FrequencyGovernorRegistry::Create(
     const std::string& name) const {
-  Factory factory;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = factories_.find(name);
-    if (it == factories_.end()) {
-      return nullptr;
-    }
-    factory = it->second;
-  }
-  return factory();
+  const std::optional<Factory> factory = Find(name);
+  return factory.has_value() ? (*factory)() : nullptr;
 }
 
 std::unique_ptr<FrequencyGovernor> FrequencyGovernorRegistry::CreateOrThrow(
     const std::string& name) const {
   std::unique_ptr<FrequencyGovernor> governor = Create(name);
   if (governor == nullptr) {
-    std::string known;
-    for (const std::string& candidate : Names()) {
-      known += known.empty() ? candidate : ", " + candidate;
-    }
-    throw std::invalid_argument("unknown frequency governor \"" + name + "\" (known: " + known +
-                                ")");
+    throw std::invalid_argument(UnknownMessage("frequency governor", name));
   }
   return governor;
-}
-
-bool FrequencyGovernorRegistry::Contains(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return factories_.contains(name);
-}
-
-std::vector<std::string> FrequencyGovernorRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) {
-    names.push_back(name);
-  }
-  return names;
 }
 
 }  // namespace eas

@@ -13,26 +13,23 @@
 #define SRC_FREQ_GOVERNOR_REGISTRY_H_
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
 
+#include "src/base/registry.h"
 #include "src/freq/frequency_governor.h"
 
 namespace eas {
 
-class FrequencyGovernorRegistry {
+// Default-constructs empty (tests build private ones; Global() is the
+// shared, builtin-populated instance).
+class FrequencyGovernorRegistry
+    : public Registry<std::function<std::unique_ptr<FrequencyGovernor>()>> {
  public:
-  using Factory = std::function<std::unique_ptr<FrequencyGovernor>()>;
+  using Factory = Entry;
 
   // The process-wide registry, with the built-in governors pre-registered.
   static FrequencyGovernorRegistry& Global();
-
-  // Registers `factory` under `name`. Returns false (and leaves the existing
-  // entry) if the name is already taken.
-  bool Register(const std::string& name, Factory factory);
 
   // Builds the governor registered under `name`; nullptr if unknown.
   std::unique_ptr<FrequencyGovernor> Create(const std::string& name) const;
@@ -40,19 +37,6 @@ class FrequencyGovernorRegistry {
   // Like Create, but throws std::invalid_argument naming the known governors
   // when `name` is unknown - the Machine's fail-fast construction path.
   std::unique_ptr<FrequencyGovernor> CreateOrThrow(const std::string& name) const;
-
-  bool Contains(const std::string& name) const;
-
-  // Registered names, sorted.
-  std::vector<std::string> Names() const;
-
-  // An empty registry (tests build private ones; Global() is the shared,
-  // builtin-populated instance).
-  FrequencyGovernorRegistry() = default;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, Factory> factories_;
 };
 
 // Registers the built-in governors into `registry` (exposed for tests that

@@ -46,12 +46,12 @@ std::string SeriesSetToCsv(const SeriesSet& set) {
 }
 
 std::string RunSummaryToCsv(const RunResult& result) {
-  // Rendered from the metric schema: the registry owns the column list, the
+  // Rendered from the metric schema: MetricScalars owns the column list, the
   // order and the per-run presence rules (DVFS columns only appear when the
   // run was governed), so this stays byte-identical to the historical
   // hand-rolled format without repeating it.
   std::string out;
-  for (const MetricValue& metric : MetricRegistry::Global().Scalars(result)) {
+  for (const MetricValue& metric : MetricScalars(result)) {
     out += metric.name;
     out += ',';
     out += FormatMetricValue(metric);

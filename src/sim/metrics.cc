@@ -34,123 +34,45 @@ std::string FormatMetricValue(const MetricValue& value) {
   return buffer;
 }
 
-const MetricRegistry& MetricRegistry::Global() {
-  static const MetricRegistry* registry = [] {
-    auto* r = new MetricRegistry();
-    RegisterBuiltinMetrics(*r);
-    return r;
-  }();
-  return *registry;
-}
-
-std::vector<MetricValue> MetricRegistry::Scalars(const RunResult& result) const {
-  std::vector<std::pair<std::string, ScalarExpander>> scalars;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    scalars = scalars_;
-  }
-  std::vector<MetricValue> values;
-  for (const auto& [family, expander] : scalars) {
-    expander(result, values);
-  }
-  return values;
-}
-
-std::vector<MetricRegistry::SeriesColumn> MetricRegistry::Series() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return series_;
-}
-
-void MetricRegistry::RegisterScalar(const std::string& family, ScalarExpander expander) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  scalars_.emplace_back(family, std::move(expander));
-}
-
-void MetricRegistry::RegisterSeries(const std::string& name,
-                                    const SeriesSet& (*series)(const RunResult&)) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  series_.push_back(SeriesColumn{name, series});
-}
-
-void RegisterBuiltinMetrics(MetricRegistry& registry) {
+std::vector<MetricValue> MetricScalars(const RunResult& r) {
   // Order is load-bearing: this is the historical summary-CSV layout, and
   // the golden tests pin the rendered bytes.
-  registry.RegisterScalar("migrations", [](const RunResult& r, std::vector<MetricValue>& out) {
-    out.push_back(Integral("migrations", static_cast<double>(r.migrations)));
-  });
-  registry.RegisterScalar("completions", [](const RunResult& r, std::vector<MetricValue>& out) {
-    out.push_back(Integral("completions", static_cast<double>(r.completions)));
-  });
-  registry.RegisterScalar("work_done_ticks", [](const RunResult& r,
-                                                std::vector<MetricValue>& out) {
-    out.push_back(Fractional("work_done_ticks", r.work_done_ticks, 1));
-  });
-  registry.RegisterScalar("duration_seconds", [](const RunResult& r,
-                                                 std::vector<MetricValue>& out) {
-    out.push_back(Fractional("duration_seconds", r.duration_seconds, 3));
-  });
-  registry.RegisterScalar("throughput", [](const RunResult& r, std::vector<MetricValue>& out) {
-    out.push_back(Fractional("throughput", r.Throughput(), 2));
-  });
-  registry.RegisterScalar("avg_throttled_fraction",
-                          [](const RunResult& r, std::vector<MetricValue>& out) {
-                            out.push_back(Fractional("avg_throttled_fraction",
-                                                     r.AverageThrottledFraction(), 4));
-                          });
-  registry.RegisterScalar("throttled_fraction_cpu",
-                          [](const RunResult& r, std::vector<MetricValue>& out) {
-                            for (std::size_t cpu = 0; cpu < r.throttled_fraction.size(); ++cpu) {
-                              out.push_back(Fractional(
-                                  "throttled_fraction_cpu" + std::to_string(cpu),
-                                  r.throttled_fraction[cpu], 4));
-                            }
-                          });
+  std::vector<MetricValue> out = {
+      Integral("migrations", static_cast<double>(r.migrations)),
+      Integral("completions", static_cast<double>(r.completions)),
+      Fractional("work_done_ticks", r.work_done_ticks, 1),
+      Fractional("duration_seconds", r.duration_seconds, 3),
+      Fractional("throughput", r.Throughput(), 2),
+      Fractional("avg_throttled_fraction", r.AverageThrottledFraction(), 4),
+  };
+  for (std::size_t cpu = 0; cpu < r.throttled_fraction.size(); ++cpu) {
+    out.push_back(Fractional("throttled_fraction_cpu" + std::to_string(cpu),
+                             r.throttled_fraction[cpu], 4));
+  }
   // The DVFS families expand to nothing for an ungoverned run (the vectors
   // stay empty under the "none" governor), which is what keeps ungoverned
   // tables byte-identical to the pre-DVFS format.
-  registry.RegisterScalar("avg_frequency_cpu",
-                          [](const RunResult& r, std::vector<MetricValue>& out) {
-                            for (std::size_t cpu = 0; cpu < r.average_frequency.size(); ++cpu) {
-                              out.push_back(Fractional("avg_frequency_cpu" + std::to_string(cpu),
-                                                       r.average_frequency[cpu], 4));
-                            }
-                          });
-  registry.RegisterScalar(
-      "pstate_residency_cpu",
-      [](const RunResult& r, std::vector<MetricValue>& out) {
-        for (std::size_t cpu = 0; cpu < r.pstate_residency.size(); ++cpu) {
-          for (std::size_t p = 0; p < r.pstate_residency[cpu].size(); ++p) {
-            out.push_back(Fractional(
-                "pstate_residency_cpu" + std::to_string(cpu) + "_p" + std::to_string(p),
-                r.pstate_residency[cpu][p], 4));
-          }
-        }
-      });
-
+  for (std::size_t cpu = 0; cpu < r.average_frequency.size(); ++cpu) {
+    out.push_back(Fractional("avg_frequency_cpu" + std::to_string(cpu),
+                             r.average_frequency[cpu], 4));
+  }
+  for (std::size_t cpu = 0; cpu < r.pstate_residency.size(); ++cpu) {
+    for (std::size_t p = 0; p < r.pstate_residency[cpu].size(); ++p) {
+      out.push_back(
+          Fractional("pstate_residency_cpu" + std::to_string(cpu) + "_p" + std::to_string(p),
+                     r.pstate_residency[cpu][p], 4));
+    }
+  }
   // The fault families follow the same conditional pattern: the optionals
   // are only set when the config carried a fault plan, so fault-free runs
   // emit no fault columns and their records stay byte-identical.
-  registry.RegisterScalar("faults_fired", [](const RunResult& r, std::vector<MetricValue>& out) {
-    if (r.faults_fired.has_value()) {
-      out.push_back(Integral("faults_fired", static_cast<double>(*r.faults_fired)));
-    }
-  });
-  registry.RegisterScalar("offline_cpu_ticks",
-                          [](const RunResult& r, std::vector<MetricValue>& out) {
-                            if (r.offline_cpu_ticks.has_value()) {
-                              out.push_back(Integral("offline_cpu_ticks",
-                                                     static_cast<double>(*r.offline_cpu_ticks)));
-                            }
-                          });
-
-  registry.RegisterSeries("thermal_power",
-                          [](const RunResult& r) -> const SeriesSet& { return r.thermal_power; });
-  registry.RegisterSeries("temperature",
-                          [](const RunResult& r) -> const SeriesSet& { return r.temperature; });
-  registry.RegisterSeries("task_cpu",
-                          [](const RunResult& r) -> const SeriesSet& { return r.task_cpu; });
-  registry.RegisterSeries("frequency",
-                          [](const RunResult& r) -> const SeriesSet& { return r.frequency; });
+  if (r.faults_fired.has_value()) {
+    out.push_back(Integral("faults_fired", static_cast<double>(*r.faults_fired)));
+  }
+  if (r.offline_cpu_ticks.has_value()) {
+    out.push_back(Integral("offline_cpu_ticks", static_cast<double>(*r.offline_cpu_ticks)));
+  }
+  return out;
 }
 
 }  // namespace eas

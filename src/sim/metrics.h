@@ -1,25 +1,22 @@
-// The run-metric schema: every scalar and series column a RunResult can
-// export, named exactly once.
+// The run-metric schema: every scalar column a RunResult exports, named
+// exactly once.
 //
-// Before this registry existed, each exporter (the summary CSV, the bench
+// Before the schema existed, each exporter (the summary CSV, the bench
 // JSON emitters, eastool's stdout report) hand-rolled its own column list
 // and re-implemented the "DVFS columns only when governed" special case.
-// The MetricRegistry is the single source of truth instead: exporters ask
-// it for the ordered scalar table of a result and render that, so a new
-// metric (or a new feature-conditional column family) is added in one place
-// and every exporter picks it up - with the presence rule (e.g. "only when
-// the run was governed") encoded in the metric's expander, not in each
-// exporter.
+// MetricScalars is the single source of truth instead: exporters ask it for
+// the ordered scalar table of a result and render that, so a new metric (or
+// a new feature-conditional column family) is added in one place and every
+// exporter picks it up - with the presence rule (e.g. "only when the run was
+// governed") written beside the columns it governs, not in each exporter.
 //
-// Registration order is the column order of every renderer, so the built-in
-// order is pinned to the historical summary-CSV layout: changing it breaks
-// the byte-identity guarantee the golden tests enforce.
+// The column order is that of every renderer, pinned to the historical
+// summary-CSV layout: changing it breaks the byte-identity guarantee the
+// golden tests enforce.
 
 #ifndef SRC_SIM_METRICS_H_
 #define SRC_SIM_METRICS_H_
 
-#include <functional>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -41,50 +38,9 @@ struct MetricValue {
 // prints identically in CSV, JSONL and stdout tables.
 std::string FormatMetricValue(const MetricValue& value);
 
-class MetricRegistry {
- public:
-  // Appends zero or more MetricValues for `result`. A family that does not
-  // apply to the run (e.g. DVFS columns of an ungoverned run) appends
-  // nothing - that is the one place the presence rule lives.
-  using ScalarExpander = std::function<void(const RunResult&, std::vector<MetricValue>&)>;
-
-  // A named trace column family: which SeriesSet of the result it reads.
-  // An empty set means the run did not record it (frequency when
-  // ungoverned, task_cpu unless requested).
-  struct SeriesColumn {
-    std::string name;
-    const SeriesSet& (*series)(const RunResult&);
-  };
-
-  // The process-wide schema, with the built-in metrics pre-registered in
-  // the historical summary-CSV order.
-  static const MetricRegistry& Global();
-
-  // The ordered scalar table of `result`: every registered family expanded,
-  // absent families contributing no rows.
-  std::vector<MetricValue> Scalars(const RunResult& result) const;
-
-  // Every registered series family, in registration order.
-  std::vector<SeriesColumn> Series() const;
-
-  // Registers a scalar family / series column. Appended after the existing
-  // entries; `family` is documentation (the expander names its columns).
-  void RegisterScalar(const std::string& family, ScalarExpander expander);
-  void RegisterSeries(const std::string& name, const SeriesSet& (*series)(const RunResult&));
-
-  // An empty registry (tests build private ones; Global() is the shared,
-  // builtin-populated instance).
-  MetricRegistry() = default;
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<std::pair<std::string, ScalarExpander>> scalars_;
-  std::vector<SeriesColumn> series_;
-};
-
-// Registers the built-in metric families into `registry` (exposed for tests
-// that build private registries; Global() already includes them).
-void RegisterBuiltinMetrics(MetricRegistry& registry);
+// The ordered scalar table of `result`. A family that does not apply to
+// the run (e.g. the DVFS columns of an ungoverned run) contributes no rows.
+std::vector<MetricValue> MetricScalars(const RunResult& result);
 
 }  // namespace eas
 

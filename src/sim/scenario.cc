@@ -25,52 +25,23 @@ ScenarioRegistry& ScenarioRegistry::Global() {
 
 bool ScenarioRegistry::Register(const std::string& name, const std::string& description,
                                 Factory factory) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return factories_.emplace(name, std::make_pair(description, std::move(factory))).second;
+  return Registry::Register(name, ScenarioEntry{description, std::move(factory)});
 }
 
 ScenarioSpec ScenarioRegistry::BuildOrThrow(const std::string& name) const {
-  Factory factory;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = factories_.find(name);
-    if (it != factories_.end()) {
-      factory = it->second.second;
-    }
+  const std::optional<ScenarioEntry> entry = Find(name);
+  if (!entry.has_value()) {
+    throw std::invalid_argument(UnknownMessage("scenario", name));
   }
-  if (factory == nullptr) {
-    std::string known;
-    for (const std::string& candidate : Names()) {
-      known += known.empty() ? candidate : ", " + candidate;
-    }
-    throw std::invalid_argument("unknown scenario \"" + name + "\" (known: " + known + ")");
-  }
-  ScenarioSpec spec = factory();
+  ScenarioSpec spec = entry->factory();
   spec.name = name;
   return spec;
 }
 
-bool ScenarioRegistry::Contains(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return factories_.contains(name);
-}
-
-std::vector<std::string> ScenarioRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, entry] : factories_) {
-    names.push_back(name);
-  }
-  return names;
-}
-
 std::vector<ScenarioRegistry::Info> ScenarioRegistry::List() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<Info> infos;
-  infos.reserve(factories_.size());
-  for (const auto& [name, entry] : factories_) {
-    infos.push_back(Info{name, entry.first});
+  for (const std::string& name : Names()) {
+    infos.push_back(Info{name, Find(name)->description});
   }
   return infos;
 }

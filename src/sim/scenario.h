@@ -26,11 +26,10 @@
 #define SRC_SIM_SCENARIO_H_
 
 #include <functional>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
+#include "src/base/registry.h"
 #include "src/sim/experiment_runner.h"
 
 namespace eas {
@@ -46,7 +45,15 @@ struct ScenarioSpec {
   ExperimentSpec ToExperimentSpec() const;
 };
 
-class ScenarioRegistry {
+// A registered scenario: its one-line description and its factory.
+struct ScenarioEntry {
+  std::string description;
+  std::function<ScenarioSpec()> factory;
+};
+
+// Default-constructs empty (tests build private ones; Global() is the
+// shared, builtin-populated instance).
+class ScenarioRegistry : public Registry<ScenarioEntry> {
  public:
   using Factory = std::function<ScenarioSpec()>;
 
@@ -66,21 +73,8 @@ class ScenarioRegistry {
   // known scenarios when `name` is unknown.
   ScenarioSpec BuildOrThrow(const std::string& name) const;
 
-  bool Contains(const std::string& name) const;
-
-  // Registered names, sorted.
-  std::vector<std::string> Names() const;
-
   // (name, description) of every registered scenario, sorted by name.
   std::vector<Info> List() const;
-
-  // An empty registry (tests build private ones; Global() is the shared,
-  // builtin-populated instance).
-  ScenarioRegistry() = default;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, std::pair<std::string, Factory>> factories_;
 };
 
 // Registers the built-in scenarios into `registry` (exposed for tests that

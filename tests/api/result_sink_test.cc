@@ -54,7 +54,7 @@ RunRecord MakeRecord(RunResult result, std::size_t index = 0, std::size_t total 
 }
 
 // The exact pre-redesign summary bytes for HandBuiltResult(false): the
-// format RunSummaryToCsv wrote before the MetricRegistry/sink redesign.
+// format RunSummaryToCsv wrote before the metric-schema/sink redesign.
 // Changing these strings means breaking every downstream CSV consumer.
 constexpr char kUngovernedGolden[] =
     "migrations,8\n"
@@ -96,7 +96,7 @@ TEST(CsvSinkTest, SingleRunSummaryMatchesPreRedesignGoldenGoverned) {
 
 TEST(CsvSinkTest, SingleRunSummaryMatchesLegacyExporter) {
   // The sink and the deprecated RunSummaryToCsv shim must agree bit for bit
-  // (both render the same MetricRegistry schema).
+  // (both render the same MetricScalars schema).
   const std::string path = TempPath("legacy_agreement.csv");
   const RunResult result = HandBuiltResult(true);
   CsvSink sink(path, "");

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "src/sim/scenario.h"
@@ -86,10 +87,15 @@ TEST(RunRequestParseTest, BlankLinesAndCommentsIgnored) {
 }
 
 TEST(RunRequestParseTest, RejectsUnknownKeyNamingIt) {
-  const std::string error = ParseError("polcy = energy_aware\n");
-  EXPECT_NE(error.find("line 1"), std::string::npos) << error;
-  EXPECT_NE(error.find("unknown key \"polcy\""), std::string::npos) << error;
-  EXPECT_NE(error.find("policy"), std::string::npos) << error;  // lists the known keys
+  const std::string unknown_key =
+      "unknown key \"polcy\" (known: name, tag, scenario, topology, workload, policy, "
+      "governor, duration-s, max-power, temp-limit, throttle, faults, skip-ahead, "
+      "intra-threads, seed, runs)";
+  EXPECT_EQ(ParseError("polcy = energy_aware\n"), "line 1: " + unknown_key);
+  RunRequest request;
+  const auto error = ApplyRunRequestField("polcy", "energy_aware", &request);
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->Render(), unknown_key);
 }
 
 TEST(RunRequestParseTest, ErrorsCarryCodeKeyAndLine) {
@@ -220,19 +226,39 @@ TEST(RunRequestResolveTest, RejectsValuesTheTextFormatCannotCarry) {
 }
 
 TEST(RunRequestFormatTest, FormatParseIsIdentity) {
+  // Every key set (a request no resolve would accept: scenario and workload
+  // together): one canonical text per separator, in the fixed key order,
+  // and both parse back to the same request.
   RunRequest request;
   request.name = "probe";
   request.tag = "lane-2";
+  request.scenario = "paper-mixed";
   request.topology = "1:2:1";
   request.workload = "hot:4";
   request.policy = "load_only";
+  request.governor = "ondemand";
   request.duration_s = 12.5;
+  request.max_power = 1e+30;
+  request.temp_limit = 38.25;
   request.throttle = false;
+  request.faults = "off:1@5,on:1@9";
   request.skip_ahead = false;
   request.intra_threads = 2;
   request.seed = 11;
   request.runs = 4;
   const std::string text = FormatRunRequest(request);
+  EXPECT_EQ(text,
+            "name = probe\ntag = lane-2\nscenario = paper-mixed\ntopology = 1:2:1\n"
+            "workload = hot:4\npolicy = load_only\ngovernor = ondemand\nduration-s = 12.5\n"
+            "max-power = 1e+30\ntemp-limit = 38.25\nthrottle = false\n"
+            "faults = off:1@5,on:1@9\nskip-ahead = false\nintra-threads = 2\nseed = 11\n"
+            "runs = 4\n");
+  EXPECT_EQ(FormatRunRequestLine(request),
+            "name = probe; tag = lane-2; scenario = paper-mixed; topology = 1:2:1; "
+            "workload = hot:4; policy = load_only; governor = ondemand; duration-s = 12.5; "
+            "max-power = 1e+30; temp-limit = 38.25; throttle = false; "
+            "faults = off:1@5,on:1@9; skip-ahead = false; intra-threads = 2; seed = 11; "
+            "runs = 4");
   EXPECT_EQ(ParseOk(text), request);
   EXPECT_EQ(ParseOk(FormatRunRequestLine(request)), request);
 }
@@ -440,15 +466,29 @@ TEST(RunRequestResolveTest, RunsExpandIntoASeedSweep) {
   EXPECT_EQ(resolved->specs[2].name, "cli/seed12");
 }
 
-TEST(RunRequestResolveTest, RejectionsDiagnose) {
+TEST(RunRequestResolveTest, UnknownNamesDiagnoseExactly) {
   RunRequest request;
-
   request.scenario = "no-such-scenario";
-  std::string error = ResolveErr(request).Render();
-  EXPECT_NE(error.find("unknown scenario"), std::string::npos) << error;
-  EXPECT_NE(error.find("paper-mixed"), std::string::npos) << error;  // lists known
+  EXPECT_EQ(ResolveErr(request).Render(),
+            "unknown scenario \"no-such-scenario\" (known: chaos-soak, "
+            "datacenter-consolidation, dvfs-vs-throttle, governor-comparison, "
+            "paper-homogeneous, paper-hot-task, paper-mixed, phase-shift, poisson-open-loop, "
+            "server-consolidation, short-tasks, trace-replay)");
 
   request = RunRequest{};
+  request.policy = "No-Such-Policy";  // normalized before the lookup
+  EXPECT_EQ(ResolveErr(request).Render(),
+            "unknown policy \"No_Such_Policy\" (known: energy_aware, load_only, power_only, "
+            "temperature_only)");
+
+  request = RunRequest{};
+  request.governor = "no-such-governor";
+  EXPECT_EQ(ResolveErr(request).Render(),
+            "unknown governor \"no-such-governor\" (known: none, ondemand, thermal-stepdown)");
+}
+
+TEST(RunRequestResolveTest, RejectionsDiagnose) {
+  RunRequest request;
   request.scenario = "paper-mixed";
   request.workload = "hot:2";
   EXPECT_NE(ResolveErr(request).Render().find("cannot override"), std::string::npos);
@@ -456,14 +496,6 @@ TEST(RunRequestResolveTest, RejectionsDiagnose) {
   request = RunRequest{};
   request.topology = "junk:0:x";
   EXPECT_NE(ResolveErr(request).Render().find("bad topology"), std::string::npos);
-
-  request = RunRequest{};
-  request.policy = "no_such_policy";
-  EXPECT_NE(ResolveErr(request).Render().find("unknown policy"), std::string::npos);
-
-  request = RunRequest{};
-  request.governor = "no-such-governor";
-  EXPECT_NE(ResolveErr(request).Render().find("unknown governor"), std::string::npos);
 
   request = RunRequest{};
   request.workload = "bogus:3";
@@ -504,6 +536,17 @@ TEST(RunRequestResolveTest, RejectionsDiagnose) {
   request = RunRequest{};
   request.runs = 0;
   EXPECT_NE(ResolveErr(request).Render().find("bad runs"), std::string::npos);
+
+  // Each run is one spec: past the per-request cap of 100,000 runs the count
+  // is a diagnosed rejection, not a vector::reserve abort.
+  for (const std::uint64_t runs : {std::uint64_t{100'001}, ~std::uint64_t{0}}) {
+    request = RunRequest{};
+    request.runs = runs;
+    const RequestError error = ResolveErr(request);
+    EXPECT_EQ(error.code, RequestErrorCode::kBadValue) << runs;
+    EXPECT_EQ(error.key, "runs") << runs;
+    EXPECT_EQ(error.Render(), "bad runs: want at most 100000 per request") << runs;
+  }
 }
 
 TEST(RunRequestResolveTest, CannedRequestsCoverTheCatalogue) {

@@ -101,8 +101,9 @@ TEST(SinkRegistryTest, BadSpecsDiagnoseStructurally) {
   auto unknown = global.Create("bogus:/tmp/x");
   ASSERT_FALSE(unknown.ok());
   EXPECT_EQ(unknown.error().code, RequestErrorCode::kUnknownName);
-  EXPECT_NE(unknown.error().message.find("bogus"), std::string::npos);
-  EXPECT_NE(unknown.error().message.find("jsonl"), std::string::npos);  // lists known kinds
+  EXPECT_EQ(unknown.error().key, "sink");
+  EXPECT_EQ(unknown.error().message,
+            "unknown sink kind \"bogus\" (known: csv, jsonl, plot, trace)");
 
   auto no_colon = global.Create("justapath");
   ASSERT_FALSE(no_colon.ok());

@@ -49,8 +49,28 @@ TEST(PolicyRegistryTest, UnknownNameIsError) {
   const EnergySchedConfig config;
   EXPECT_EQ(BalancePolicyRegistry::Global().Create("no_such_policy", config), nullptr);
   EXPECT_FALSE(BalancePolicyRegistry::Global().Contains("no_such_policy"));
-  EXPECT_THROW(BalancePolicyRegistry::Global().CreateOrThrow("no_such_policy", config),
-               std::invalid_argument);
+
+  // Two tests below register into the process-wide registry; the list
+  // names them only once they have run.
+  std::vector<std::string> known = {"energy_aware", "load_only", "power_only",
+                                    "temperature_only"};
+  for (const char* registered_by_a_test : {"dup_test_policy", "null_policy"}) {
+    if (BalancePolicyRegistry::Global().Contains(registered_by_a_test)) {
+      known.push_back(registered_by_a_test);
+    }
+  }
+  std::sort(known.begin(), known.end());
+  std::string list;
+  for (const std::string& name : known) {
+    list += (list.empty() ? "" : ", ") + name;
+  }
+  try {
+    BalancePolicyRegistry::Global().CreateOrThrow("no_such_policy", config);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "unknown balancing policy \"no_such_policy\" (known: " + list + ")");
+  }
 }
 
 TEST(PolicyRegistryTest, UnknownNameInMachineConfigThrows) {

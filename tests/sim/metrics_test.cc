@@ -1,6 +1,5 @@
-// MetricRegistry: the scalar schema's naming, ordering and formatting, the
-// governed-columns presence rule, and extensibility through a private
-// registry.
+// MetricScalars: the scalar schema's naming, ordering and formatting, and
+// the governed-columns presence rule.
 
 #include "src/sim/metrics.h"
 
@@ -34,18 +33,16 @@ std::vector<std::string> Names(const std::vector<MetricValue>& metrics) {
   return names;
 }
 
-TEST(MetricRegistryTest, ScalarsKeepTheHistoricalSummaryOrder) {
-  const std::vector<std::string> names =
-      Names(MetricRegistry::Global().Scalars(SampleResult(false)));
+TEST(MetricScalarsTest, ScalarsKeepTheHistoricalSummaryOrder) {
+  const std::vector<std::string> names = Names(MetricScalars(SampleResult(false)));
   const std::vector<std::string> expected = {
       "migrations",       "completions", "work_done_ticks", "duration_seconds",
       "throughput",       "avg_throttled_fraction", "throttled_fraction_cpu0"};
   EXPECT_EQ(names, expected);
 }
 
-TEST(MetricRegistryTest, GovernedRunsGrowTheDvfsColumns) {
-  const std::vector<std::string> names =
-      Names(MetricRegistry::Global().Scalars(SampleResult(true)));
+TEST(MetricScalarsTest, GovernedRunsGrowTheDvfsColumns) {
+  const std::vector<std::string> names = Names(MetricScalars(SampleResult(true)));
   const std::vector<std::string> expected = {
       "migrations",          "completions",   "work_done_ticks",
       "duration_seconds",    "throughput",    "avg_throttled_fraction",
@@ -54,9 +51,8 @@ TEST(MetricRegistryTest, GovernedRunsGrowTheDvfsColumns) {
   EXPECT_EQ(names, expected);
 }
 
-TEST(MetricRegistryTest, FormatMatchesTheHistoricalCsvRendering) {
-  const std::vector<MetricValue> metrics =
-      MetricRegistry::Global().Scalars(SampleResult(false));
+TEST(MetricScalarsTest, FormatMatchesTheHistoricalCsvRendering) {
+  const std::vector<MetricValue> metrics = MetricScalars(SampleResult(false));
   // migrations: integral, no decimals; work_done_ticks %.1f;
   // duration_seconds %.3f; throughput %.2f; fractions %.4f.
   EXPECT_EQ(FormatMetricValue(metrics[0]), "3");
@@ -64,40 +60,6 @@ TEST(MetricRegistryTest, FormatMatchesTheHistoricalCsvRendering) {
   EXPECT_EQ(FormatMetricValue(metrics[3]), "2.000");
   EXPECT_EQ(FormatMetricValue(metrics[4]), "617.25");
   EXPECT_EQ(FormatMetricValue(metrics[6]), "0.5000");
-}
-
-TEST(MetricRegistryTest, SeriesColumnsExposeEveryTraceFamily) {
-  const auto series = MetricRegistry::Global().Series();
-  ASSERT_EQ(series.size(), 4u);
-  EXPECT_EQ(series[0].name, "thermal_power");
-  EXPECT_EQ(series[3].name, "frequency");
-
-  RunResult result = SampleResult(false);
-  result.thermal_power.Create("cpu0").Add(0, 1.0);
-  EXPECT_EQ(series[0].series(result).size(), 1u);
-  EXPECT_EQ(series[3].series(result).size(), 0u);  // ungoverned: no frequency trace
-}
-
-TEST(MetricRegistryTest, PrivateRegistriesExtendTheSchema) {
-  MetricRegistry registry;
-  RegisterBuiltinMetrics(registry);
-  registry.RegisterScalar("peak_thermal_w",
-                          [](const RunResult& r, std::vector<MetricValue>& out) {
-                            MetricValue metric;
-                            metric.name = "peak_thermal_w";
-                            metric.value = r.thermal_power.MaxValue();
-                            metric.precision = 2;
-                            out.push_back(metric);
-                          });
-  RunResult result = SampleResult(false);
-  result.thermal_power.Create("cpu0").Add(0, 61.25);
-  const std::vector<MetricValue> metrics = registry.Scalars(result);
-  ASSERT_FALSE(metrics.empty());
-  EXPECT_EQ(metrics.back().name, "peak_thermal_w");
-  EXPECT_EQ(FormatMetricValue(metrics.back()), "61.25");
-  // The global schema is untouched by the private registration.
-  const auto global = Names(MetricRegistry::Global().Scalars(result));
-  EXPECT_EQ(global.back(), "throttled_fraction_cpu0");
 }
 
 }  // namespace

@@ -29,7 +29,7 @@ instead of one instance at test time. Three check families:
                      defined exactly once - MetricValue construction and
                      RegisterScalar/RegisterSeries calls outside
                      src/sim/metrics.cc are flagged so every summary column
-                     keeps flowing through MetricRegistry.
+                     keeps flowing through MetricScalars.
 
 Engines
 -------
@@ -548,8 +548,8 @@ class Linter:
                 source.line_of(match.start()),
                 "metric-schema",
                 "MetricValue constructed outside src/sim/metrics.cc: summary "
-                "columns are defined once, in the MetricRegistry expanders - "
-                "register a scalar family there instead",
+                "columns are defined once, in MetricScalars - add the column "
+                "family there instead",
             )
         # Only call sites through a receiver: plain `void RegisterScalar(...)`
         # declarations (metrics.h) define the API, they don't extend the schema.
@@ -558,9 +558,9 @@ class Linter:
                 source,
                 source.line_of(match.start()),
                 "metric-schema",
-                f"{match.group(1)} call outside src/sim/metrics.cc: the builtin "
-                "metric schema has exactly one source of truth (tests may build "
-                "private registries; src/ must not)",
+                f"{match.group(1)} call outside src/sim/metrics.cc: the "
+                "metric schema has exactly one source of truth, MetricScalars - "
+                "add the column family there instead",
             )
 
     # -- suppression hygiene ---------------------------------------------------

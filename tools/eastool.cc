@@ -30,6 +30,7 @@
 // what the same request writes through --jsonl offline.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -41,6 +42,7 @@
 #include <vector>
 
 #include "src/api/result_sink.h"
+#include "src/api/run_request.h"
 #include "src/api/run_session.h"
 #include "src/api/sink_registry.h"
 #include "src/base/flags.h"
@@ -172,23 +174,28 @@ bool ReadFileToString(const std::string& path, std::string* out) {
 bool ApplyFlagOverrides(const eas::FlagParser& flags, eas::RunRequest* request) {
   for (const char* key : {"scenario", "topology", "policy", "workload", "governor",
                           "faults", "duration-s", "max-power", "temp-limit",
-                          "intra-threads", "seed", "runs", "tag"}) {
+                          "intra-threads", "seed", "runs", "tag", "throttle"}) {
     if (!flags.Has(key)) {
       continue;
     }
-    if (auto error = eas::ApplyRunRequestField(key, flags.GetString(key), request)) {
+    std::string value = flags.GetString(key);
+    // --throttle is also a bare switch: without a value it means true.
+    if (value.empty() && std::string(key) == "throttle") {
+      value = "true";
+    }
+    if (auto error = eas::ApplyRunRequestField(key, value, request)) {
       std::fprintf(stderr, "--%s: %s\n", key, error->Render().c_str());
       return false;
     }
   }
-  // --throttle is a switch (bare --throttle means true), so it cannot go
-  // through the key = value path verbatim.
-  if (flags.Has("throttle")) {
-    request->throttle = flags.GetBool("throttle", false);
-  }
-  // --no-skip-ahead is likewise a bare switch; it maps onto the request's
-  // skip-ahead key (the file spelling of the same choice).
+  // --no-skip-ahead is a bare switch; it maps onto the request's skip-ahead
+  // key (the file spelling of the same choice).
   if (flags.Has("no-skip-ahead")) {
+    if (!flags.GetString("no-skip-ahead").empty()) {
+      std::fprintf(stderr, "--no-skip-ahead: takes no value, got \"%s\"\n",
+                   flags.GetString("no-skip-ahead").c_str());
+      return false;
+    }
     request->skip_ahead = false;
   }
   return true;
@@ -440,6 +447,17 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "flag --%s given more than once\n", flag.c_str());
     }
     return 1;
+  }
+
+  // Worker counts take the request file's integers: digits only, so
+  // `--threads 4z` cannot run as 4, nor `--threads abc` as 0.
+  for (const char* flag : {"threads", "queue-depth"}) {
+    std::uint64_t count = 0;
+    if (flags.Has(flag) && !eas::ParseUintValue(flags.GetString(flag), &count)) {
+      std::fprintf(stderr, "--%s: bad value \"%s\" (want a non-negative integer)\n", flag,
+                   flags.GetString(flag).c_str());
+      return 1;
+    }
   }
 
   if (flags.Has("help")) {
