@@ -68,24 +68,22 @@ eas::MachineConfig BenchConfig(const char* topology, std::size_t intra_threads) 
 }
 
 // The consolidation-host population, ~2 tasks per logical CPU: a memrw batch
-// floor that keeps every package busy plus mostly-sleeping daemons, spread
-// round-robin across the machine.
+// floor that keeps every package busy plus mostly-sleeping daemons, all at
+// nice 0. Placement spreads them across the machine.
 void SpawnClusterPopulation(eas::SimulationState& state, const eas::ProgramLibrary& library) {
-  const int logical = static_cast<int>(state.num_cpus());
-  const int tasks = logical * 2;
+  const int tasks = static_cast<int>(state.num_cpus()) * 2;
   for (int i = 0; i < tasks; ++i) {
-    const int cpu = i % logical;
     switch (i % 8) {
       case 0:
-        state.Spawn(library.memrw(), cpu);
+        state.Spawn(library.memrw());
         break;
       case 1:
       case 2:
       case 3:
-        state.Spawn(library.bash(), cpu);
+        state.Spawn(library.bash());
         break;
       default:
-        state.Spawn(library.sshd(), cpu);
+        state.Spawn(library.sshd());
         break;
     }
   }

@@ -126,7 +126,7 @@ void BM_EnergyBalancerPass(benchmark::State& state) {
   eas::EnergyLoadBalancer balancer;
   int cpu = 0;
   for (auto _ : state) {
-    env.aggregate_cache().Invalidate();
+    env.aggregate_cache().BeginPass();
     benchmark::DoNotOptimize(balancer.Balance(cpu, env));
     cpu = (cpu + 1) % 8;
   }

@@ -256,6 +256,14 @@ run_expect_flag_rejected(--no-skip-ahead ${EASTOOL} --no-skip-ahead maybe --prin
 run_expect_flag_rejected(--threads ${EASTOOL} --threads 4z --print-request)
 run_expect_flag_rejected(--threads ${EASTOOL} --threads abc --print-request)
 run_expect_flag_rejected(--queue-depth ${EASTOOL} --queue-depth -5 --print-request)
+# A worker count past the cap (1024) is rejected before any thread starts,
+# offline and under serve. Each case here fails, rather than starts threads,
+# if the cap is lost: --print-request runs nothing, the serve case has no
+# socket, and 2^64-1 under serve aborted in the pool's allocation.
+run_expect_flag_rejected(--threads ${EASTOOL} --threads 1025 --print-request)
+run_expect_flag_rejected(--threads ${EASTOOL} serve --threads 1025)
+run_expect_flag_rejected(--threads ${EASTOOL} serve --socket ${OUT_DIR}/eastool_smoke.sock
+                         --threads 18446744073709551615)
 # A run count past the per-request cap is a diagnosed rejection, from a flag
 # or from a request file, never an allocation abort.
 run_expect_flag_rejected(runs ${EASTOOL} --runs 18446744073709551615 --print-request)

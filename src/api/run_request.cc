@@ -362,9 +362,8 @@ Expected<ResolvedRequest> ResolveRunRequest(const RunRequest& request, ScenarioC
     }
     // The cached build and a fresh factory call are the same deterministic
     // data; the cache only amortizes workload generation across requests.
-    spec = cache != nullptr ? cache->Scenario(request.scenario)->ToExperimentSpec()
-                            : ScenarioRegistry::Global().BuildOrThrow(request.scenario)
-                                  .ToExperimentSpec();
+    spec = cache != nullptr ? *cache->Scenario(request.scenario)
+                            : ScenarioRegistry::Global().BuildOrThrow(request.scenario);
     if (request.workload.has_value()) {
       return MakeError(RequestErrorCode::kBadValue, "workload",
                        "workload cannot override a scenario workload (scenario \"" +

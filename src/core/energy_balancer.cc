@@ -8,32 +8,16 @@ EnergyLoadBalancer::EnergyLoadBalancer() : EnergyLoadBalancer(Options{}) {}
 
 EnergyLoadBalancer::EnergyLoadBalancer(const Options& options) : options_(options) {}
 
-EnergyLoadBalancer::Result EnergyLoadBalancer::Balance(int cpu, BalanceEnv& env) const {
-  Result result;
+EnergyLoadBalancer::Result EnergyLoadBalancer::BalanceSteps(int cpu, BalanceEnv& env) const {
   env.aggregate_cache().BeginPass(env);
-  for (const DomainCursor& cursor : env.domains().StackFor(cpu)) {
-    const SchedDomain* domain = cursor.domain;
-    const CpuGroup* local_group = cursor.group;
-    if (local_group == nullptr) {
-      continue;
+  return BalanceLevels(cpu, env, [&](const SchedDomain& domain, const CpuGroup& local_group) {
+    Result level;
+    if ((domain.flags & kDomainNoEnergyBalance) == 0) {
+      level = EnergyStep(cpu, domain, local_group, env);
     }
-
-    Result level_result;
-    if ((domain->flags & kDomainNoEnergyBalance) == 0) {
-      level_result = EnergyStep(cpu, *domain, *local_group, env);
-    }
-    level_result.load_migrations = LoadStep(cpu, *domain, *local_group, env);
-
-    result.energy_migrations += level_result.energy_migrations;
-    result.exchange_migrations += level_result.exchange_migrations;
-    result.load_migrations += level_result.load_migrations;
-
-    if (level_result.total() > 0) {
-      // Imbalance resolved in the lowest domain possible; do not escalate.
-      break;
-    }
-  }
-  return result;
+    level.load_migrations = LoadStep(cpu, domain, local_group, env);
+    return level;
+  });
 }
 
 EnergyLoadBalancer::Result EnergyLoadBalancer::EnergyStep(int cpu, const SchedDomain& domain,
@@ -42,25 +26,18 @@ EnergyLoadBalancer::Result EnergyLoadBalancer::EnergyStep(int cpu, const SchedDo
   Result result;
 
   BalanceAggregateCache& cache = env.aggregate_cache();
-  auto rq_ratio = [&env](int c) { return env.RunqueuePowerRatio(c); };
+  auto group_ratio = [&](const CpuGroup& g) { return cache.RunqueuePowerRatio(g, env); };
 
   // 1. Group with the highest average runqueue power ratio.
-  const CpuGroup* hottest_group = nullptr;
   double hottest_ratio = 0.0;
-  for (const auto& group : domain.groups) {
-    const double ratio = cache.RunqueuePowerRatio(group, env);
-    if (hottest_group == nullptr || ratio > hottest_ratio) {
-      hottest_group = &group;
-      hottest_ratio = ratio;
-    }
-  }
+  const CpuGroup* hottest_group = Greatest(domain.groups, group_ratio, &hottest_ratio);
   if (hottest_group == nullptr || hottest_group == &local_group) {
     return result;
   }
 
   // 2. Dual condition: hotter (slow thermal metric, hysteresis) AND consuming
   // more (fast runqueue metric, forbids over-pulling).
-  const double local_rq_ratio = cache.RunqueuePowerRatio(local_group, env);
+  const double local_rq_ratio = group_ratio(local_group);
   const double local_thermal_ratio = cache.ThermalPowerRatio(local_group, env);
   const double remote_thermal_ratio = cache.ThermalPowerRatio(*hottest_group, env);
   if (remote_thermal_ratio <= local_thermal_ratio + options_.thermal_ratio_margin ||
@@ -68,38 +45,10 @@ EnergyLoadBalancer::Result EnergyLoadBalancer::EnergyStep(int cpu, const SchedDo
     return result;
   }
 
-  // Hottest queue within the group. Deep hierarchies descend the
-  // child-domain links by cached group ratio (O(fanout x depth)); classic
-  // machines keep the historical flat scan.
-  const CpuGroup* scope = hottest_group;
-  if (env.domains().num_levels() > 3) {
-    while (scope->child_domain >= 0) {
-      const SchedDomain& child =
-          env.domains().domains()[static_cast<std::size_t>(scope->child_domain)];
-      const CpuGroup* hottest_sub = nullptr;
-      double hottest_sub_ratio = 0.0;
-      for (const CpuGroup& sub : child.groups) {
-        const double ratio = cache.RunqueuePowerRatio(sub, env);
-        if (hottest_sub == nullptr || ratio > hottest_sub_ratio) {
-          hottest_sub = &sub;
-          hottest_sub_ratio = ratio;
-        }
-      }
-      if (hottest_sub == nullptr) {
-        break;
-      }
-      scope = hottest_sub;
-    }
-  }
-  int hottest_cpu = -1;
-  double hottest_cpu_ratio = 0.0;
-  for (int remote_cpu : scope->cpus) {
-    const double ratio = rq_ratio(remote_cpu);
-    if (hottest_cpu < 0 || ratio > hottest_cpu_ratio) {
-      hottest_cpu = remote_cpu;
-      hottest_cpu_ratio = ratio;
-    }
-  }
+  // Hottest queue within the group.
+  const int hottest_cpu =
+      GreatestCpu(NarrowDeep(*hottest_group, env, group_ratio).cpus,
+                  [&env](int c) { return env.RunqueuePowerRatio(c); });
   if (hottest_cpu < 0) {
     return result;
   }
@@ -118,7 +67,7 @@ EnergyLoadBalancer::Result EnergyLoadBalancer::EnergyStep(int cpu, const SchedDo
   // 3. Pulling must reduce the imbalance: the task must be hotter than the
   // local queue's average power...
   const double task_power = hot_task->profile().power();
-  if (task_power <= env.RunqueuePower(cpu) * options_.min_task_gain) {
+  if (task_power <= env.RunqueuePower(cpu) * kMinTaskGain) {
     return result;
   }
   // ...and the hypothetical post-migration ratio gap must shrink, otherwise
@@ -156,7 +105,7 @@ EnergyLoadBalancer::Result EnergyLoadBalancer::EnergyStep(int cpu, const SchedDo
     const double old_gap =
         std::fabs(env.RunqueuePowerRatio(hottest_cpu) - env.RunqueuePowerRatio(cpu));
     const double new_gap = std::fabs(new_remote_ratio - new_local_ratio);
-    if (new_gap >= old_gap * options_.min_gap_shrink) {
+    if (new_gap >= old_gap * kMinGapShrink) {
       return result;
     }
   }
@@ -190,15 +139,8 @@ int EnergyLoadBalancer::LoadStep(int cpu, const SchedDomain& domain, const CpuGr
                                  BalanceEnv& env) const {
   BalanceAggregateCache& cache = env.aggregate_cache();
 
-  const CpuGroup* busiest_group = nullptr;
-  double busiest_load = 0.0;
-  for (const auto& group : domain.groups) {
-    const double load = cache.Load(group, env);
-    if (busiest_group == nullptr || load > busiest_load) {
-      busiest_group = &group;
-      busiest_load = load;
-    }
-  }
+  const CpuGroup* busiest_group =
+      Greatest(domain.groups, [&](const CpuGroup& g) { return cache.Load(g, env); });
   if (busiest_group == nullptr || busiest_group == &local_group) {
     return 0;
   }
@@ -214,8 +156,7 @@ int EnergyLoadBalancer::LoadStep(int cpu, const SchedDomain& domain, const CpuGr
     preference = PullPreference::kCool;
   }
 
-  return LoadBalancer::PullFromBusiest(cpu, *busiest_group, preference,
-                                       options_.min_load_imbalance, env);
+  return LoadBalancer::PullFromBusiest(cpu, *busiest_group, preference, env);
 }
 
 }  // namespace eas

@@ -26,35 +26,26 @@
 
 namespace eas {
 
-class EnergyLoadBalancer {
+class EnergyLoadBalancer : public BalancePolicy {
  public:
   struct Options {
-    // Load imbalance (difference in nr_running) tolerated before pulling.
-    std::size_t min_load_imbalance = 2;
     // The remote group must exceed the local group by these margins in
     // thermal power ratio / runqueue power ratio before heat is pulled.
     // The dual condition is the paper's ping-pong/over-balancing defence.
     double thermal_ratio_margin = 0.04;
     double rq_ratio_margin = 0.04;
-    // Pulling a task must actually reduce the power-ratio spread: the pulled
-    // task's profile must exceed the local runqueue power by this factor...
-    double min_task_gain = 1.02;
-    // ...and the hypothetical post-migration ratio gap between the two
-    // queues must shrink by at least this factor (over-balancing defence:
-    // a pull that would merely flip the imbalance is rejected).
-    double min_gap_shrink = 0.85;
   };
+
+  // Pulling a task must actually reduce the power-ratio spread: the pulled
+  // task's profile must exceed the local runqueue power by this factor...
+  static constexpr double kMinTaskGain = 1.02;
+  // ...and the hypothetical post-migration ratio gap between the two queues
+  // must shrink by at least this factor (over-balancing defence: a pull that
+  // would merely flip the imbalance is rejected).
+  static constexpr double kMinGapShrink = 0.85;
 
   EnergyLoadBalancer();
   explicit EnergyLoadBalancer(const Options& options);
-
-  // Idle-machine no-op guarantee (the engine's skip-ahead capability flag):
-  // with every runqueue empty the energy step returns at its
-  // remote.nr_running() < 2 guard and the load step inherits
-  // LoadBalancer's min-imbalance exit, so a pass only reads aggregates
-  // (the per-pass BalanceAggregateCache is reset on every pass, so skipped
-  // passes leave nothing stale behind) and draws no RNG.
-  static constexpr bool kIdleMachineNoop = true;
 
   struct Result {
     int energy_migrations = 0;    // hot pulls from the energy step
@@ -64,10 +55,19 @@ class EnergyLoadBalancer {
     int total() const { return energy_migrations + exchange_migrations + load_migrations; }
   };
 
-  // One balancing pass for `cpu` (both steps, every level).
-  Result Balance(int cpu, BalanceEnv& env) const;
+  // One balancing pass for `cpu` (both steps, every level), per step.
+  Result BalanceSteps(int cpu, BalanceEnv& env) const;
 
-  const Options& options() const { return options_; }
+  // The same pass; returns the total migrations.
+  int Balance(int cpu, BalanceEnv& env) override { return BalanceSteps(cpu, env).total(); }
+
+  // Idle-machine no-op guarantee (the engine's skip-ahead capability flag):
+  // with every runqueue empty the energy step returns at its
+  // remote.nr_running() < 2 guard and the load step inherits
+  // LoadBalancer's min-imbalance exit, so a pass only reads aggregates
+  // (the per-pass BalanceAggregateCache is reset on every pass, so skipped
+  // passes leave nothing stale behind) and draws no RNG.
+  bool IdleMachineIsNoop() const override { return true; }
 
  private:
   Options options_;

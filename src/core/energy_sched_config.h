@@ -10,9 +10,7 @@
 
 #include <string>
 
-#include "src/base/time.h"
 #include "src/core/energy_balancer.h"
-#include "src/core/hot_task_migrator.h"
 
 namespace eas {
 
@@ -26,15 +24,7 @@ struct EnergySchedConfig {
   bool hot_task_migration = true;
   bool energy_aware_placement = true;
 
-  // Balancing cadence (per CPU). Linux rebalances every ~100-200 ms busy.
-  Tick balance_interval_ticks = 200;
-  // Idle CPUs try to pull work much more eagerly.
-  Tick idle_balance_interval_ticks = 10;
-  // Hot-task-migration trigger check cadence.
-  Tick hot_check_interval_ticks = 100;
-
   EnergyLoadBalancer::Options balancer;
-  HotTaskMigrator::Options hot_migration;
 
   // Everything off: stock Linux behaviour (the paper's baseline).
   static EnergySchedConfig Baseline() {

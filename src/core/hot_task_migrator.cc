@@ -2,10 +2,6 @@
 
 namespace eas {
 
-HotTaskMigrator::HotTaskMigrator() : HotTaskMigrator(Options{}) {}
-
-HotTaskMigrator::HotTaskMigrator(const Options& options) : options_(options) {}
-
 bool HotTaskMigrator::ShouldMigrate(int cpu, const BalanceEnv& env) const {
   const Runqueue& rq = env.runqueue(cpu);
   if (rq.nr_running() != 1 || rq.current() == nullptr) {
@@ -19,7 +15,7 @@ bool HotTaskMigrator::ShouldMigrate(int cpu, const BalanceEnv& env) const {
     thermal_sum += env.ThermalPower(sibling);
     max_sum += env.MaxPower(sibling);
   }
-  return thermal_sum > max_sum - options_.trigger_margin_watts;
+  return thermal_sum > max_sum - kTriggerMarginWatts;
 }
 
 HotTaskMigrator::Result HotTaskMigrator::Check(int cpu, BalanceEnv& env) const {
@@ -27,7 +23,6 @@ HotTaskMigrator::Result HotTaskMigrator::Check(int cpu, BalanceEnv& env) const {
   if (!ShouldMigrate(cpu, env)) {
     return result;
   }
-  ++attempts_;
 
   Task* hot_task = env.runqueue(cpu).current();
   const CpuTopology& topo = env.topology();
@@ -69,7 +64,7 @@ HotTaskMigrator::Result HotTaskMigrator::Check(int cpu, BalanceEnv& env) const {
       continue;
     }
     // Must be considerably cooler, or the task would bounce right back.
-    if (source_thermal - coolest_package < options_.min_thermal_diff_watts) {
+    if (source_thermal - coolest_package < kMinThermalDiffWatts) {
       continue;  // ascend: maybe a higher-level domain has a cooler CPU
     }
 
@@ -86,8 +81,7 @@ HotTaskMigrator::Result HotTaskMigrator::Check(int cpu, BalanceEnv& env) const {
     // Exchange with a CPU running a single cool task (no load imbalance).
     Task* dest_task = dest.current();
     if (dest.nr_running() == 1 && dest_task != nullptr &&
-        dest_task->profile().power() + options_.exchange_margin_watts <
-            hot_task->profile().power()) {
+        dest_task->profile().power() + kExchangeMarginWatts < hot_task->profile().power()) {
       // The two halves are reported independently: if the return exchange
       // fails, the hot task still moved and the statistics must say so.
       if (env.MigrateTask(hot_task, cpu, coolest)) {

@@ -16,29 +16,22 @@
 #ifndef SRC_CORE_HOT_TASK_MIGRATOR_H_
 #define SRC_CORE_HOT_TASK_MIGRATOR_H_
 
-#include <cstdint>
-
 #include "src/sched/balance_env.h"
 
 namespace eas {
 
 class HotTaskMigrator {
  public:
-  struct Options {
-    // Trigger: thermal power within this margin of max power (W). Must be
-    // wide enough that the migration check (every ~100 ms) fires before the
-    // throttle controller does.
-    double trigger_margin_watts = 2.0;
-    // Destination must be cooler than the source by at least this much (W);
-    // "considerably cooler" limits the migration frequency.
-    double min_thermal_diff_watts = 10.0;
-    // For an exchange, the destination's running task must be cooler than
-    // the hot task by this margin (W).
-    double exchange_margin_watts = 5.0;
-  };
-
-  HotTaskMigrator();
-  explicit HotTaskMigrator(const Options& options);
+  // Trigger: thermal power within this margin of max power (W). Must be wide
+  // enough that the migration check (every ~100 ms) fires before the
+  // throttle controller does.
+  static constexpr double kTriggerMarginWatts = 2.0;
+  // Destination must be cooler than the source by at least this much (W);
+  // "considerably cooler" limits the migration frequency.
+  static constexpr double kMinThermalDiffWatts = 10.0;
+  // For an exchange, the destination's running task must be cooler than the
+  // hot task by this margin (W).
+  static constexpr double kExchangeMarginWatts = 5.0;
 
   struct Result {
     bool migrated = false;
@@ -53,14 +46,6 @@ class HotTaskMigrator {
   // The trigger condition alone (exposed for tests and the machine's fast
   // path): true if the CPU is about to reach its limit and runs one task.
   bool ShouldMigrate(int cpu, const BalanceEnv& env) const;
-
-  std::int64_t attempts() const { return attempts_; }
-
-  const Options& options() const { return options_; }
-
- private:
-  Options options_;
-  mutable std::int64_t attempts_ = 0;
 };
 
 }  // namespace eas

@@ -18,50 +18,33 @@
 #define SRC_CORE_NAIVE_BALANCERS_H_
 
 #include "src/sched/balance_env.h"
+#include "src/sched/balance_policy.h"
 
 namespace eas {
 
-class PowerOnlyBalancer {
- public:
-  struct Options {
-    double ratio_margin = 0.04;          // same margin as the real balancer
-    std::size_t min_load_imbalance = 2;
-  };
+// How far the remote group's metric must exceed the local group's before a
+// strawman pulls heat - the real balancer's default margin.
+inline constexpr double kNaiveRatioMargin = 0.04;
 
-  PowerOnlyBalancer();
-  explicit PowerOnlyBalancer(const Options& options);
+class PowerOnlyBalancer : public BalancePolicy {
+ public:
+  // One pass for `cpu`; returns tasks migrated.
+  int Balance(int cpu, BalanceEnv& env) override;
 
   // Idle-machine no-op (skip-ahead capability): NaiveBalance only pulls from
   // queues with nr_running() >= 2 and the trailing load step exits on the
   // min-imbalance guard, so an all-idle pass mutates nothing.
-  static constexpr bool kIdleMachineNoop = true;
-
-  // One pass for `cpu`; returns tasks migrated.
-  int Balance(int cpu, BalanceEnv& env) const;
-
- private:
-  Options options_;
+  bool IdleMachineIsNoop() const override { return true; }
 };
 
-class TemperatureOnlyBalancer {
+class TemperatureOnlyBalancer : public BalancePolicy {
  public:
-  struct Options {
-    double ratio_margin = 0.04;
-    std::size_t min_load_imbalance = 2;
-  };
-
-  TemperatureOnlyBalancer();
-  explicit TemperatureOnlyBalancer(const Options& options);
+  int Balance(int cpu, BalanceEnv& env) override;
 
   // Idle-machine no-op (skip-ahead capability): same shape as
   // PowerOnlyBalancer - NaiveBalance's nr_running() >= 2 pull guard plus the
   // load step's min-imbalance exit.
-  static constexpr bool kIdleMachineNoop = true;
-
-  int Balance(int cpu, BalanceEnv& env) const;
-
- private:
-  Options options_;
+  bool IdleMachineIsNoop() const override { return true; }
 };
 
 }  // namespace eas

@@ -1,7 +1,6 @@
 #include "src/sched/balance_cache.h"
 
 #include "src/sched/balance_env.h"
-#include "src/sched/load_balancer.h"
 
 namespace eas {
 
@@ -19,9 +18,9 @@ void BalanceAggregateCache::InvalidateCpus(const BalanceEnv& env, int from, int 
   for (int cpu : {from, to}) {
     for (const DomainCursor& cursor : env.domains().StackFor(cpu)) {
       if (Entry* entry = EntryFor(*cursor.group)) {
-        entry->rq_epoch = 0;
-        entry->thermal_epoch = 0;
-        entry->load_epoch = 0;
+        entry->rq.epoch = 0;
+        entry->thermal.epoch = 0;
+        entry->load.epoch = 0;
       }
     }
   }
@@ -33,100 +32,64 @@ BalanceAggregateCache::Entry* BalanceAggregateCache::EntryFor(const CpuGroup& gr
   }
   const std::size_t index = static_cast<std::size_t>(group.index);
   if (index >= entries_.size()) {
-    // Fresh Entry slots carry epoch 0, which never matches epoch_ (it
-    // starts at 1 and only grows), so grown slots read as stale.
+    // Fresh slots carry epoch 0, which never matches epoch_ (it starts at 1
+    // and only grows), so grown slots read as stale.
     entries_.resize(index + 1);
   }
   return &entries_[index];
 }
 
-double BalanceAggregateCache::RqSum(const CpuGroup& group, const BalanceEnv& env) {
-  if (const Entry* entry = EntryFor(group); entry != nullptr && entry->rq_epoch == epoch_) {
-    return entry->rq_sum;
+template <typename V, typename Metric>
+V BalanceAggregateCache::Sum(const CpuGroup& group, const BalanceEnv& env, Slot<V> Entry::*slot,
+                             Metric metric, bool rollup) {
+  if (const Entry* entry = EntryFor(group); entry != nullptr && (entry->*slot).epoch == epoch_) {
+    return (entry->*slot).value;
   }
-  double sum = 0.0;
-  if (deep_rollups_ && group.child_domain >= 0) {
+  V sum{};
+  if (rollup && group.child_domain >= 0) {
     const SchedDomain& child = env.domains().domains()[static_cast<std::size_t>(group.child_domain)];
     for (const CpuGroup& sub : child.groups) {
-      sum += RqSum(sub, env);  // may grow entries_; no references held
+      sum += Sum(sub, env, slot, metric, rollup);  // may grow entries_; no references held
     }
   } else {
     for (int cpu : group.cpus) {
-      sum += env.RunqueuePowerRatio(cpu);
+      sum += metric(cpu);
     }
   }
   if (Entry* entry = EntryFor(group)) {
-    entry->rq_sum = sum;
-    entry->rq_epoch = epoch_;
+    entry->*slot = Slot<V>{sum, epoch_};
   }
   return sum;
 }
 
-double BalanceAggregateCache::ThermalSum(const CpuGroup& group, const BalanceEnv& env) {
-  if (const Entry* entry = EntryFor(group); entry != nullptr && entry->thermal_epoch == epoch_) {
-    return entry->thermal_sum;
+template <typename V, typename Metric>
+double BalanceAggregateCache::Average(const CpuGroup& group, const BalanceEnv& env,
+                                      Slot<V> Entry::*slot, Metric metric, bool rollup) {
+  if (group.cpus.empty()) {
+    return 0.0;
   }
-  double sum = 0.0;
-  if (deep_rollups_ && group.child_domain >= 0) {
-    const SchedDomain& child = env.domains().domains()[static_cast<std::size_t>(group.child_domain)];
-    for (const CpuGroup& sub : child.groups) {
-      sum += ThermalSum(sub, env);
-    }
-  } else {
-    for (int cpu : group.cpus) {
-      sum += env.ThermalPowerRatio(cpu);
-    }
-  }
-  if (Entry* entry = EntryFor(group)) {
-    entry->thermal_sum = sum;
-    entry->thermal_epoch = epoch_;
-  }
-  return sum;
-}
-
-std::size_t BalanceAggregateCache::LoadTotal(const CpuGroup& group, const BalanceEnv& env) {
-  if (const Entry* entry = EntryFor(group); entry != nullptr && entry->load_epoch == epoch_) {
-    return entry->load_total;
-  }
-  std::size_t total = 0;
-  // Integer addition is associative, so the rollup is exact at any depth and
-  // needs no deep-hierarchy gate - only an existing child link.
-  if (group.child_domain >= 0) {
-    const SchedDomain& child = env.domains().domains()[static_cast<std::size_t>(group.child_domain)];
-    for (const CpuGroup& sub : child.groups) {
-      total += LoadTotal(sub, env);
-    }
-  } else {
-    for (int cpu : group.cpus) {
-      total += env.runqueue(cpu).nr_running();
-    }
-  }
-  if (Entry* entry = EntryFor(group)) {
-    entry->load_total = total;
-    entry->load_epoch = epoch_;
-  }
-  return total;
+  return static_cast<double>(Sum(group, env, slot, metric, rollup)) /
+         static_cast<double>(group.cpus.size());
 }
 
 double BalanceAggregateCache::RunqueuePowerRatio(const CpuGroup& group, const BalanceEnv& env) {
-  if (group.cpus.empty()) {
-    return 0.0;
-  }
-  return RqSum(group, env) / static_cast<double>(group.cpus.size());
+  return Average(
+      group, env, &Entry::rq, [&env](int cpu) { return env.RunqueuePowerRatio(cpu); },
+      deep_rollups_);
 }
 
 double BalanceAggregateCache::ThermalPowerRatio(const CpuGroup& group, const BalanceEnv& env) {
-  if (group.cpus.empty()) {
-    return 0.0;
-  }
-  return ThermalSum(group, env) / static_cast<double>(group.cpus.size());
+  return Average(
+      group, env, &Entry::thermal, [&env](int cpu) { return env.ThermalPowerRatio(cpu); },
+      deep_rollups_);
 }
 
 double BalanceAggregateCache::Load(const CpuGroup& group, const BalanceEnv& env) {
-  if (group.cpus.empty()) {
-    return 0.0;
-  }
-  return static_cast<double>(LoadTotal(group, env)) / static_cast<double>(group.cpus.size());
+  // Integer addition is associative, so the load rollup is exact at any
+  // depth and needs no deep-hierarchy gate - only an existing child link.
+  return Average(
+      group, env, &Entry::load, [&env](int cpu) { return env.runqueue(cpu).nr_running(); },
+      true);
 }
 
 }  // namespace eas

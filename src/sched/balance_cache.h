@@ -12,16 +12,17 @@
 // within one tick share the aggregates) and drops everything once the
 // version moves (task execution mutated the metrics). After a migration the
 // balancer calls InvalidateCpus(env, from, to) - only the group entries on
-// the two CPUs' domain paths can have changed, everything else stays warm -
-// or the sledgehammer Invalidate() when the touched CPUs are unknown.
+// the two CPUs' domain paths can have changed, everything else stays warm.
+// The argument-less BeginPass() drops everything unconditionally.
 //
-// Values are computed lazily per group and per metric. On classic <= 3-level
-// hierarchies the summation is exactly the flat scan it replaces, so a
-// cached pass is bit-identical to an uncached one. On deeper hierarchies the
-// double-valued metrics roll up the child-domain links instead (a group's
-// sum is the sum of its child domain's group sums), making a cold group
-// O(fanout) on warm children instead of O(all CPUs below it); integer load
-// totals roll up at every depth since integer addition is associative.
+// Values are computed lazily per group and per metric, all three through one
+// memoized sum. On classic <= 3-level hierarchies the summation is exactly
+// the flat scan it replaces, so a cached pass is bit-identical to an
+// uncached one. On deeper hierarchies the double-valued metrics roll up the
+// child-domain links instead (a group's sum is the sum of its child domain's
+// group sums), making a cold group O(fanout) on warm children instead of
+// O(all CPUs below it); integer load totals roll up at every depth since
+// integer addition is associative.
 
 #ifndef SRC_SCHED_BALANCE_CACHE_H_
 #define SRC_SCHED_BALANCE_CACHE_H_
@@ -43,12 +44,9 @@ class BalanceAggregateCache {
   // enough for double-metric rollups.
   void BeginPass(const BalanceEnv& env);
 
-  // Unconditional pass start: every cached value is stale from here on.
+  // Unconditional pass start: every cached value is stale from here on (also
+  // the call after a mutation whose footprint is unknown).
   void BeginPass() { ++epoch_; has_version_ = false; }
-
-  // Drops all cached values (call after a mutation whose footprint is
-  // unknown).
-  void Invalidate() { ++epoch_; has_version_ = false; }
 
   // Drops the group entries on `from`'s and `to`'s domain paths (their
   // epochs reset, so the slots read as stale) - the only aggregates a
@@ -68,18 +66,31 @@ class BalanceAggregateCache {
   double Load(const CpuGroup& group, const BalanceEnv& env);
 
  private:
+  // One metric's cached group sum, valid while `epoch` equals epoch_.
+  template <typename V>
+  struct Slot {
+    V value{};
+    std::uint64_t epoch = 0;
+  };
   struct Entry {
-    double rq_sum = 0.0;
-    double thermal_sum = 0.0;
-    std::size_t load_total = 0;
-    std::uint64_t rq_epoch = 0;
-    std::uint64_t thermal_epoch = 0;
-    std::uint64_t load_epoch = 0;
+    Slot<double> rq;         // sum of RunqueuePowerRatio
+    Slot<double> thermal;    // sum of ThermalPowerRatio
+    Slot<std::size_t> load;  // sum of nr_running
   };
 
-  double RqSum(const CpuGroup& group, const BalanceEnv& env);
-  double ThermalSum(const CpuGroup& group, const BalanceEnv& env);
-  std::size_t LoadTotal(const CpuGroup& group, const BalanceEnv& env);
+  // Sum of `metric(cpu)` over `group`'s CPUs, memoized in `slot`. With
+  // `rollup` the sum is taken over the child domain's (memoized) group sums
+  // where a child link exists, instead of over the CPUs. `metric` is taken
+  // by value: through a reference, the compiler reloads its capture after
+  // every virtual per-CPU call, which cost a deep pass a few percent.
+  template <typename V, typename Metric>
+  V Sum(const CpuGroup& group, const BalanceEnv& env, Slot<V> Entry::*slot, Metric metric,
+        bool rollup);
+
+  // Sum / number of CPUs (0 for an empty group).
+  template <typename V, typename Metric>
+  double Average(const CpuGroup& group, const BalanceEnv& env, Slot<V> Entry::*slot,
+                 Metric metric, bool rollup);
 
   // Cache slot for `group`, or nullptr for a group without a hierarchy
   // index (hand-built in tests) - those compute uncached. Grows the table

@@ -24,8 +24,8 @@ class BalanceEnv {
   virtual ~BalanceEnv() = default;
 
   // Per-balance-pass cache of group aggregates. Policies call BeginPass(env)
-  // on entry to Balance() and InvalidateCpus()/Invalidate() after each
-  // migration they perform; see src/sched/balance_cache.h for the protocol.
+  // on entry to Balance() and InvalidateCpus() after each migration they
+  // perform; see src/sched/balance_cache.h for the protocol.
   BalanceAggregateCache& aggregate_cache() const { return aggregate_cache_; }
 
   // Version stamp of the balance metrics (runqueue contents, profiles,

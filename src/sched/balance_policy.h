@@ -9,8 +9,6 @@
 #ifndef SRC_SCHED_BALANCE_POLICY_H_
 #define SRC_SCHED_BALANCE_POLICY_H_
 
-#include <string>
-
 #include "src/sched/balance_env.h"
 
 namespace eas {
@@ -22,14 +20,11 @@ class BalancePolicy {
   // One balancing pass for `cpu`. Returns the number of tasks migrated.
   virtual int Balance(int cpu, BalanceEnv& env) = 0;
 
-  // The registry name this policy was created under.
-  virtual const std::string& name() const = 0;
-
   // True when one Balance() pass over a machine whose runqueues are *all*
   // empty is guaranteed to be a no-op: no env or policy state mutated, no
   // RNG drawn, nothing observable. The engine's quiescent-span skip-ahead
   // relies on this to elide idle-interval balance passes; a policy must opt
-  // in explicitly (the builtins do, with the proof at their opt-in site).
+  // in explicitly (the builtins do, with the proof at their override).
   // The conservative default keeps an unknown policy on the naive
   // tick-by-tick path, so skip-ahead can never change its behaviour.
   virtual bool IdleMachineIsNoop() const { return false; }

@@ -2,10 +2,6 @@
 
 namespace eas {
 
-LoadBalancer::LoadBalancer() : LoadBalancer(Options{}) {}
-
-LoadBalancer::LoadBalancer(const Options& options) : options_(options) {}
-
 double LoadBalancer::GroupLoad(const CpuGroup& group, const BalanceEnv& env) {
   if (group.cpus.empty()) {
     return 0.0;
@@ -29,101 +25,46 @@ Task* LoadBalancer::PickTask(const Runqueue& queue, PullPreference preference) {
   return nullptr;
 }
 
-Runqueue* LoadBalancer::BusiestQueueIn(const CpuGroup& group, BalanceEnv& env) {
-  const CpuGroup* scope = &group;
-  if (env.domains().num_levels() > 3) {
-    // Deep hierarchy: descend the child-domain links by cached group load
-    // instead of scanning every runqueue under a coarse group - the pull
-    // stays O(fanout x depth) at rack scale. Classic 3-level machines keep
-    // the historical flat scan (and its exact tie-breaking).
-    BalanceAggregateCache& cache = env.aggregate_cache();
-    while (scope->child_domain >= 0) {
-      const SchedDomain& child =
-          env.domains().domains()[static_cast<std::size_t>(scope->child_domain)];
-      const CpuGroup* busiest_sub = nullptr;
-      double busiest_load = 0.0;
-      for (const CpuGroup& sub : child.groups) {
-        const double load = cache.Load(sub, env);
-        if (busiest_sub == nullptr || load > busiest_load) {
-          busiest_sub = &sub;
-          busiest_load = load;
-        }
-      }
-      if (busiest_sub == nullptr) {
-        break;
-      }
-      scope = busiest_sub;
-    }
-  }
-  Runqueue* busiest = nullptr;
-  for (int remote_cpu : scope->cpus) {
-    Runqueue& rq = env.runqueue(remote_cpu);
-    if (busiest == nullptr || rq.nr_running() > busiest->nr_running()) {
-      busiest = &rq;
-    }
-  }
-  return busiest;
-}
-
 int LoadBalancer::PullFromBusiest(int cpu, const CpuGroup& group, PullPreference preference,
-                                  std::size_t min_imbalance, BalanceEnv& env) {
+                                  BalanceEnv& env) {
+  BalanceAggregateCache& cache = env.aggregate_cache();
+  auto load = [&](const CpuGroup& g) { return cache.Load(g, env); };
+  auto queue_length = [&env](int c) { return env.runqueue(c).nr_running(); };
   int pulled = 0;
   while (true) {
     Runqueue& local = env.runqueue(cpu);
-    Runqueue* busiest = BusiestQueueIn(group, env);
-    if (busiest == nullptr || busiest->nr_running() < local.nr_running() + min_imbalance) {
+    const int busiest_cpu = GreatestCpu(NarrowDeep(group, env, load).cpus, queue_length);
+    if (busiest_cpu < 0) {
       break;
     }
-    Task* task = PickTask(*busiest, preference);
+    Runqueue& busiest = env.runqueue(busiest_cpu);
+    if (busiest.nr_running() < local.nr_running() + kMinLoadImbalance) {
+      break;
+    }
+    Task* task = PickTask(busiest, preference);
     if (task == nullptr) {
       break;  // only the running task is left; cannot pull it
     }
-    if (!env.MigrateTask(task, busiest->cpu(), cpu)) {
+    if (!env.MigrateTask(task, busiest_cpu, cpu)) {
       break;
     }
-    env.aggregate_cache().InvalidateCpus(env, busiest->cpu(), cpu);
+    cache.InvalidateCpus(env, busiest_cpu, cpu);
     ++pulled;
   }
   return pulled;
 }
 
-int LoadBalancer::Balance(int cpu, BalanceEnv& env) const {
+int LoadBalancer::Balance(int cpu, BalanceEnv& env) {
   BalanceAggregateCache& cache = env.aggregate_cache();
   cache.BeginPass(env);
-  int pulled = 0;
-  for (const DomainCursor& cursor : env.domains().StackFor(cpu)) {
-    const SchedDomain* domain = cursor.domain;
-    const CpuGroup* local_group = cursor.group;
-    if (local_group == nullptr) {
-      continue;
+  return BalanceLevels(cpu, env, [&](const SchedDomain& domain, const CpuGroup& local_group) {
+    const CpuGroup* busiest_group =
+        Greatest(domain.groups, [&](const CpuGroup& g) { return cache.Load(g, env); });
+    if (busiest_group == nullptr || busiest_group == &local_group) {
+      return 0;  // nothing to pull at this level; ascend
     }
-
-    // Find the busiest group in the domain.
-    const CpuGroup* busiest_group = nullptr;
-    double busiest_load = 0.0;
-    for (const auto& group : domain->groups) {
-      const double load = cache.Load(group, env);
-      if (busiest_group == nullptr || load > busiest_load) {
-        busiest_group = &group;
-        busiest_load = load;
-      }
-    }
-    if (busiest_group == nullptr || busiest_group == local_group) {
-      continue;  // nothing to pull at this level; ascend
-    }
-
-    // Pull from the longest queue in the busiest group while the imbalance
-    // against the local runqueue persists.
-    pulled += PullFromBusiest(cpu, *busiest_group, PullPreference::kAny,
-                              options_.min_imbalance, env);
-
-    if (pulled > 0) {
-      // Imbalance resolved in the lowest domain possible; higher levels run
-      // on later invocations if an imbalance remains.
-      break;
-    }
-  }
-  return pulled;
+    return PullFromBusiest(cpu, *busiest_group, PullPreference::kAny, env);
+  });
 }
 
 }  // namespace eas

@@ -1,4 +1,5 @@
-// Baseline hierarchical load balancer (Linux 2.6 style).
+// Baseline hierarchical load balancer (Linux 2.6 style), and the one search
+// every balancing policy is written over.
 //
 // Runs on every CPU and only *pulls*: imbalances that would require pushing
 // are resolved when the balancer runs on the remote CPU (Section 4.4). For
@@ -9,16 +10,100 @@
 //
 // This is the paper's *comparison baseline* ("energy balancing disabled"):
 // it balances load only. The merged energy+load algorithm lives in
-// src/core/energy_balancer.
+// src/core/energy_balancer, the single-metric strawmen in
+// src/core/naive_balancers; all of them pick a group and then a queue with
+// Greatest/GreatestCpu and walk the levels with BalanceLevels.
 
 #ifndef SRC_SCHED_LOAD_BALANCER_H_
 #define SRC_SCHED_LOAD_BALANCER_H_
 
 #include <cstddef>
+#include <type_traits>
+#include <vector>
 
 #include "src/sched/balance_env.h"
+#include "src/sched/balance_policy.h"
 
 namespace eas {
+
+// Minimum difference in queue lengths before a pull happens. 2 matches
+// Linux's behaviour of tolerating a difference of one task.
+inline constexpr std::size_t kMinLoadImbalance = 2;
+
+// The first of `items` with the strictly greatest `key(item)`, so ties go to
+// the lowest index; nullptr when `items` is empty. Stores that key in
+// `*greatest_key` when given, so a caller needs no second lookup.
+template <typename T, typename Key>
+const T* Greatest(const std::vector<T>& items, Key&& key,
+                  std::invoke_result_t<Key&, const T&>* greatest_key = nullptr) {
+  const T* best = nullptr;
+  std::invoke_result_t<Key&, const T&> best_key{};
+  for (const T& item : items) {
+    const auto item_key = key(item);
+    if (best == nullptr || item_key > best_key) {
+      best = &item;
+      best_key = item_key;
+    }
+  }
+  if (greatest_key != nullptr) {
+    *greatest_key = best_key;
+  }
+  return best;
+}
+
+// Greatest over CPU ids: the CPU with the strictly greatest `key(cpu)`, ties
+// to the lowest index; -1 when `cpus` is empty.
+template <typename Key>
+int GreatestCpu(const std::vector<int>& cpus, Key&& key) {
+  const int* best = Greatest(cpus, key);
+  return best != nullptr ? *best : -1;
+}
+
+// The scope a policy searches for its source queue within `group`. On deep
+// (> 3-level) hierarchies it descends the child-domain links to the
+// sub-group with the greatest `group_key` at each level, O(fanout x depth)
+// instead of every runqueue under a coarse group; classic machines keep the
+// group as it is (and the flat scan's exact tie-breaking).
+template <typename GroupKey>
+const CpuGroup& NarrowDeep(const CpuGroup& group, const BalanceEnv& env, GroupKey&& group_key) {
+  const CpuGroup* scope = &group;
+  if (env.domains().num_levels() > 3) {
+    while (scope->child_domain >= 0) {
+      const SchedDomain& child =
+          env.domains().domains()[static_cast<std::size_t>(scope->child_domain)];
+      const CpuGroup* sub = Greatest(child.groups, group_key);
+      if (sub == nullptr) {
+        break;
+      }
+      scope = sub;
+    }
+  }
+  return *scope;
+}
+
+// Runs `level(domain, local_group)` over `cpu`'s domain levels bottom-up,
+// skipping cursors without a local group, and returns the first level result
+// that migrated anything: an imbalance is resolved in the lowest domain
+// possible, and higher levels run on later invocations if one remains. A
+// level result is a migration count or a struct with total().
+template <typename Level>
+auto BalanceLevels(int cpu, const BalanceEnv& env, Level&& level) {
+  using Result = std::invoke_result_t<Level&, const SchedDomain&, const CpuGroup&>;
+  for (const DomainCursor& cursor : env.domains().StackFor(cpu)) {
+    if (cursor.group == nullptr) {
+      continue;
+    }
+    const Result result = level(*cursor.domain, *cursor.group);
+    if constexpr (std::is_integral_v<Result>) {
+      if (result > 0) {
+        return result;
+      }
+    } else if (result.total() > 0) {
+      return result;
+    }
+  }
+  return Result{};
+}
 
 // Which task to prefer when pulling from a remote queue.
 enum class PullPreference {
@@ -27,32 +112,22 @@ enum class PullPreference {
   kCool,  // lowest energy profile (remote group is cooler than us)
 };
 
-class LoadBalancer {
+class LoadBalancer : public BalancePolicy {
  public:
-  struct Options {
-    // Minimum difference in queue lengths before a pull happens. 2 matches
-    // Linux's behaviour of tolerating a difference of one task.
-    std::size_t min_imbalance = 2;
-  };
-
-  LoadBalancer();
-  explicit LoadBalancer(const Options& options);
+  // One balancing pass for `cpu`. Returns the number of tasks pulled.
+  int Balance(int cpu, BalanceEnv& env) override;
 
   // Idle-machine no-op guarantee (the engine's skip-ahead capability flag):
   // with every runqueue empty, PullFromBusiest exits at every level because
-  // busiest->nr_running() (0) < local.nr_running() (0) + min_imbalance, so a
-  // pass reads loads but mutates nothing and draws no RNG.
-  static constexpr bool kIdleMachineNoop = true;
-
-  // One balancing pass for `cpu`. Returns the number of tasks pulled.
-  int Balance(int cpu, BalanceEnv& env) const;
+  // busiest->nr_running() (0) < local.nr_running() (0) + kMinLoadImbalance,
+  // so a pass reads loads but mutates nothing and draws no RNG.
+  bool IdleMachineIsNoop() const override { return true; }
 
   // Average nr_running over a CPU group.
   static double GroupLoad(const CpuGroup& group, const BalanceEnv& env);
 
-  // Average of a per-CPU metric over a group (0 for an empty group). The one
-  // definition of group-average semantics: the merged energy/load balancer,
-  // the naive strawmen and the balance-aggregate cache all go through it.
+  // Average of a per-CPU metric over a group (0 for an empty group), summed
+  // flat in CPU order - the naive strawmen's uncached group metric.
   template <typename Fn>
   static double GroupAverage(const CpuGroup& group, Fn&& metric) {
     if (group.cpus.empty()) {
@@ -68,21 +143,14 @@ class LoadBalancer {
   // Picks a task from `queue` according to `preference`; nullptr if empty.
   static Task* PickTask(const Runqueue& queue, PullPreference preference);
 
-  // Longest runqueue within `group`. On deep (> 3-level) hierarchies this
-  // descends the child-domain links by cached group load, O(fanout x depth);
-  // classic machines keep the historical flat scan over the group's CPUs.
-  static Runqueue* BusiestQueueIn(const CpuGroup& group, BalanceEnv& env);
-
-  // Pulls tasks onto `cpu` from the longest queue in `group` while that
-  // queue exceeds the local one by at least `min_imbalance`, picking per
-  // `preference`. Shared by the baseline balancer and the merged energy/load
-  // balancer's load step so the two pull loops cannot drift. Invalidates
-  // `env`'s aggregate cache after each pull. Returns the tasks pulled.
+  // Pulls tasks onto `cpu` from the longest queue in `group` (NarrowDeep by
+  // cached group load) while that queue exceeds the local one by at least
+  // kMinLoadImbalance, picking per `preference`. Shared by the baseline
+  // balancer and the merged energy/load balancer's load step so the two
+  // pull loops cannot drift. Invalidates `env`'s aggregate cache after each
+  // pull. Returns the tasks pulled.
   static int PullFromBusiest(int cpu, const CpuGroup& group, PullPreference preference,
-                             std::size_t min_imbalance, BalanceEnv& env);
-
- private:
-  Options options_;
+                             BalanceEnv& env);
 };
 
 }  // namespace eas

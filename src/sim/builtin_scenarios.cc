@@ -1,6 +1,6 @@
 // The built-in scenario catalogue: the paper's evaluation workloads plus
 // stressors the paper could not run (open-loop arrivals, mid-run event-mix
-// shifts, trace replay). Every factory builds a self-contained ScenarioSpec:
+// shifts, trace replay). Every factory builds a self-contained ExperimentSpec:
 // the workload retains the ProgramLibrary its arrival pointers reach into,
 // so specs survive copying into parallel sweeps.
 
@@ -28,9 +28,8 @@ std::shared_ptr<const ProgramLibrary> MakeLibrary(const MachineConfig& config) {
   return std::make_shared<ProgramLibrary>(config.model);
 }
 
-ScenarioSpec PaperMixed() {
-  ScenarioSpec spec;
-  spec.description = "Section 6.1: 18-task mixed Table 2 workload, 60 W cap, energy-aware";
+ExperimentSpec PaperMixed() {
+  ExperimentSpec spec;
   spec.config = PaperMachine();
   spec.config.explicit_max_power_physical = 60.0;
   auto library = MakeLibrary(spec.config);
@@ -39,9 +38,8 @@ ScenarioSpec PaperMixed() {
   return spec;
 }
 
-ScenarioSpec PaperHomogeneous() {
-  ScenarioSpec spec;
-  spec.description = "Figure 8: memrw/pushpop/bitcnts homogeneity mix, 60 W cap";
+ExperimentSpec PaperHomogeneous() {
+  ExperimentSpec spec;
   spec.config = PaperMachine();
   spec.config.explicit_max_power_physical = 60.0;
   auto library = MakeLibrary(spec.config);
@@ -50,9 +48,8 @@ ScenarioSpec PaperHomogeneous() {
   return spec;
 }
 
-ScenarioSpec PaperHotTask() {
-  ScenarioSpec spec;
-  spec.description = "Figures 9/10: bitcnts hot tasks under 40 W throttling";
+ExperimentSpec PaperHotTask() {
+  ExperimentSpec spec;
   spec.config = PaperMachine();
   spec.config.explicit_max_power_physical = 40.0;
   spec.config.throttling_enabled = true;
@@ -63,9 +60,8 @@ ScenarioSpec PaperHotTask() {
   return spec;
 }
 
-ScenarioSpec ShortTasks() {
-  ScenarioSpec spec;
-  spec.description = "Section 6.2: churning short hot/cool tasks, stresses initial placement";
+ExperimentSpec ShortTasks() {
+  ExperimentSpec spec;
   spec.config = PaperMachine();
   spec.config.explicit_max_power_physical = 60.0;
   auto library = MakeLibrary(spec.config);
@@ -78,9 +74,8 @@ ScenarioSpec ShortTasks() {
   return spec;
 }
 
-ScenarioSpec PhaseShift() {
-  ScenarioSpec spec;
-  spec.description = "Stressor: 8 tasks flip ALU-hot <-> mem-cool mix every 30 s";
+ExperimentSpec PhaseShift() {
+  ExperimentSpec spec;
   spec.config = PaperMachine();
   spec.config.explicit_max_power_physical = 60.0;
   PhaseShiftOptions options;
@@ -89,9 +84,8 @@ ScenarioSpec PhaseShift() {
   return spec;
 }
 
-ScenarioSpec PoissonOpenLoop() {
-  ScenarioSpec spec;
-  spec.description = "Stressor: open-loop Poisson arrivals (2/s) of the Table 2 mix";
+ExperimentSpec PoissonOpenLoop() {
+  ExperimentSpec spec;
   spec.config = PaperMachine();
   spec.config.explicit_max_power_physical = 60.0;
   auto library = MakeLibrary(spec.config);
@@ -105,10 +99,8 @@ ScenarioSpec PoissonOpenLoop() {
   return spec;
 }
 
-ScenarioSpec ServerConsolidation() {
-  ScenarioSpec spec;
-  spec.description =
-      "Scale stressor: 150+ mostly-sleeping service daemons ramp up over a cool batch floor";
+ExperimentSpec ServerConsolidation() {
+  ExperimentSpec spec;
   spec.config = PaperMachine();
   spec.config.explicit_max_power_physical = 60.0;
   auto library = MakeLibrary(spec.config);
@@ -133,11 +125,8 @@ ScenarioSpec ServerConsolidation() {
   return spec;
 }
 
-ScenarioSpec DatacenterConsolidation() {
-  ScenarioSpec spec;
-  spec.description =
-      "Cluster stressor: 512-CPU five-level topology (256 packages), ~16k mostly-sleeping "
-      "daemons over a batch floor";
+ExperimentSpec DatacenterConsolidation() {
+  ExperimentSpec spec;
   // A consolidation *cluster*, not a host: 2 racks x 4 boards x 8 nodes x
   // 4 packages x 2 SMT = 512 logical CPUs under a five-level domain tree.
   // This is the scale target the level-list topology, the per-domain
@@ -178,11 +167,8 @@ ScenarioSpec DatacenterConsolidation() {
   return spec;
 }
 
-ScenarioSpec DvfsVsThrottle() {
-  ScenarioSpec spec;
-  spec.description =
-      "DVFS half of the capping comparison: paper-hot-task's 40 W cap enforced by the "
-      "thermal-stepdown governor instead of hlt";
+ExperimentSpec DvfsVsThrottle() {
+  ExperimentSpec spec;
   spec.config = PaperMachine();
   spec.config.explicit_max_power_physical = 40.0;
   // The cap is enforced purely by frequency scaling: hlt throttling off,
@@ -199,11 +185,8 @@ ScenarioSpec DvfsVsThrottle() {
   return spec;
 }
 
-ScenarioSpec GovernorComparison() {
-  ScenarioSpec spec;
-  spec.description =
-      "Governor proving ground: bursty mixed workload under a 40 W cap with hlt backstop; "
-      "sweep --governor across none/thermal-stepdown/ondemand";
+ExperimentSpec GovernorComparison() {
+  ExperimentSpec spec;
   spec.config = PaperMachine();
   spec.config.explicit_max_power_physical = 40.0;
   // hlt throttling stays armed as the backstop, so --governor none is the
@@ -229,11 +212,8 @@ ScenarioSpec GovernorComparison() {
   return spec;
 }
 
-ScenarioSpec ChaosSoak() {
-  ScenarioSpec spec;
-  spec.description =
-      "Chaos soak: SMT paper box under a dense seeded fault plan (hotplug churn, thermal "
-      "spikes, P-state clamps) with the invariant checker armed every tick";
+ExperimentSpec ChaosSoak() {
+  ExperimentSpec spec;
   spec.config = PaperMachine();
   // SMT on: hotplug must cope with sibling pairs sharing a package, not just
   // one logical CPU per core.
@@ -260,9 +240,8 @@ ScenarioSpec ChaosSoak() {
   return spec;
 }
 
-ScenarioSpec TraceReplay() {
-  ScenarioSpec spec;
-  spec.description = "Trace playback: staged bitcnts burst over a memrw floor";
+ExperimentSpec TraceReplay() {
+  ExperimentSpec spec;
   spec.config = PaperMachine();
   spec.config.explicit_max_power_physical = 60.0;
   auto library = MakeLibrary(spec.config);

@@ -5,15 +5,6 @@
 
 namespace eas {
 
-ExperimentSpec ScenarioSpec::ToExperimentSpec() const {
-  ExperimentSpec spec;
-  spec.name = name;
-  spec.config = config;
-  spec.options = options;
-  spec.workload = workload;
-  return spec;
-}
-
 ScenarioRegistry& ScenarioRegistry::Global() {
   static ScenarioRegistry* registry = [] {
     auto* r = new ScenarioRegistry();
@@ -28,12 +19,12 @@ bool ScenarioRegistry::Register(const std::string& name, const std::string& desc
   return Registry::Register(name, ScenarioEntry{description, std::move(factory)});
 }
 
-ScenarioSpec ScenarioRegistry::BuildOrThrow(const std::string& name) const {
+ExperimentSpec ScenarioRegistry::BuildOrThrow(const std::string& name) const {
   const std::optional<ScenarioEntry> entry = Find(name);
   if (!entry.has_value()) {
     throw std::invalid_argument(UnknownMessage("scenario", name));
   }
-  ScenarioSpec spec = entry->factory();
+  ExperimentSpec spec = entry->factory();
   spec.name = name;
   return spec;
 }

@@ -1,9 +1,9 @@
 // Declarative scenarios: named, fully-specified experiments.
 //
-// A ScenarioSpec bundles everything one run needs - machine topology,
-// cooling, thermal/throttle settings, scheduling policy, duration, seed and
-// the workload (with timed arrivals) - so a scenario can be selected by
-// name from a tool or bench and fanned through the parallel
+// A scenario is an ExperimentSpec built by name: everything one run needs -
+// machine topology, cooling, thermal/throttle settings, scheduling policy,
+// duration, seed and the workload (with timed arrivals) - so a scenario can
+// be selected from a tool or bench and fanned through the parallel
 // ExperimentRunner without touching engine code, mirroring how balancing
 // policies are selected through the BalancePolicyRegistry.
 //
@@ -14,13 +14,14 @@
 //
 //   ScenarioRegistry::Global().Register(
 //       "my-scenario", "one line of what it stresses", [] {
-//         ScenarioSpec spec;
+//         ExperimentSpec spec;
 //         spec.config...; spec.options...; spec.workload...;
 //         return spec;
 //       });
 //
 // Factories build a fresh spec per call, so callers may freely override
-// policy, duration or seed on the result.
+// policy, duration or seed on the result. BuildOrThrow names the spec after
+// the scenario.
 
 #ifndef SRC_SIM_SCENARIO_H_
 #define SRC_SIM_SCENARIO_H_
@@ -34,28 +35,17 @@
 
 namespace eas {
 
-struct ScenarioSpec {
-  std::string name;
-  std::string description;
-  MachineConfig config;         // topology + thermal/throttle + policy + seed
-  Experiment::Options options;  // duration + sampling
-  Workload workload;            // self-contained (owns generated programs)
-
-  // The (config, options, workload) triple as a runner spec named `name`.
-  ExperimentSpec ToExperimentSpec() const;
-};
-
 // A registered scenario: its one-line description and its factory.
 struct ScenarioEntry {
   std::string description;
-  std::function<ScenarioSpec()> factory;
+  std::function<ExperimentSpec()> factory;
 };
 
 // Default-constructs empty (tests build private ones; Global() is the
 // shared, builtin-populated instance).
 class ScenarioRegistry : public Registry<ScenarioEntry> {
  public:
-  using Factory = std::function<ScenarioSpec()>;
+  using Factory = std::function<ExperimentSpec()>;
 
   struct Info {
     std::string name;
@@ -71,7 +61,7 @@ class ScenarioRegistry : public Registry<ScenarioEntry> {
 
   // Builds a fresh spec for `name`; throws std::invalid_argument naming the
   // known scenarios when `name` is unknown.
-  ScenarioSpec BuildOrThrow(const std::string& name) const;
+  ExperimentSpec BuildOrThrow(const std::string& name) const;
 
   // (name, description) of every registered scenario, sorted by name.
   std::vector<Info> List() const;

@@ -4,7 +4,7 @@
 
 namespace eas {
 
-std::shared_ptr<const ScenarioSpec> ScenarioCache::Scenario(const std::string& name) {
+std::shared_ptr<const ExperimentSpec> ScenarioCache::Scenario(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = scenarios_.find(name);
   if (it != scenarios_.end()) {
@@ -12,7 +12,7 @@ std::shared_ptr<const ScenarioSpec> ScenarioCache::Scenario(const std::string& n
     return it->second;
   }
   ++stats_.scenario_misses;
-  auto spec = std::make_shared<const ScenarioSpec>(registry_->BuildOrThrow(name));
+  auto spec = std::make_shared<const ExperimentSpec>(registry_->BuildOrThrow(name));
   scenarios_.emplace(name, spec);
   return spec;
 }

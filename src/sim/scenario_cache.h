@@ -11,7 +11,7 @@
 //   scenario specs     built once per name on first use, then shared. A
 //                      factory is deterministic data -> data, so handing
 //                      every request a copy of one build is observationally
-//                      identical to rebuilding (ScenarioSpec copies share
+//                      identical to rebuilding (spec copies share
 //                      the immutable programs via the workload's
 //                      shared_ptr ownership, exactly as seed sweeps always
 //                      have).
@@ -49,7 +49,7 @@ class ScenarioCache {
   // The cached spec for `name`, built on first use. Throws
   // std::invalid_argument (the registry's own diagnostic) for an unknown
   // name - callers gate on Contains() first, same as the uncached path.
-  std::shared_ptr<const ScenarioSpec> Scenario(const std::string& name);
+  std::shared_ptr<const ExperimentSpec> Scenario(const std::string& name);
 
   // The shared default-model program library, built on first use.
   std::shared_ptr<const ProgramLibrary> DefaultLibrary(const EnergyModel& model);
@@ -65,7 +65,7 @@ class ScenarioCache {
  private:
   const ScenarioRegistry* registry_;
   mutable std::mutex mutex_;
-  std::map<std::string, std::shared_ptr<const ScenarioSpec>> scenarios_;
+  std::map<std::string, std::shared_ptr<const ExperimentSpec>> scenarios_;
   std::shared_ptr<const ProgramLibrary> library_;
   Stats stats_;
 };

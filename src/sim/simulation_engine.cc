@@ -8,12 +8,10 @@
 namespace eas {
 
 BalancePhase::BalancePhase(const EnergySchedConfig& sched)
-    : sched_(sched),
-      policy_(BalancePolicyRegistry::Global().CreateOrThrow(sched.balancer_name, sched)),
-      hot_migrator_(sched.hot_migration) {}
+    : hot_task_migration_(sched.hot_task_migration),
+      policy_(BalancePolicyRegistry::Global().CreateOrThrow(sched.balancer_name, sched)) {}
 
 void BalancePhase::Run(SimulationState& state) {
-  const EnergySchedConfig& sched = sched_;
   const std::size_t logical = state.config().topology.num_logical();
   for (std::size_t i = 0; i < logical; ++i) {
     const int cpu = static_cast<int>(i);
@@ -23,14 +21,12 @@ void BalancePhase::Run(SimulationState& state) {
     const Tick stagger = static_cast<Tick>(i) * 17;
 
     const bool idle = state.runqueue(cpu).Idle();
-    const Tick interval =
-        idle ? sched.idle_balance_interval_ticks : sched.balance_interval_ticks;
+    const Tick interval = idle ? kIdleBalanceIntervalTicks : kBalanceIntervalTicks;
     if ((state.now() + stagger) % interval == 0) {
       policy_->Balance(cpu, state);
     }
 
-    if (sched.hot_task_migration &&
-        (state.now() + stagger) % sched.hot_check_interval_ticks == 0) {
+    if (hot_task_migration_ && (state.now() + stagger) % kHotCheckIntervalTicks == 0) {
       hot_migrator_.Check(cpu, state);
     }
   }

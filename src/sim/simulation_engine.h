@@ -77,11 +77,18 @@ class TickObserver {
 // Periodic balancing: runs the policy selected by name through the
 // BalancePolicyRegistry, plus hot task migration, each on its interval with
 // per-CPU stagger. The phase is configured entirely by the sched config it
-// was constructed with (policy, options, cadence) - the state it runs over
+// was constructed with (policy, options) - the state it runs over
 // only provides machine state, so an engine never silently mixes its own
 // policy with a foreign state's cadence.
 class BalancePhase {
  public:
+  // Balancing cadence (per CPU). Linux rebalances every ~100-200 ms busy.
+  static constexpr Tick kBalanceIntervalTicks = 200;
+  // Idle CPUs try to pull work much more eagerly.
+  static constexpr Tick kIdleBalanceIntervalTicks = 10;
+  // Hot-task-migration trigger check cadence.
+  static constexpr Tick kHotCheckIntervalTicks = 100;
+
   // Resolves the policy via BalancePolicyRegistry::Global(); throws
   // std::invalid_argument for an unknown policy name.
   explicit BalancePhase(const EnergySchedConfig& sched);
@@ -91,7 +98,7 @@ class BalancePhase {
   const BalancePolicy& policy() const { return *policy_; }
 
  private:
-  EnergySchedConfig sched_;
+  bool hot_task_migration_;
   std::unique_ptr<BalancePolicy> policy_;
   HotTaskMigrator hot_migrator_;
 };

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "src/counters/calibration.h"
 
@@ -151,6 +152,11 @@ int SimulationState::TaskCpu(const Task& task) {
 }
 
 Task* SimulationState::Spawn(const Program& program, int nice) {
+  if (nice < Task::kMinNice || nice > Task::kMaxNice) {
+    throw std::invalid_argument("nice " + std::to_string(nice) + " outside [" +
+                                std::to_string(Task::kMinNice) + ", " +
+                                std::to_string(Task::kMaxNice) + "]");
+  }
   void* slot = task_arena_.allocate(sizeof(Task), alignof(Task));
   Task* raw = new (slot) Task(next_task_id_++, &program, rng_.NextU64());
   raw->set_nice(nice);

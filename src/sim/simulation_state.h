@@ -115,7 +115,8 @@ class SimulationState : public BalanceEnv {
 
   // Creates a task running `program` and places it (energy-aware placement
   // if enabled, least-loaded otherwise). `nice` scales the task's timeslices
-  // (Task::TimesliceForNice).
+  // (Task::TimesliceForNice); one outside [Task::kMinNice, Task::kMaxNice]
+  // throws std::invalid_argument before anything is created.
   EAS_CROSS_SHARD Task* Spawn(const Program& program, int nice = 0);
 
   // Placement for a (re)spawned task per `energy_aware_placement`:

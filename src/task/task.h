@@ -73,9 +73,11 @@ class Task {
   int cpu() const { return cpu_; }
   void set_cpu(int cpu) { cpu_ = cpu; }
 
-  // Nice level (-20 .. 19). Higher-priority (lower nice) tasks receive
-  // proportionally longer timeslices - the reason the paper extends the
-  // exponential average to variable periods (Section 3.3).
+  // Nice level (kMinNice .. kMaxNice). Higher-priority (lower nice) tasks
+  // receive proportionally longer timeslices - the reason the paper extends
+  // the exponential average to variable periods (Section 3.3).
+  static constexpr int kMinNice = -20;
+  static constexpr int kMaxNice = 19;
   int nice() const { return nice_; }
   void set_nice(int nice) { nice_ = nice; }
 

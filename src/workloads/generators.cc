@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "src/base/rng.h"
+#include "src/task/task.h"
 
 namespace eas {
 namespace {
@@ -167,7 +168,8 @@ bool ParseTraceWorkload(const std::string& csv_text, const ProgramLibrary& libra
       return false;
     }
     long long nice = 0;
-    if (fields.size() == 3 && (!ParseLongLong(fields[2], &nice) || nice < -20 || nice > 19)) {
+    if (fields.size() == 3 && (!ParseLongLong(fields[2], &nice) || nice < Task::kMinNice ||
+                               nice > Task::kMaxNice)) {
       if (error != nullptr) {
         *error = "line " + std::to_string(line_number) + ": bad nice \"" + fields[2] + "\"";
       }

@@ -21,7 +21,7 @@ TEST(EnergyBalancerTest, PullsHeatFromHotterCpu) {
   env.SetThermalPower(1, 36.0);
 
   EnergyLoadBalancer balancer;
-  const auto result = balancer.Balance(1, env);
+  const auto result = balancer.BalanceSteps(1, env);
   EXPECT_EQ(result.energy_migrations, 1);
   // Load stayed balanced: the exchange sent a cool task back.
   EXPECT_EQ(result.exchange_migrations, 1);
@@ -43,7 +43,7 @@ TEST(EnergyBalancerTest, HysteresisBlocksWhenRemoteNotThermallyHotter) {
   env.SetThermalPower(1, 36.0);
 
   EnergyLoadBalancer balancer;
-  const auto result = balancer.Balance(1, env);
+  const auto result = balancer.BalanceSteps(1, env);
   EXPECT_EQ(result.energy_migrations, 0);
 }
 
@@ -59,7 +59,7 @@ TEST(EnergyBalancerTest, RunqueueConditionBlocksOverPulling) {
   env.SetThermalPower(1, 36.0);
 
   EnergyLoadBalancer balancer;
-  const auto result = balancer.Balance(1, env);
+  const auto result = balancer.BalanceSteps(1, env);
   EXPECT_EQ(result.energy_migrations, 0);
 }
 
@@ -73,8 +73,8 @@ TEST(EnergyBalancerTest, NoActionWhenBalanced) {
   env.SetThermalPower(1, 48.0);
 
   EnergyLoadBalancer balancer;
-  EXPECT_EQ(balancer.Balance(0, env).total(), 0);
-  EXPECT_EQ(balancer.Balance(1, env).total(), 0);
+  EXPECT_EQ(balancer.Balance(0, env), 0);
+  EXPECT_EQ(balancer.Balance(1, env), 0);
 }
 
 TEST(EnergyBalancerTest, NoPingPongAfterBalancing) {
@@ -90,7 +90,7 @@ TEST(EnergyBalancerTest, NoPingPongAfterBalancing) {
   env.SetThermalPower(1, 36.0);
 
   EnergyLoadBalancer balancer;
-  EXPECT_GT(balancer.Balance(1, env).total(), 0);
+  EXPECT_GT(balancer.Balance(1, env), 0);
   const std::int64_t after_first = env.migration_count();
   for (int round = 0; round < 5; ++round) {
     balancer.Balance(0, env);
@@ -114,7 +114,7 @@ TEST(EnergyBalancerTest, RespectsMaxPowerRatios) {
   env.SetThermalPower(1, 50.0);  // ratio 1.14
 
   EnergyLoadBalancer balancer;
-  const auto result = balancer.Balance(0, env);
+  const auto result = balancer.BalanceSteps(0, env);
   EXPECT_EQ(result.energy_migrations, 1);
 }
 
@@ -128,7 +128,7 @@ TEST(EnergyBalancerTest, LoadStepStillBalancesLoad) {
   env.SetThermalPower(1, 50.0);
 
   EnergyLoadBalancer balancer;
-  const auto result = balancer.Balance(1, env);
+  const auto result = balancer.BalanceSteps(1, env);
   EXPECT_GE(result.load_migrations, 1);
 }
 
@@ -144,7 +144,7 @@ TEST(EnergyBalancerTest, LoadStepPullsCoolTaskFromCoolerGroup) {
   env.SetThermalPower(1, 55.0);
 
   EnergyLoadBalancer balancer;
-  const auto result = balancer.Balance(1, env);
+  const auto result = balancer.BalanceSteps(1, env);
   ASSERT_GE(result.load_migrations, 1);
   // The first pulled task should be the coolest queued one.
   bool found = false;
@@ -168,7 +168,7 @@ TEST(EnergyBalancerTest, SkipsEnergyStepInSmtDomain) {
   env.SetThermalPower(1, 30.0);
 
   EnergyLoadBalancer balancer;
-  const auto result = balancer.Balance(1, env);
+  const auto result = balancer.BalanceSteps(1, env);
   EXPECT_EQ(result.energy_migrations, 0);
   EXPECT_EQ(result.load_migrations, 0);  // load is balanced
 }
@@ -193,7 +193,7 @@ TEST(EnergyBalancerTest, EnergyBalancesAcrossPackagesOnSmtMachine) {
     env.SetThermalPower(cpu, 18.0);
   }
   EnergyLoadBalancer balancer;
-  const auto result = balancer.Balance(1, env);
+  const auto result = balancer.BalanceSteps(1, env);
   EXPECT_EQ(result.energy_migrations, 1);
 }
 

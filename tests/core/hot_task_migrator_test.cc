@@ -97,9 +97,7 @@ TEST(HotTaskMigratorTest, RequiresConsiderablyCoolerDestination) {
   for (int cpu = 1; cpu < 8; ++cpu) {
     env.SetThermalPower(cpu, 33.0);  // cooler, but only by ~6 W < threshold
   }
-  HotTaskMigrator::Options options;
-  options.min_thermal_diff_watts = 10.0;
-  HotTaskMigrator migrator(options);
+  HotTaskMigrator migrator;  // kMinThermalDiffWatts = 10
   EXPECT_FALSE(migrator.Check(0, env).migrated);
 }
 
@@ -180,14 +178,13 @@ TEST(HotTaskMigratorTest, NoExchangeWithEquallyHotTask) {
 TEST(HotTaskMigratorTest, SmtTriggerUsesSiblingSum) {
   FakeEnv env(CpuTopology::PaperXSeries445(true), 20.0);  // 20 W per logical
   env.AddRunningTask(61.0, 0);
-  HotTaskMigrator::Options options;
-  options.trigger_margin_watts = 1.0;
-  HotTaskMigrator migrator(options);
-  // Logical 0 at 33 W, sibling (8) idle at 6 W: sum 39 W < 40 - 1 W margin.
+  HotTaskMigrator migrator;  // kTriggerMarginWatts = 2
+  // Logical 0 at 33 W, far past its own 20 W, but with the sibling (8) idle
+  // at 4.5 W the package sums 37.5 W < 40 - 2 W margin.
   env.SetThermalPower(0, 33.0);
-  env.SetThermalPower(8, 6.0);
+  env.SetThermalPower(8, 4.5);
   EXPECT_FALSE(migrator.ShouldMigrate(0, env));
-  env.SetThermalPower(8, 7.5);  // sum 40.5 W > 40 - margin
+  env.SetThermalPower(8, 5.5);  // sum 38.5 W > 40 - margin
   EXPECT_TRUE(migrator.ShouldMigrate(0, env));
 }
 

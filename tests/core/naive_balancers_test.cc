@@ -80,7 +80,7 @@ TEST(TemperatureOnlyBalancerTest, OverBalancesOnStaleHeat) {
   paper_env.SetThermalPower(0, 55.0);
   paper_env.SetThermalPower(1, 30.0);
   EnergyLoadBalancer paper;
-  EXPECT_EQ(paper.Balance(1, paper_env).energy_migrations, 0)
+  EXPECT_EQ(paper.BalanceSteps(1, paper_env).energy_migrations, 0)
       << "the dual-metric design must not over-balance";
 }
 

@@ -44,7 +44,7 @@ TEST(FreqPipelineTest, NoneGovernorGoldenTraceMatchesScanReference) {
   // ThrottleGate -> FrequencyPhase -> SchedTick ordering: with the "none"
   // governor the frequency phase must not perturb a single bit of the
   // throttled pipeline the scan reference (which predates the phase) drives.
-  ScenarioSpec spec = ScenarioRegistry::Global().BuildOrThrow("paper-hot-task");
+  ExperimentSpec spec = ScenarioRegistry::Global().BuildOrThrow("paper-hot-task");
   ASSERT_EQ(spec.config.frequency_governor, "none");
   spec.config.estimator_weights = EnergyModel::Default().weights();
 
@@ -104,7 +104,7 @@ TEST(FreqPipelineTest, ThermalStepdownScalesProgressAndEnergy) {
 }
 
 TEST(FreqPipelineTest, DvfsVsThrottleScenarioCapsWithoutHalting) {
-  ScenarioSpec spec = ScenarioRegistry::Global().BuildOrThrow("dvfs-vs-throttle");
+  ExperimentSpec spec = ScenarioRegistry::Global().BuildOrThrow("dvfs-vs-throttle");
   spec.options.duration_ticks = 60'000;
   spec.config.estimator_weights = EnergyModel::Default().weights();
   Experiment experiment(spec.config, spec.options);
@@ -134,7 +134,7 @@ TEST(FreqPipelineTest, DvfsVsThrottleScenarioCapsWithoutHalting) {
 
 TEST(FreqPipelineTest, GovernedScenariosDeterministicAcrossThreads) {
   for (const char* name : {"dvfs-vs-throttle", "governor-comparison"}) {
-    ExperimentSpec base = ScenarioRegistry::Global().BuildOrThrow(name).ToExperimentSpec();
+    ExperimentSpec base = ScenarioRegistry::Global().BuildOrThrow(name);
     base.options.duration_ticks = 4'000;
     base.config.estimator_weights = EnergyModel::Default().weights();
     const std::vector<ExperimentSpec> specs(3, base);

@@ -1,5 +1,5 @@
 // BalanceAggregateCache: group aggregates are memoized within a pass,
-// recomputed after Invalidate()/BeginPass(), and always equal to the scans
+// recomputed after BeginPass(), and always equal to the scans
 // they replace.
 
 #include "src/sched/balance_cache.h"
@@ -60,8 +60,8 @@ TEST(BalanceCacheTest, MemoizesUntilInvalidated) {
   // Within the pass the cached value holds (the mutation did not go through
   // a migration, so nothing invalidated it)...
   EXPECT_DOUBLE_EQ(cache.Load(group, env), before);
-  // ...and an invalidation recomputes from the live runqueues.
-  cache.Invalidate();
+  // ...and a fresh pass recomputes from the live runqueues.
+  cache.BeginPass();
   EXPECT_DOUBLE_EQ(cache.Load(group, env), LoadBalancer::GroupLoad(group, env));
   EXPECT_GT(cache.Load(group, env), before);
 }

@@ -30,8 +30,7 @@ namespace {
 // The 512-CPU five-level scenario, shortened: the tick pipeline at real
 // cluster width without the full 20k-tick duration.
 ExperimentSpec ClusterSpec(std::size_t intra_threads, bool skip_ahead) {
-  ExperimentSpec spec =
-      ScenarioRegistry::Global().BuildOrThrow("datacenter-consolidation").ToExperimentSpec();
+  ExperimentSpec spec = ScenarioRegistry::Global().BuildOrThrow("datacenter-consolidation");
   spec.options.duration_ticks = 1'500;
   spec.options.sample_interval_ticks = 500;
   spec.config.estimator_weights = EnergyModel::Default().weights();

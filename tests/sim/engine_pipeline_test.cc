@@ -27,8 +27,7 @@ namespace {
 class ManualStepper {
  public:
   explicit ManualStepper(const EnergySchedConfig& sched)
-      : policy_(BalancePolicyRegistry::Global().CreateOrThrow(sched.balancer_name, sched)),
-        hot_migrator_(sched.hot_migration) {}
+      : policy_(BalancePolicyRegistry::Global().CreateOrThrow(sched.balancer_name, sched)) {}
 
   void Step(SimulationState& s) {
     const MachineConfig& config = s.config();
@@ -126,13 +125,13 @@ class ManualStepper {
       const int cpu = static_cast<int>(i);
       const Tick stagger = static_cast<Tick>(i) * 17;
       const bool idle = s.runqueue(cpu).Idle();
-      const Tick interval = idle ? config.sched.idle_balance_interval_ticks
-                                 : config.sched.balance_interval_ticks;
+      const Tick interval =
+          idle ? BalancePhase::kIdleBalanceIntervalTicks : BalancePhase::kBalanceIntervalTicks;
       if ((s.now() + stagger) % interval == 0) {
         policy_->Balance(cpu, s);
       }
       if (config.sched.hot_task_migration &&
-          (s.now() + stagger) % config.sched.hot_check_interval_ticks == 0) {
+          (s.now() + stagger) % BalancePhase::kHotCheckIntervalTicks == 0) {
         hot_migrator_.Check(cpu, s);
       }
     }

@@ -33,10 +33,9 @@ TEST(ScenarioCacheTest, BuildsOncePerNameAndShares) {
 TEST(ScenarioCacheTest, CachedSpecMatchesAFreshRegistryBuild) {
   ScenarioCache cache;
   const auto cached = cache.Scenario("paper-hot-task");
-  const ScenarioSpec fresh = ScenarioRegistry::Global().BuildOrThrow("paper-hot-task");
+  const ExperimentSpec fresh_spec = ScenarioRegistry::Global().BuildOrThrow("paper-hot-task");
   // Deterministic factory: same spec every build.
-  const ExperimentSpec cached_spec = cached->ToExperimentSpec();
-  const ExperimentSpec fresh_spec = fresh.ToExperimentSpec();
+  const ExperimentSpec& cached_spec = *cached;
   EXPECT_EQ(cached_spec.name, fresh_spec.name);
   EXPECT_EQ(cached_spec.workload.size(), fresh_spec.workload.size());
   EXPECT_EQ(cached_spec.config.explicit_max_power_physical,
@@ -68,7 +67,7 @@ TEST(ScenarioCacheTest, ConcurrentLookupsAgreeOnOneBuild) {
   // one cache; every thread must end up with the same shared build.
   ScenarioCache cache;
   constexpr int kThreads = 8;
-  std::vector<std::shared_ptr<const ScenarioSpec>> seen(kThreads);
+  std::vector<std::shared_ptr<const ExperimentSpec>> seen(kThreads);
   std::vector<std::thread> threads;
   for (int i = 0; i < kThreads; ++i) {
     threads.emplace_back([&cache, &seen, i] { seen[i] = cache.Scenario("paper-mixed"); });

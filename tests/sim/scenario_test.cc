@@ -46,21 +46,20 @@ TEST(ScenarioRegistryTest, UnknownNameThrowsListingKnown) {
 
 TEST(ScenarioRegistryTest, RegisterRejectsDuplicates) {
   ScenarioRegistry registry;
-  ASSERT_TRUE(registry.Register("x", "first", [] { return ScenarioSpec{}; }));
-  EXPECT_FALSE(registry.Register("x", "second", [] { return ScenarioSpec{}; }));
+  ASSERT_TRUE(registry.Register("x", "first", [] { return ExperimentSpec{}; }));
+  EXPECT_FALSE(registry.Register("x", "second", [] { return ExperimentSpec{}; }));
   ASSERT_EQ(registry.List().size(), 1u);
   EXPECT_EQ(registry.List()[0].description, "first");
 }
 
 TEST(ScenarioRegistryTest, BuildStampsTheRegisteredName) {
-  const ScenarioSpec spec = ScenarioRegistry::Global().BuildOrThrow("paper-mixed");
+  const ExperimentSpec spec = ScenarioRegistry::Global().BuildOrThrow("paper-mixed");
   EXPECT_EQ(spec.name, "paper-mixed");
-  EXPECT_FALSE(spec.description.empty());
 }
 
 TEST(ScenarioRegistryTest, EveryBuiltinBuildsANonEmptyWorkload) {
   for (const std::string& name : ScenarioRegistry::Global().Names()) {
-    const ScenarioSpec spec = ScenarioRegistry::Global().BuildOrThrow(name);
+    const ExperimentSpec spec = ScenarioRegistry::Global().BuildOrThrow(name);
     EXPECT_FALSE(spec.workload.empty()) << name;
     EXPECT_GE(spec.config.topology.num_logical(), 1u) << name;
     for (const TaskArrival& arrival : spec.workload.arrivals()) {
@@ -74,8 +73,8 @@ TEST(ScenarioRegistryTest, FactoriesAreDeterministic) {
   // schedules (same ticks, same program names) - scenario workloads carry
   // their randomness in explicit seeds.
   for (const std::string& name : ScenarioRegistry::Global().Names()) {
-    const ScenarioSpec a = ScenarioRegistry::Global().BuildOrThrow(name);
-    const ScenarioSpec b = ScenarioRegistry::Global().BuildOrThrow(name);
+    const ExperimentSpec a = ScenarioRegistry::Global().BuildOrThrow(name);
+    const ExperimentSpec b = ScenarioRegistry::Global().BuildOrThrow(name);
     ASSERT_EQ(a.workload.size(), b.workload.size()) << name;
     for (std::size_t i = 0; i < a.workload.arrivals().size(); ++i) {
       const TaskArrival& ta = a.workload.arrivals()[i];
@@ -107,7 +106,7 @@ TEST(ScenarioRunTest, AllScenariosDeterministicAcrossThreadCounts) {
   // threads: results must be bit-identical per spec.
   std::vector<ExperimentSpec> specs;
   for (const std::string& name : ScenarioRegistry::Global().Names()) {
-    ExperimentSpec spec = ScenarioRegistry::Global().BuildOrThrow(name).ToExperimentSpec();
+    ExperimentSpec spec = ScenarioRegistry::Global().BuildOrThrow(name);
     spec.options.duration_ticks = 3'000;
     spec.options.sample_interval_ticks = 500;
     // Oracle weights skip the calibration phase to keep the test fast.
@@ -125,7 +124,7 @@ TEST(ScenarioRunTest, AllScenariosDeterministicAcrossThreadCounts) {
 TEST(ScenarioRunTest, MidRunArrivalsSpawnTasks) {
   // The trace-replay scenario injects tasks after tick 0; shortening the run
   // below the first mid-run arrival must reduce the spawned task count.
-  ScenarioSpec scenario = ScenarioRegistry::Global().BuildOrThrow("trace-replay");
+  ExperimentSpec scenario = ScenarioRegistry::Global().BuildOrThrow("trace-replay");
   scenario.config.estimator_weights = EnergyModel::Default().weights();
   const std::size_t initial = scenario.workload.InitialTasks();
   ASSERT_LT(initial, scenario.workload.size());

@@ -67,7 +67,7 @@ void ExpectBitIdentical(const RunResult& a, const RunResult& b, const std::strin
 }
 
 ExperimentSpec ShortenedSpec(const std::string& scenario, bool skip_ahead) {
-  ExperimentSpec spec = ScenarioRegistry::Global().BuildOrThrow(scenario).ToExperimentSpec();
+  ExperimentSpec spec = ScenarioRegistry::Global().BuildOrThrow(scenario);
   spec.options.duration_ticks = 4'000;
   spec.options.sample_interval_ticks = 500;
   // Oracle weights skip the calibration phase to keep the sweep fast.

@@ -175,7 +175,7 @@ void ExpectStatesBitIdentical(SimulationState& a, SimulationState& b, const std:
 }
 
 void RunScenarioEquivalence(const std::string& name, Tick ticks) {
-  ScenarioSpec spec = ScenarioRegistry::Global().BuildOrThrow(name);
+  ExperimentSpec spec = ScenarioRegistry::Global().BuildOrThrow(name);
   spec.config.estimator_weights = EnergyModel::Default().weights();
 
   SimulationState engine_state(spec.config);
@@ -217,8 +217,7 @@ TEST(TickHotPathTest, GoldenTraceMatchesScanEngineOnServerConsolidation) {
 // --- determinism across runner thread counts ---------------------------------
 
 TEST(TickHotPathTest, ArrivalsAndWakeupsDeterministicAcrossThreads) {
-  ExperimentSpec base =
-      ScenarioRegistry::Global().BuildOrThrow("server-consolidation").ToExperimentSpec();
+  ExperimentSpec base = ScenarioRegistry::Global().BuildOrThrow("server-consolidation");
   base.options.duration_ticks = 6'000;
   base.config.estimator_weights = EnergyModel::Default().weights();
   const std::vector<ExperimentSpec> specs(4, base);

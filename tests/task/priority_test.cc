@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/sim/machine.h"
 #include "src/workloads/programs.h"
 
@@ -36,6 +38,19 @@ MachineConfig OneCpuConfig() {
   config.explicit_max_power_physical = 120.0;
   config.estimator_weights = EnergyModel::Default().weights();
   return config;
+}
+
+TEST(PriorityTest, SpawnRejectsNiceOutsideTheScale) {
+  // The trace parser's range, enforced at Spawn for every caller: outside
+  // it TimesliceForNice's scale is undefined.
+  Machine machine(OneCpuConfig());
+  SimulationState& state = machine.state();
+  const ProgramLibrary library(EnergyModel::Default());
+  EXPECT_THROW(state.Spawn(library.aluadd(), -21), std::invalid_argument);
+  EXPECT_THROW(state.Spawn(library.aluadd(), 20), std::invalid_argument);
+  EXPECT_TRUE(state.tasks().empty()) << "a rejected spawn must create nothing";
+  EXPECT_EQ(state.Spawn(library.aluadd(), -20)->nice(), -20);
+  EXPECT_EQ(state.Spawn(library.aluadd(), 19)->nice(), 19);
 }
 
 TEST(PriorityTest, HigherPriorityGetsLargerShare) {

@@ -54,6 +54,11 @@
 
 namespace {
 
+// Each worker is one OS thread, started before any request runs (the
+// service's pool) or per spec (the offline runner); a larger count is a
+// typo, not a machine.
+constexpr long long kMaxThreads = 1'024;
+
 void PrintUsage() {
   std::printf(
       "usage: eastool [verb] [flags]\n"
@@ -123,7 +128,7 @@ void PrintUsage() {
       "                      flags and exit (replay it with --request); with\n"
       "                      --batch, the canonical batch file (one per line)\n"
       "  --threads N         runner/service worker threads, 0 = hardware\n"
-      "                      (default 0)\n"
+      "                      (default 0, at most 1024)\n"
       "  --trace-csv FILE    write each run's per-CPU thermal power trace: run 0\n"
       "                      to FILE, run K of a --runs/--batch sweep to FILE.runK\n"
       "  --summary-csv FILE  write the run summary: a single run keeps the\n"
@@ -458,6 +463,14 @@ int main(int argc, char** argv) {
                    flags.GetString(flag).c_str());
       return 1;
     }
+  }
+  // Capped before any verb runs, so neither the service nor the offline
+  // runner starts a thread for a count past the cap (GetInt saturates, so a
+  // count past 2^63 is caught too).
+  if (flags.GetInt("threads", 0) > kMaxThreads) {
+    std::fprintf(stderr, "--threads: bad value \"%s\" (want at most %lld)\n",
+                 flags.GetString("threads").c_str(), kMaxThreads);
+    return 1;
   }
 
   if (flags.Has("help")) {
