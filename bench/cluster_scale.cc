@@ -20,10 +20,13 @@
 //
 // The balance rows probe the hierarchical balancer directly: a full
 // policy->Balance() sweep over every CPU at 128 and at 1024 CPUs, cache
-// invalidated between sweeps. With per-domain aggregate rollups one pass
-// costs O(fanout x depth), so the per-pass cost must stay near-constant as
-// the machine grows 8x; the balance_scaling row asserts the measured ratio
-// stays sublinear (< 4x for 8x the CPUs), and the bench fails if it does not.
+// invalidated between sweeps. Each sweep is timed on its own (at least 15
+// at any --ticks) and a row reports its median sweep, so one descheduled
+// sweep moves no reading. With per-domain aggregate rollups one pass costs
+// O(fanout x depth), so the per-pass cost must stay near-constant as the
+// machine grows 8x; the balance_scaling row asserts the ratio of the two
+// medians stays sublinear (< 4x for 8x the CPUs), and the bench fails if it
+// does not.
 //
 //   $ bench_cluster_scale [--ticks=2000] [--intra=4] [--out=BENCH_cluster_scale.json]
 
@@ -140,7 +143,7 @@ struct BalanceRow {
 
 // Full balance sweeps over a settled machine, advancing the tick between
 // sweeps so every sweep recomputes the per-domain aggregates instead of
-// replaying the version-keyed cache.
+// replaying the version-keyed cache. The rate is the median sweep's.
 BalanceRow MeasureBalance(const char* topology, const eas::ProgramLibrary& library,
                           int sweeps, Tick warmup_ticks) {
   const eas::MachineConfig config = BenchConfig(topology, 0);
@@ -158,16 +161,19 @@ BalanceRow MeasureBalance(const char* topology, const eas::ProgramLibrary& libra
   auto policy =
       eas::BalancePolicyRegistry::Global().CreateOrThrow(config.sched.balancer_name, config.sched);
   const int logical = static_cast<int>(config.topology.num_logical());
-  const auto start = std::chrono::steady_clock::now();
+  std::vector<double> sweep_seconds;
   for (int sweep = 0; sweep < sweeps; ++sweep) {
+    const auto start = std::chrono::steady_clock::now();
     for (int cpu = 0; cpu < logical; ++cpu) {
       policy->Balance(cpu, state);
     }
+    sweep_seconds.push_back(SecondsSince(start));
     state.AdvanceTick();
   }
-  const double seconds = SecondsSince(start);
+  const auto median = sweep_seconds.begin() + sweep_seconds.size() / 2;
+  std::nth_element(sweep_seconds.begin(), median, sweep_seconds.end());
   row.passes = static_cast<long long>(sweeps) * logical;
-  row.passes_per_second = seconds > 0.0 ? static_cast<double>(row.passes) / seconds : 0.0;
+  row.passes_per_second = *median > 0.0 ? logical / *median : 0.0;
   return row;
 }
 
@@ -203,18 +209,20 @@ int main(int argc, char** argv) {
           ? pool_on.ticks_per_second / pool_serial.ticks_per_second
           : 0.0;
 
-  // Balance sweeps sized off --ticks so the smoke run stays tiny; identical
-  // sweep counts at both sizes keep the comparison clean.
-  const int sweeps = static_cast<int>(std::max<Tick>(2, ticks / 128));
+  // Balance sweeps sized off --ticks, but never fewer than 15, so even the
+  // smoke run's medians stand on enough sweeps; identical sweep counts at
+  // both sizes keep the comparison clean.
+  const int sweeps = static_cast<int>(std::max<Tick>(15, ticks / 128));
   const Tick warmup = std::min<Tick>(32, ticks);
   BalanceRow balance_small = MeasureBalance(kSmallTopology, library, sweeps, warmup);
   BalanceRow balance_large = MeasureBalance(kClusterTopology, library, sweeps, warmup);
 
   const double cpu_ratio =
       static_cast<double>(balance_large.cpus) / static_cast<double>(balance_small.cpus);
-  // Per-pass cost ratio: small passes/s over large passes/s. 1.0 = constant
-  // per-pass cost; cpu_ratio = per-pass cost growing linearly with machine
-  // size (a flat O(cpus) scan). Sublinear means staying well under cpu_ratio.
+  // Per-pass cost ratio of the median sweeps: small passes/s over large
+  // passes/s. 1.0 = constant per-pass cost; cpu_ratio = per-pass cost
+  // growing linearly with machine size (a flat O(cpus) scan). Sublinear
+  // means staying well under cpu_ratio.
   const double per_pass_cost_ratio =
       balance_large.passes_per_second > 0.0
           ? balance_small.passes_per_second / balance_large.passes_per_second

@@ -3,7 +3,8 @@
 # non-empty, the request-file round trip (--print-request output must rerun
 # to a byte-identical summary), per-run sweep outputs, batch mode, plus the
 # CLI rejection paths (unknown or repeated flags, bad flag values, bad
-# topology, unknown policy, unknown scenario, too many runs) exiting 1.
+# topology, unknown policy, unknown scenario, too many runs or threads,
+# misread workload and fault values) exiting 1.
 #
 # Variables: EASTOOL (path to the binary), OUT_DIR (writable scratch dir).
 
@@ -284,6 +285,13 @@ run_expect_failure("zero-CPU topology" ${EASTOOL} --topology 1:0:1 --duration-s 
 run_expect_failure("unknown policy" ${EASTOOL} --policy no_such_policy --duration-s 1)
 run_expect_failure("unknown scenario" ${EASTOOL} --scenario no-such-scenario --duration-s 1)
 run_expect_failure("bad workload" ${EASTOOL} --workload bogus:3 --duration-s 1)
+# Every text input reads its numbers by one rule set (src/base/text.h): a
+# count with trailing junk or a signed fault cpu is rejected, not misread.
+run_expect_flag_rejected(workload ${EASTOOL} --workload mixed:3x --print-request)
+run_expect_flag_rejected(faults ${EASTOOL} --faults off:+1@5 --print-request)
+# intra-threads takes --threads' cap; --print-request starts no thread, so
+# the case fails rather than starts 1025 if the cap is lost.
+run_expect_flag_rejected(intra-threads ${EASTOOL} --intra-threads 1025 --print-request)
 run_expect_failure("unknown governor" ${EASTOOL} --governor no-such-governor --duration-s 1)
 run_expect_failure("unknown governor over scenario"
                    ${EASTOOL} --scenario paper-mixed --governor bogus --duration-s 1)

@@ -10,6 +10,8 @@
 #     `eastool --request --jsonl` invocation per request, concatenated in
 #     submission order - which is the service's determinism contract;
 #   * a tagged submission must carry its tag into the JSONL;
+#   * a submission with a misread value (`workload = mixed:3x`) must come
+#     back as an `err` line, and the daemon must keep serving;
 #   * `eastool status` must answer with the expected counters;
 #   * `eastool shutdown` must stop the daemon, which then exits 0.
 #
@@ -126,6 +128,21 @@ if(NOT tag_count EQUAL 1)
   message(FATAL_ERROR "want exactly 1 tagged record, found ${tag_count}:\n${serve_text}")
 endif()
 
+# --- a misread value is a structured rejection, and serving goes on ----------
+
+set(bad_request_file ${work_dir}/bad_request.txt)
+file(WRITE ${bad_request_file} "workload = mixed:3x; duration-s = 1\n")
+execute_process(
+  COMMAND ${EASTOOL} submit --socket ${socket} --request ${bad_request_file}
+  RESULT_VARIABLE bad_result
+  OUTPUT_VARIABLE bad_stdout
+  ERROR_VARIABLE bad_stderr)
+if(NOT bad_result EQUAL 1 OR NOT bad_stderr MATCHES "bad workload \"mixed:3x\"")
+  stop_daemon()
+  message(FATAL_ERROR "workload = mixed:3x must come back as an err line "
+                      "(${bad_result}):\n${bad_stdout}${bad_stderr}")
+endif()
+
 # --- status ------------------------------------------------------------------
 
 execute_process(
@@ -138,7 +155,8 @@ if(NOT status_result EQUAL 0)
   message(FATAL_ERROR "eastool status failed (${status_result}):\n${status_stdout}${status_stderr}")
 endif()
 foreach(expectation "\"queue_capacity\": 8" "\"completed_runs\": 3"
-        "\"completed_submissions\": 2" "\"workers\": 2" "uptime_s" "runs_per_s")
+        "\"completed_submissions\": 2" "\"rejected_submissions\": 1" "\"workers\": 2"
+        "uptime_s" "runs_per_s")
   if(NOT status_stdout MATCHES "${expectation}")
     stop_daemon()
     message(FATAL_ERROR "status is missing `${expectation}`:\n${status_stdout}")

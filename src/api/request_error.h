@@ -41,6 +41,9 @@ enum class RequestErrorCode {
 // daemon serializes and clients/tests match on.
 const char* RequestErrorCodeName(RequestErrorCode code);
 
+// The code a wire spelling names; std::nullopt for a spelling none has.
+std::optional<RequestErrorCode> RequestErrorCodeFromName(const std::string& name);
+
 struct RequestError {
   RequestErrorCode code = RequestErrorCode::kSyntax;
 

@@ -2,12 +2,12 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <type_traits>
 #include <utility>
 
+#include "src/base/text.h"
 #include "src/core/policy_registry.h"
 #include "src/fault/fault_plan.h"
 #include "src/freq/governor_registry.h"
@@ -19,15 +19,6 @@
 
 namespace eas {
 namespace {
-
-std::string Trim(const std::string& text) {
-  std::size_t begin = text.find_first_not_of(" \t\r");
-  if (begin == std::string::npos) {
-    return "";
-  }
-  const std::size_t end = text.find_last_not_of(" \t\r");
-  return text.substr(begin, end - begin + 1);
-}
 
 RequestError MakeError(RequestErrorCode code, std::string key, std::string message) {
   RequestError error;
@@ -46,13 +37,9 @@ const char* ParseValue(const std::string& text, std::string* out) {
   return nullptr;
 }
 
+// None of the numeric request fields can mean anything non-finite.
 const char* ParseValue(const std::string& text, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(text.c_str(), &end);
-  // strtod happily produces nan/inf (and overflows to inf); none of the
-  // numeric request fields can mean anything non-finite.
-  const bool ok = !text.empty() && end != nullptr && *end == '\0' && std::isfinite(*out);
-  return ok ? nullptr : "a number";
+  return ParseFinite(text, out) ? nullptr : "a number";
 }
 
 const char* ParseValue(const std::string& text, bool* out) {
@@ -68,7 +55,7 @@ const char* ParseValue(const std::string& text, bool* out) {
 }
 
 const char* ParseValue(const std::string& text, std::uint64_t* out) {
-  return ParseUintValue(text, out) ? nullptr : "a non-negative integer";
+  return ParseUint(text, out) ? nullptr : "a non-negative integer";
 }
 
 std::string FormatValue(const std::string& value) { return value; }
@@ -220,14 +207,6 @@ constexpr std::uint64_t kMaxRuns = 100'000;
 
 }  // namespace
 
-bool ParseUintValue(const std::string& text, std::uint64_t* out) {
-  if (text.empty() || text[0] == '-' || text[0] == '+') {
-    return false;
-  }
-  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), *out);
-  return ec == std::errc() && ptr == text.data() + text.size();
-}
-
 std::optional<RequestError> ApplyRunRequestField(const std::string& key,
                                                  const std::string& value,
                                                  RunRequest* request) {
@@ -241,64 +220,46 @@ Expected<RunRequest> ParseRunRequest(const std::string& text) {
   RunRequest request;
   std::vector<std::string> seen;
   std::size_t line_number = 0;
-  std::size_t line_start = 0;
   // Attaches the current line to an error built below; Render() turns it
   // back into the historical "line N: ..." diagnostic.
   const auto at_line = [&line_number](RequestError error) {
     error.line = line_number;
     return error;
   };
-  while (line_start <= text.size()) {
-    const std::size_t newline = text.find('\n', line_start);
-    std::string line = text.substr(
-        line_start, newline == std::string::npos ? std::string::npos : newline - line_start);
+  for (const std::string& line : SplitFields(text, '\n')) {
     ++line_number;
     // Strip comments, then split the remainder into ';'-separated pairs so
     // a whole request fits on one (batch-file) line.
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) {
-      line = line.substr(0, hash);
-    }
-    std::size_t pair_start = 0;
-    while (pair_start <= line.size()) {
-      const std::size_t semi = line.find(';', pair_start);
-      const std::string pair = Trim(line.substr(
-          pair_start, semi == std::string::npos ? std::string::npos : semi - pair_start));
-      if (!pair.empty()) {
-        const std::size_t eq = pair.find('=');
-        if (eq == std::string::npos) {
-          return at_line(MakeError(RequestErrorCode::kSyntax, "",
-                                   "expected key = value, got \"" + pair + "\""));
-        }
-        const std::string key = Trim(pair.substr(0, eq));
-        const std::string value = Trim(pair.substr(eq + 1));
-        if (key.empty()) {
-          return at_line(MakeError(RequestErrorCode::kSyntax, "", "missing key before '='"));
-        }
-        if (value.empty()) {
-          return at_line(MakeError(RequestErrorCode::kEmptyValue, key,
-                                   "empty value for \"" + key + "\""));
-        }
-        for (const std::string& earlier : seen) {
-          if (earlier == key) {
-            return at_line(MakeError(RequestErrorCode::kDuplicateKey, key,
-                                     "duplicate key \"" + key + "\""));
-          }
-        }
-        seen.push_back(key);
-        if (auto error = ApplyPair(key, value, &request)) {
-          return at_line(std::move(*error));
+    for (const std::string& field : SplitFields(line.substr(0, line.find('#')), ';')) {
+      const std::string pair = Trim(field);
+      if (pair.empty()) {
+        continue;
+      }
+      const std::size_t eq = pair.find('=');
+      if (eq == std::string::npos) {
+        return at_line(MakeError(RequestErrorCode::kSyntax, "",
+                                 "expected key = value, got \"" + pair + "\""));
+      }
+      const std::string key = Trim(pair.substr(0, eq));
+      const std::string value = Trim(pair.substr(eq + 1));
+      if (key.empty()) {
+        return at_line(MakeError(RequestErrorCode::kSyntax, "", "missing key before '='"));
+      }
+      if (value.empty()) {
+        return at_line(MakeError(RequestErrorCode::kEmptyValue, key,
+                                 "empty value for \"" + key + "\""));
+      }
+      for (const std::string& earlier : seen) {
+        if (earlier == key) {
+          return at_line(MakeError(RequestErrorCode::kDuplicateKey, key,
+                                   "duplicate key \"" + key + "\""));
         }
       }
-      if (semi == std::string::npos) {
-        break;
+      seen.push_back(key);
+      if (auto error = ApplyPair(key, value, &request)) {
+        return at_line(std::move(*error));
       }
-      pair_start = semi + 1;
     }
-    if (newline == std::string::npos) {
-      break;
-    }
-    line_start = newline + 1;
   }
   return request;
 }
@@ -435,8 +396,13 @@ Expected<ResolvedRequest> ResolveRunRequest(const RunRequest& request, ScenarioC
     spec.config.skip_ahead = *request.skip_ahead;
   }
   // Likewise intra-threads: explicit wins, unset keeps the config default
-  // (0 = the package phases on the calling thread).
+  // (0 = the package phases on the calling thread). Each worker is an OS
+  // thread, so the count takes the same cap as eastool's --threads.
   if (request.intra_threads.has_value()) {
+    if (*request.intra_threads > kMaxThreads) {
+      return MakeError(RequestErrorCode::kBadValue, "intra-threads",
+                       "bad intra-threads: want at most " + std::to_string(kMaxThreads));
+    }
     spec.config.intra_run_threads = static_cast<std::size_t>(*request.intra_threads);
   }
   if (!from_scenario || request.seed.has_value()) {

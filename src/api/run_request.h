@@ -50,6 +50,11 @@ namespace eas {
 
 class ScenarioCache;
 
+// The most worker threads one count may ask for: `intra-threads` here and
+// eastool's --threads. Each worker is an OS thread, so a larger count is a
+// typo, not a machine.
+inline constexpr std::uint64_t kMaxThreads = 1'024;
+
 struct RunRequest {
   // Label for reports; defaults to the scenario name, or "cli".
   std::string name;
@@ -97,8 +102,9 @@ struct RunRequest {
   std::optional<bool> skip_ahead;
 
   // Intra-run worker threads for the package-parallel tick pipeline
-  // (MachineConfig::intra_run_threads). Default 0: the calling thread
-  // alone, like 1. Results are bit-identical for every worker count.
+  // (MachineConfig::intra_run_threads), at most kMaxThreads. Default 0: the
+  // calling thread alone, like 1. Results are bit-identical for every
+  // worker count.
   std::optional<std::uint64_t> intra_threads;
 
   std::optional<std::uint64_t> seed;  // base seed (default 42)
@@ -123,11 +129,6 @@ Expected<RunRequest> ParseRunRequest(const std::string& text);
 std::optional<RequestError> ApplyRunRequestField(const std::string& key,
                                                  const std::string& value,
                                                  RunRequest* request);
-
-// The request file's rule for a non-negative integer value: decimal digits
-// only (no sign, no space), within uint64 range. eastool's --threads and
-// --queue-depth flags share it.
-bool ParseUintValue(const std::string& text, std::uint64_t* out);
 
 // Canonical multi-line rendering: set fields only, fixed key order,
 // shortest-round-trip numbers. Parse(Format(r)) == r for any valid r.

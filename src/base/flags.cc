@@ -40,32 +40,12 @@ std::string FlagParser::GetString(const std::string& name, const std::string& fa
   return it == values_.end() ? fallback : it->second;
 }
 
-double FlagParser::GetDouble(const std::string& name, double fallback) const {
-  auto it = values_.find(name);
-  if (it == values_.end() || it->second.empty()) {
-    return fallback;
-  }
-  return std::strtod(it->second.c_str(), nullptr);
-}
-
 long long FlagParser::GetInt(const std::string& name, long long fallback) const {
   auto it = values_.find(name);
   if (it == values_.end() || it->second.empty()) {
     return fallback;
   }
   return std::strtoll(it->second.c_str(), nullptr, 10);
-}
-
-bool FlagParser::GetBool(const std::string& name, bool fallback) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) {
-    return fallback;
-  }
-  const std::string& v = it->second;
-  if (v.empty() || v == "1" || v == "true" || v == "yes" || v == "on") {
-    return true;
-  }
-  return false;
 }
 
 std::vector<std::string> FlagParser::UnknownFlags(const std::vector<std::string>& known) const {
@@ -87,20 +67,6 @@ std::vector<std::string> FlagParser::UnknownFlags(const std::vector<std::string>
 
 std::vector<std::string> FlagParser::RepeatedFlags() const {
   return std::vector<std::string>(repeated_.begin(), repeated_.end());
-}
-
-std::vector<std::string> FlagParser::SplitColons(const std::string& value) {
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t colon = value.find(':', start);
-    if (colon == std::string::npos) {
-      fields.push_back(value.substr(start));
-      return fields;
-    }
-    fields.push_back(value.substr(start, colon - start));
-    start = colon + 1;
-  }
 }
 
 }  // namespace eas

@@ -23,9 +23,7 @@ class FlagParser {
 
   // Value of --name; `fallback` if absent. A bare switch yields "".
   std::string GetString(const std::string& name, const std::string& fallback = "") const;
-  double GetDouble(const std::string& name, double fallback) const;
   long long GetInt(const std::string& name, long long fallback) const;
-  bool GetBool(const std::string& name, bool fallback = false) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 
@@ -37,9 +35,6 @@ class FlagParser {
   // Flags passed more than once, sorted. The accessors above return the
   // last value; a tool rejects these so no value is dropped silently.
   std::vector<std::string> RepeatedFlags() const;
-
-  // Splits "a:b:c" into its fields.
-  static std::vector<std::string> SplitColons(const std::string& value);
 
  private:
   void Set(const std::string& name, const std::string& value);

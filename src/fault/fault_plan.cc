@@ -1,59 +1,14 @@
 #include "src/fault/fault_plan.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
-#include <sstream>
 
 #include "src/base/rng.h"
+#include "src/base/text.h"
 
 namespace eas {
 namespace {
-
-// Splits `text` on `sep`, keeping empty fields (so "off:@5" reports the
-// missing cpu instead of silently shifting the tick into its place).
-std::vector<std::string> Split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = text.find(sep, start);
-    if (pos == std::string::npos) {
-      parts.push_back(text.substr(start));
-      return parts;
-    }
-    parts.push_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
-bool ParseInt64(const std::string& text, std::int64_t* out) {
-  if (text.empty()) {
-    return false;
-  }
-  std::istringstream stream(text);
-  std::int64_t value = 0;
-  stream >> value;
-  if (stream.fail() || !stream.eof()) {
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
-bool ParseDouble(const std::string& text, double* out) {
-  if (text.empty()) {
-    return false;
-  }
-  std::istringstream stream(text);
-  double value = 0.0;
-  stream >> value;
-  if (stream.fail() || !stream.eof() || !std::isfinite(value)) {
-    return false;
-  }
-  *out = value;
-  return true;
-}
 
 std::string TooManyEvents() {
   return "the plan would hold more than " + std::to_string(kMaxFaultPlanEvents) +
@@ -70,10 +25,10 @@ bool Fail(std::string* error, const std::string& clause, const std::string& why)
 // Parses one `off:`/`on:` clause body (`<cpu>@<tick>`) into `plan`.
 bool ParseHotplug(const std::string& clause, const std::string& body, FaultKind kind,
                   const CpuTopology& topology, FaultPlan* plan, std::string* error) {
-  const std::vector<std::string> at = Split(body, '@');
+  const std::vector<std::string> at = SplitFields(body, '@');
   std::int64_t cpu = 0;
   std::int64_t tick = 0;
-  if (at.size() != 2 || !ParseInt64(at[0], &cpu) || !ParseInt64(at[1], &tick)) {
+  if (at.size() != 2 || !ParseInt(at[0], &cpu) || !ParseInt(at[1], &tick)) {
     return Fail(error, clause, "expected <cpu>@<tick>");
   }
   if (cpu < 0 || cpu >= static_cast<std::int64_t>(topology.num_logical())) {
@@ -95,9 +50,9 @@ bool ParseHotplug(const std::string& clause, const std::string& body, FaultKind 
 // Parses one `spike:`/`clamp:` clause body (`<pkg>@<tick>:<arg>:<dur>`).
 bool ParsePackageFault(const std::string& clause, const std::string& body, FaultKind kind,
                        const CpuTopology& topology, FaultPlan* plan, std::string* error) {
-  const std::vector<std::string> at = Split(body, '@');
+  const std::vector<std::string> at = SplitFields(body, '@');
   std::int64_t package = 0;
-  if (at.size() != 2 || !ParseInt64(at[0], &package)) {
+  if (at.size() != 2 || !ParseInt(at[0], &package)) {
     return Fail(error, clause, "expected <pkg>@<tick>:<arg>:<dur>");
   }
   if (package < 0 || package >= static_cast<std::int64_t>(topology.num_physical())) {
@@ -105,10 +60,10 @@ bool ParsePackageFault(const std::string& clause, const std::string& body, Fault
                 "package out of range (topology has " + std::to_string(topology.num_physical()) +
                     " packages)");
   }
-  const std::vector<std::string> rest = Split(at[1], ':');
+  const std::vector<std::string> rest = SplitFields(at[1], ':');
   std::int64_t tick = 0;
   std::int64_t duration = 0;
-  if (rest.size() != 3 || !ParseInt64(rest[0], &tick) || !ParseInt64(rest[2], &duration)) {
+  if (rest.size() != 3 || !ParseInt(rest[0], &tick) || !ParseInt(rest[2], &duration)) {
     return Fail(error, clause, "expected <pkg>@<tick>:<arg>:<dur>");
   }
   if (tick < 0) {
@@ -127,12 +82,12 @@ bool ParsePackageFault(const std::string& clause, const std::string& body, Fault
   event.package = static_cast<std::size_t>(package);
   event.duration = duration;
   if (kind == FaultKind::kThermalSpike) {
-    if (!ParseDouble(rest[1], &event.delta_c)) {
+    if (!ParseFinite(rest[1], &event.delta_c)) {
       return Fail(error, clause, "spike delta must be a finite number of degrees C");
     }
   } else {
     std::int64_t floor = 0;
-    if (!ParseInt64(rest[1], &floor) || floor < 0) {
+    if (!ParseInt(rest[1], &floor) || floor < 0) {
       return Fail(error, clause, "clamp floor must be a P-state index >= 0");
     }
     // The floor is re-clamped to the table's deepest state at apply time;
@@ -148,15 +103,15 @@ bool ParsePackageFault(const std::string& clause, const std::string& body, Fault
 // every cpu and tick, independent of the experiment's shared stream.
 bool ParseChurn(const std::string& clause, const std::string& body,
                 const CpuTopology& topology, FaultPlan* plan, std::string* error) {
-  const std::vector<std::string> at = Split(body, '@');
+  const std::vector<std::string> at = SplitFields(body, '@');
   std::int64_t count = 0;
-  if (at.size() != 2 || !ParseInt64(at[0], &count)) {
+  if (at.size() != 2 || !ParseInt(at[0], &count)) {
     return Fail(error, clause, "expected <n>@<horizon>:<seed>");
   }
-  const std::vector<std::string> rest = Split(at[1], ':');
+  const std::vector<std::string> rest = SplitFields(at[1], ':');
   std::int64_t horizon = 0;
   std::int64_t seed = 0;
-  if (rest.size() != 2 || !ParseInt64(rest[0], &horizon) || !ParseInt64(rest[1], &seed)) {
+  if (rest.size() != 2 || !ParseInt(rest[0], &horizon) || !ParseInt(rest[1], &seed)) {
     return Fail(error, clause, "expected <n>@<horizon>:<seed>");
   }
   if (count < 1) {
@@ -203,7 +158,7 @@ std::optional<FaultPlan> ParseFaultPlan(const std::string& spec, const CpuTopolo
   if (spec.empty() || spec == "none") {
     return plan;
   }
-  for (const std::string& clause : Split(spec, ',')) {
+  for (const std::string& clause : SplitFields(spec, ',')) {
     if (clause.empty()) {
       if (error != nullptr) {
         *error = "empty clause (stray comma?)";

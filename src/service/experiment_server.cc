@@ -1,8 +1,10 @@
 #include "src/service/experiment_server.h"
 
 #include <condition_variable>
-#include <cstdlib>
+#include <cstdint>
 #include <utility>
+
+#include "src/base/text.h"
 
 namespace eas {
 namespace {
@@ -136,16 +138,15 @@ void ExperimentServer::HandleConnection(int fd) {
       continue;
     }
     if (line.rfind("batch ", 0) == 0) {
-      char* end = nullptr;
-      const long count = std::strtol(line.c_str() + 6, &end, 10);
-      if (count <= 0 || (end != nullptr && *end != '\0')) {
+      std::uint64_t count = 0;
+      if (!ParseUint(line.substr(6), &count) || count == 0) {
         conn->Write("err " + RequestErrorToJson(
                                  ProtocolError("bad batch count in \"" + line + "\"")));
         continue;
       }
       std::vector<std::string> texts;
       bool bad = false;
-      for (long i = 0; i < count; ++i) {
+      for (std::uint64_t i = 0; i < count; ++i) {
         std::string member;
         if (!conn->channel.ReadLine(&member) || member.rfind("run ", 0) != 0) {
           conn->Write("err " + RequestErrorToJson(ProtocolError(

@@ -1,6 +1,6 @@
 #include "src/service/service_client.h"
 
-#include <cstdlib>
+#include "src/base/text.h"
 
 namespace eas {
 namespace {
@@ -10,6 +10,12 @@ RequestError TransportError(std::string message) {
   error.code = RequestErrorCode::kIo;
   error.message = std::move(message);
   return error;
+}
+
+// Reads "<verb> <a> <b>": the head of a `sub` or `rec` line.
+bool ReadPair(const std::string& head, std::uint64_t* a, std::uint64_t* b) {
+  const std::vector<std::string> fields = SplitFields(head, ' ');
+  return fields.size() == 3 && ParseUint(fields[1], a) && ParseUint(fields[2], b);
 }
 
 }  // namespace
@@ -46,11 +52,12 @@ Expected<SubmitOutcome> ServiceClient::SubmitAndStream(
   // until every admitted submission has reported `ok`.
   while ((acks_pending || open_submissions > 0) && channel_->ReadLine(&line)) {
     if (line.rfind("sub ", 0) == 0) {
-      char* end = nullptr;
-      const std::uint64_t id = std::strtoull(line.c_str() + 4, &end, 10);
-      const std::size_t records =
-          end != nullptr ? static_cast<std::size_t>(std::strtoull(end, nullptr, 10)) : 0;
-      outcome.submissions.emplace_back(id, records);
+      std::uint64_t id = 0;
+      std::uint64_t records = 0;
+      if (!ReadPair(line, &id, &records)) {
+        return TransportError("unexpected server message: \"" + line + "\"");
+      }
+      outcome.submissions.emplace_back(id, static_cast<std::size_t>(records));
       ++open_submissions;
       if (outcome.submissions.size() == request_texts.size()) {
         acks_pending = false;
@@ -58,14 +65,17 @@ Expected<SubmitOutcome> ServiceClient::SubmitAndStream(
       continue;
     }
     if (line.rfind("rec ", 0) == 0) {
+      // The JSON follows the second number's space. Without a first one,
+      // npos + 1 wraps to the verb's space, a head ReadPair rejects.
+      const std::size_t json = line.find(' ', line.find(' ', 4) + 1);
       ClientRecord record;
-      char* end = nullptr;
-      record.submission = std::strtoull(line.c_str() + 4, &end, 10);
-      record.index = static_cast<std::size_t>(std::strtoull(end, &end, 10));
-      if (end != nullptr && *end == ' ') {
-        ++end;
+      std::uint64_t index = 0;
+      if (json == std::string::npos ||
+          !ReadPair(line.substr(0, json), &record.submission, &index)) {
+        return TransportError("unexpected server message: \"" + line + "\"");
       }
-      record.jsonl = std::string(end != nullptr ? end : "");
+      record.index = static_cast<std::size_t>(index);
+      record.jsonl = line.substr(json + 1);
       ++outcome.records;
       if (on_record) {
         on_record(record);

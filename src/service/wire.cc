@@ -35,7 +35,8 @@ std::string StringFieldOf(const std::string& json, const std::string& field) {
         case 'u':
           // Only \u00XX controls are ever emitted; decode the low byte.
           if (i + 4 < json.size()) {
-            out += static_cast<char>(std::strtol(json.substr(i + 3, 2).c_str(), nullptr, 16));
+            const auto nibble = [](char h) { return h <= '9' ? h - '0' : (h | 0x20) - 'a' + 10; };
+            out += static_cast<char>(nibble(json[i + 3]) * 16 + nibble(json[i + 4]));
             i += 4;
           }
           break;
@@ -78,27 +79,9 @@ RequestError RequestErrorFromJson(const std::string& json) {
     error.message = "malformed error payload: " + json;
     return error;
   }
-  // Reverse of RequestErrorCodeName; an unrecognized spelling (a newer
-  // server) degrades to kProtocol but keeps the message intact.
-  const std::pair<const char*, RequestErrorCode> kCodes[] = {
-      {"syntax", RequestErrorCode::kSyntax},
-      {"unknown-key", RequestErrorCode::kUnknownKey},
-      {"duplicate-key", RequestErrorCode::kDuplicateKey},
-      {"empty-value", RequestErrorCode::kEmptyValue},
-      {"bad-value", RequestErrorCode::kBadValue},
-      {"unknown-name", RequestErrorCode::kUnknownName},
-      {"queue-full", RequestErrorCode::kQueueFull},
-      {"shutting-down", RequestErrorCode::kShuttingDown},
-      {"protocol", RequestErrorCode::kProtocol},
-      {"io", RequestErrorCode::kIo},
-  };
-  error.code = RequestErrorCode::kProtocol;
-  for (const auto& [name, value] : kCodes) {
-    if (code == name) {
-      error.code = value;
-      break;
-    }
-  }
+  // An unrecognized spelling (a newer server) degrades to kProtocol but
+  // keeps the message intact.
+  error.code = RequestErrorCodeFromName(code).value_or(RequestErrorCode::kProtocol);
   error.key = StringFieldOf(json, "key");
   error.line = static_cast<std::size_t>(StatusField(json, "line", 0.0));
   error.message = StringFieldOf(json, "message");
@@ -130,6 +113,7 @@ double StatusField(const std::string& json, const std::string& field, double fal
   if (start == std::string::npos) {
     return fallback;
   }
+  // easlint: allow(text-values) -- reads a number this file's own JSON writers printed
   return std::strtod(json.c_str() + start + needle.size(), nullptr);
 }
 

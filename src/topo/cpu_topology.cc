@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "src/base/text.h"
+
 namespace eas {
 namespace {
 
@@ -12,29 +14,8 @@ constexpr const char* kDefaultLevelNames[] = {"smt",   "package", "node",  "boar
                                               "rack",  "row",     "hall",  "site"};
 constexpr std::size_t kMaxLevels = sizeof(kDefaultLevelNames) / sizeof(kDefaultLevelNames[0]);
 
-// No simulated machine needs more than a million logical CPUs; the cap also
-// keeps the width products far from overflow.
+// No simulated machine needs more than a million logical CPUs.
 constexpr std::size_t kMaxLogicalCpus = std::size_t{1} << 20;
-
-// Strict positive-integer parse: every character a digit, value >= 1. The
-// length cap keeps the value far from overflow (no machine has 1e9 nodes).
-bool ParsePositiveField(const std::string& text, std::size_t* out) {
-  if (text.empty() || text.size() > 9) {
-    return false;
-  }
-  std::size_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-  }
-  if (value == 0) {
-    return false;
-  }
-  *out = value;
-  return true;
-}
 
 std::string DefaultLevelName(std::size_t level, std::size_t num_levels) {
   assert(num_levels <= kMaxLevels && level < num_levels);
@@ -130,17 +111,7 @@ bool CpuTopology::AreSiblings(int a, int b) const { return PhysicalOf(a) == Phys
 bool CpuTopology::SameNode(int a, int b) const { return NodeOf(a) == NodeOf(b); }
 
 std::optional<CpuTopology> ParseTopologySpec(const std::string& spec, std::string* error) {
-  std::vector<std::string> fields;
-  std::string field;
-  for (char c : spec) {
-    if (c == ':') {
-      fields.push_back(field);
-      field.clear();
-    } else {
-      field += c;
-    }
-  }
-  fields.push_back(field);
+  const std::vector<std::string> fields = SplitFields(spec, ':');
   if (fields.size() < 2) {
     if (error != nullptr) {
       *error = "want at least two colon-separated level widths "
@@ -177,7 +148,8 @@ std::optional<CpuTopology> ParseTopologySpec(const std::string& spec, std::strin
     } else if (fields.size() == 3) {
       levels[i].name = (i == 0) ? "node" : (i == 1) ? "package" : "smt";
     }
-    if (!ParsePositiveField(token, &levels[i].width)) {
+    std::uint64_t width = 0;
+    if (!ParseUint(token, &width) || width < 1) {
       if (error != nullptr) {
         const std::string display =
             fields.size() == 3 && eq == std::string::npos
@@ -188,14 +160,16 @@ std::optional<CpuTopology> ParseTopologySpec(const std::string& spec, std::strin
       }
       return std::nullopt;
     }
-    total_logical *= levels[i].width;
-    if (total_logical > kMaxLogicalCpus) {
+    // Compared before multiplying, so no width can overflow the product.
+    if (width > kMaxLogicalCpus / total_logical) {
       if (error != nullptr) {
         *error = "topology \"" + spec + "\" describes more than " +
                  std::to_string(kMaxLogicalCpus) + " logical CPUs";
       }
       return std::nullopt;
     }
+    levels[i].width = static_cast<std::size_t>(width);
+    total_logical *= levels[i].width;
   }
   return CpuTopology(std::move(levels));
 }

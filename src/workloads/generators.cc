@@ -1,13 +1,14 @@
 #include "src/workloads/generators.h"
 
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <utility>
 
 #include "src/base/rng.h"
+#include "src/base/text.h"
 #include "src/task/task.h"
 
 namespace eas {
@@ -47,32 +48,6 @@ Phase ShiftPhase(const EnergyModel& model, const EventRates& signature, double p
   phase.duration_jitter = 0.05;
   phase.rate_noise = 0.02;
   return phase;
-}
-
-// Splits one CSV line into trimmed fields.
-std::vector<std::string> SplitCsvLine(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string field;
-  std::istringstream stream(line);
-  while (std::getline(stream, field, ',')) {
-    const std::size_t begin = field.find_first_not_of(" \t\r");
-    const std::size_t end = field.find_last_not_of(" \t\r");
-    fields.push_back(begin == std::string::npos ? "" : field.substr(begin, end - begin + 1));
-  }
-  return fields;
-}
-
-bool ParseLongLong(const std::string& text, long long* out) {
-  if (text.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size()) {
-    return false;
-  }
-  *out = value;
-  return true;
 }
 
 }  // namespace
@@ -125,25 +100,23 @@ Workload PoissonWorkload(const std::vector<const Program*>& mix, const PoissonOp
 bool ParseTraceWorkload(const std::string& csv_text, const ProgramLibrary& library, Workload* out,
                         std::string* error) {
   Workload workload;
-  std::istringstream lines(csv_text);
-  std::string line;
   int line_number = 0;
   bool seen_content = false;
-  while (std::getline(lines, line)) {
+  for (const std::string& line : SplitFields(csv_text, '\n')) {
     ++line_number;
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();
-    }
-    const std::size_t first_char = line.find_first_not_of(" \t");
-    if (first_char == std::string::npos || line[first_char] == '#') {
+    const std::string content = Trim(line);
+    if (content.empty() || content[0] == '#') {
       continue;
     }
-    const std::vector<std::string> fields = SplitCsvLine(line);
-    long long tick = 0;
+    std::vector<std::string> fields = SplitFields(line, ',');
+    for (std::string& field : fields) {
+      field = Trim(field);
+    }
+    std::int64_t tick = 0;
     // Only the literal "tick,..." header is skippable - any other
     // non-numeric first field must error, or a typoed first data row in a
     // headerless trace would be silently dropped.
-    if (!seen_content && !fields.empty() && fields[0] == "tick") {
+    if (!seen_content && fields[0] == "tick") {
       seen_content = true;
       continue;
     }
@@ -154,7 +127,7 @@ bool ParseTraceWorkload(const std::string& csv_text, const ProgramLibrary& libra
       }
       return false;
     }
-    if (!ParseLongLong(fields[0], &tick) || tick < 0) {
+    if (!ParseInt(fields[0], &tick) || tick < 0) {
       if (error != nullptr) {
         *error = "line " + std::to_string(line_number) + ": bad tick \"" + fields[0] + "\"";
       }
@@ -167,8 +140,8 @@ bool ParseTraceWorkload(const std::string& csv_text, const ProgramLibrary& libra
       }
       return false;
     }
-    long long nice = 0;
-    if (fields.size() == 3 && (!ParseLongLong(fields[2], &nice) || nice < Task::kMinNice ||
+    std::int64_t nice = 0;
+    if (fields.size() == 3 && (!ParseInt(fields[2], &nice) || nice < Task::kMinNice ||
                                nice > Task::kMaxNice)) {
       if (error != nullptr) {
         *error = "line " + std::to_string(line_number) + ": bad nice \"" + fields[2] + "\"";

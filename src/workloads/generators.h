@@ -53,7 +53,8 @@ Workload PoissonWorkload(const std::vector<const Program*>& mix, const PoissonOp
 
 // Parses a trace in "tick,program[,nice]" CSV form (an optional leading
 // header whose first field is literally "tick", '#' comments and blank
-// lines skipped) against `library` names. Returns
+// lines skipped; fields trimmed, tick and nice read by ParseInt) against
+// `library` names. Returns
 // false and sets `error` on the first malformed line or unknown program;
 // `out` is only written on success.
 bool ParseTraceWorkload(const std::string& csv_text, const ProgramLibrary& library, Workload* out,

@@ -1,10 +1,27 @@
 #include "src/workloads/workload_builder.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
+#include <cstdint>
+
+#include "src/base/text.h"
 
 namespace eas {
+namespace {
+
+// A whole spec spawns at most this many tasks, so an absurd count is a bad
+// workload instead of a multi-gigabyte spawn list.
+constexpr std::uint64_t kMaxSpecTasks = 1'000'000;
+
+// Reads a `kind:<n>` count: `fallback` when the text is empty, else digits
+// no larger than the task bound.
+bool ParseCount(const std::string& text, std::uint64_t fallback, std::uint64_t* n) {
+  if (text.empty()) {
+    *n = fallback;
+    return true;
+  }
+  return ParseUint(text, n) && *n <= kMaxSpecTasks;
+}
+
+}  // namespace
 
 std::vector<const Program*> MixedWorkload(const ProgramLibrary& library, int instances) {
   std::vector<const Program*> spawn;
@@ -45,33 +62,39 @@ std::vector<const Program*> ParseWorkloadSpec(const std::string& spec,
   const std::size_t colon = spec.find(':');
   const std::string kind = spec.substr(0, colon);
   const std::string arg = colon == std::string::npos ? "" : spec.substr(colon + 1);
+  std::uint64_t n = 0;
   if (kind == "mixed") {
-    const int instances = arg.empty() ? 3 : std::atoi(arg.c_str());
-    return instances >= 0 ? MixedWorkload(library, instances)
-                          : std::vector<const Program*>{};
+    return ParseCount(arg, 3, &n) && n <= kMaxSpecTasks / library.Table2Programs().size()
+               ? MixedWorkload(library, static_cast<int>(n))
+               : std::vector<const Program*>{};
   }
   if (kind == "homog") {
-    int memrw = -1;
-    int pushpop = -1;
-    int bitcnts = -1;
-    if (std::sscanf(arg.c_str(), "%d,%d,%d", &memrw, &pushpop, &bitcnts) != 3 || memrw < 0 ||
-        pushpop < 0 || bitcnts < 0) {
+    const std::vector<std::string> fields = SplitFields(arg, ',');
+    std::uint64_t counts[3] = {};
+    std::uint64_t total = 0;
+    if (fields.size() != 3) {
       return {};
     }
-    return HomogeneityWorkload(library, memrw, pushpop, bitcnts);
+    for (std::size_t i = 0; i < 3; ++i) {
+      if (!ParseUint(fields[i], &counts[i]) || counts[i] > kMaxSpecTasks - total) {
+        return {};
+      }
+      total += counts[i];
+    }
+    return HomogeneityWorkload(library, static_cast<int>(counts[0]), static_cast<int>(counts[1]),
+                               static_cast<int>(counts[2]));
   }
   if (kind == "hot") {
-    const int n = arg.empty() ? 1 : std::atoi(arg.c_str());
-    return n >= 0 ? HotTaskWorkload(library, n) : std::vector<const Program*>{};
+    return ParseCount(arg, 1, &n) ? HotTaskWorkload(library, static_cast<int>(n))
+                                  : std::vector<const Program*>{};
   }
   if (kind == "short") {
-    const int n = arg.empty() ? 16 : std::atoi(arg.c_str());
-    if (n < 0) {
+    if (!ParseCount(arg, 16, &n)) {
       return {};
     }
     std::vector<const Program*> spawn;
     spawn.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
+    for (std::uint64_t i = 0; i < n; ++i) {
       spawn.push_back(i % 2 == 0 ? &library.short_hot() : &library.short_cool());
     }
     return spawn;
@@ -82,41 +105,16 @@ std::vector<const Program*> ParseWorkloadSpec(const std::string& spec,
     // (e.g. a consolidation host's service blend) declarable in request
     // files instead of requiring code.
     std::vector<const Program*> spawn;
-    std::size_t start = 0;
-    while (start <= arg.size()) {
-      const std::size_t comma = arg.find(',', start);
-      const std::string entry =
-          arg.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
-      if (entry.empty()) {
-        return {};
-      }
+    for (const std::string& entry : SplitFields(arg, ',')) {
       const std::size_t star = entry.find('*');
-      const std::string name = entry.substr(0, star);
-      long long count = 1;
-      if (star != std::string::npos) {
-        const std::string repeat = entry.substr(star + 1);
-        char* end = nullptr;
-        errno = 0;
-        count = std::strtoll(repeat.c_str(), &end, 10);
-        // Range-checked, unlike a bare atoi: an overflowing or absurd
-        // count must be rejected, not wrapped into a small value or an
-        // attempted multi-billion-entry spawn list.
-        if (repeat.empty() || *end != '\0' || errno == ERANGE || count < 1 ||
-            count > 1'000'000) {
-          return {};
-        }
-      }
-      const Program* program = library.ByName(name);
-      if (program == nullptr) {
+      const Program* program = library.ByName(entry.substr(0, star));
+      std::uint64_t count = 1;
+      if (program == nullptr ||
+          (star != std::string::npos && (!ParseUint(entry.substr(star + 1), &count) || count < 1)) ||
+          count > kMaxSpecTasks - spawn.size()) {
         return {};
       }
-      for (long long i = 0; i < count; ++i) {
-        spawn.push_back(program);
-      }
-      if (comma == std::string::npos) {
-        break;
-      }
-      start = comma + 1;
+      spawn.insert(spawn.end(), static_cast<std::size_t>(count), program);
     }
     return spawn;
   }

@@ -30,6 +30,8 @@ std::vector<const Program*> HotTaskWorkload(const ProgramLibrary& library, int n
 //   "short:<n>"                    - alternating short_hot/short_cool tasks
 //   "list:<name>[*<count>],..."    - explicit spawn list by program name
 //                                    (e.g. "list:bitcnts*8,memrw*12,sshd*4")
+// Every count is decimal digits (ParseUint); an empty mixed/hot/short count
+// takes its default (3, 1, 16). A spec spawns at most 1,000,000 tasks.
 // Returns an empty vector for malformed specifications.
 std::vector<const Program*> ParseWorkloadSpec(const std::string& spec,
                                               const ProgramLibrary& library);

@@ -188,6 +188,11 @@ TEST(RunRequestApplyFieldTest, SharesTheParserValidation) {
   error = apply("duration-s", "fast");
   ASSERT_TRUE(error.has_value());
   EXPECT_NE(error->message.find("bad value for duration-s"), std::string::npos);
+  // A flag value is not trimmed the way a file's is, so edge space is an
+  // error rather than something strtod skips.
+  error = apply("max-power", " 60");
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->message, "bad value for max-power: \" 60\" (want a number)");
   error = apply("polcy", "eas");
   ASSERT_TRUE(error.has_value());
   EXPECT_NE(error->message.find("unknown key"), std::string::npos);
@@ -501,6 +506,16 @@ TEST(RunRequestResolveTest, RejectionsDiagnose) {
   request.workload = "bogus:3";
   EXPECT_NE(ResolveErr(request).Render().find("bad workload"), std::string::npos);
 
+  // A count with trailing junk, and a spec past 1,000,000 tasks, name the
+  // whole spec.
+  for (const char* workload : {"mixed:3x", "hot:2.9", "mixed:166667"}) {
+    request = RunRequest{};
+    request.workload = workload;
+    const RequestError error = ResolveErr(request);
+    EXPECT_EQ(error.key, "workload") << workload;
+    EXPECT_EQ(error.Render(), std::string("bad workload \"") + workload + "\"");
+  }
+
   // Programmatically built requests bypass the parser's finiteness guard;
   // resolve must repeat it. 0.0004 s rounds to zero ticks: as empty as 0.
   for (const double duration_s : {0.0, std::nan(""), 0.0004}) {
@@ -546,6 +561,17 @@ TEST(RunRequestResolveTest, RejectionsDiagnose) {
     EXPECT_EQ(error.code, RequestErrorCode::kBadValue) << runs;
     EXPECT_EQ(error.key, "runs") << runs;
     EXPECT_EQ(error.Render(), "bad runs: want at most 100000 per request") << runs;
+  }
+
+  // Each intra-run worker is an OS thread: past eastool's --threads cap the
+  // count is a diagnosed rejection, before any engine starts one.
+  for (const std::uint64_t threads : {std::uint64_t{1'025}, ~std::uint64_t{0}}) {
+    request = RunRequest{};
+    request.intra_threads = threads;
+    const RequestError error = ResolveErr(request);
+    EXPECT_EQ(error.code, RequestErrorCode::kBadValue) << threads;
+    EXPECT_EQ(error.key, "intra-threads") << threads;
+    EXPECT_EQ(error.Render(), "bad intra-threads: want at most 1024") << threads;
   }
 }
 

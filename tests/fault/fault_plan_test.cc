@@ -137,6 +137,22 @@ TEST(FaultPlanTest, RejectsMalformedSpecsNamingTheClause) {
   MustFail("churn:3@1:7");                                                     // horizon >= 2
 }
 
+TEST(FaultPlanTest, NumbersTakeTheSharedValueRules) {
+  // Integers are an optional '-' and digits, with no '+' or space.
+  EXPECT_EQ(MustFail("off:+1@5"), "clause 'off:+1@5': expected <cpu>@<tick>");
+  EXPECT_EQ(MustFail("spike:0@ 10:5:5"),
+            "clause 'spike:0@ 10:5:5': expected <pkg>@<tick>:<arg>:<dur>");
+  MustFail("on:1 @5");
+  MustFail("churn:3@100:+7");
+  // The spike delta is a finite number in strtod syntax, whole.
+  MustFail("spike:0@5: 12:10");
+  MustFail("spike:0@5:1e999:10");
+  std::string error;
+  const auto plan = ParseFaultPlan("spike:0@5:+1.5e1:10,churn:1@100:-7", SmallTopology(), &error);
+  ASSERT_TRUE(plan.has_value()) << error;
+  EXPECT_EQ(plan->events[0].delta_c, 15.0);
+}
+
 TEST(FaultPlanTest, RejectsPlansPastTheEventLimitBeforeExpanding) {
   // A huge churn count is refused before a single pair is drawn, with a
   // diagnostic that names the clause and the limit.

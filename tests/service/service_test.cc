@@ -269,6 +269,31 @@ TEST(ExperimentServiceTest, FaultPlansPastTheirLimitsRejectAndServingContinues) 
   EXPECT_EQ(service.Status().rejected_submissions, 2u);
 }
 
+TEST(ExperimentServiceTest, MisreadValuesRejectAndServingContinues) {
+  // Values the parsers once read loosely are structured errors now: a count
+  // with trailing junk, a signed fault cpu, an intra-run thread count past
+  // the cap.
+  ExperimentService service({/*queue_depth=*/8, /*workers=*/1, /*start_workers=*/true});
+  Collector collector;
+  const std::pair<const char*, const char*> cases[] = {
+      {"workload = mixed:3x; duration-s = 1", "workload"},
+      {"workload = hot:1; duration-s = 1; faults = off:+1@5", "faults"},
+      {"workload = hot:1; duration-s = 1; intra-threads = 1025", "intra-threads"},
+  };
+  for (const auto& [text, key] : cases) {
+    const auto rejected = service.Submit(text, collector.fn());
+    ASSERT_FALSE(rejected.ok()) << text;
+    EXPECT_EQ(rejected.error().code, RequestErrorCode::kBadValue) << text;
+    EXPECT_EQ(rejected.error().key, key) << text;
+  }
+
+  const auto normal = service.Submit(kQuickRequest, collector.fn());
+  ASSERT_TRUE(normal.ok()) << normal.error().Render();
+  service.Drain();
+  EXPECT_EQ(collector.Lines(normal->submission), OfflineLines(kQuickRequest));
+  EXPECT_EQ(service.Status().rejected_submissions, 3u);
+}
+
 TEST(ExperimentServiceTest, MalformedRequestsRejectBeforeAdmission) {
   ExperimentService service({/*queue_depth=*/8, /*workers=*/1, /*start_workers=*/false});
   Collector collector;

@@ -4,6 +4,7 @@
 // real socket, with concurrent clients demuxed by submission id.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdlib>
@@ -187,6 +188,31 @@ TEST(ExperimentServerTest, UnknownVerbsGetProtocolErrorsNotDisconnects) {
   ASSERT_TRUE(channel.WriteLine("done"));
   ASSERT_TRUE(channel.ReadLine(&line));
   EXPECT_EQ(line, "end");
+}
+
+TEST(ExperimentServerTest, BatchCountsAreDigitsOnly) {
+  const std::string socket_path = SocketPath("batch_count");
+  auto server = ExperimentServer::Start(QuickServer(socket_path));
+  ASSERT_TRUE(server.ok()) << server.error().Render();
+
+  for (const char* count : {"+1", " 1", "1x", "0", "-1", "18446744073709551616"}) {
+    auto fd = ConnectUnix(socket_path);
+    ASSERT_TRUE(fd.ok()) << fd.error().Render();
+    LineChannel channel(*fd);
+    ASSERT_TRUE(channel.WriteLine(std::string("batch ") + count));
+    // End the stream here: a count the server took would wait for run
+    // lines that never come, and report a short batch instead.
+    ::shutdown(channel.fd(), SHUT_WR);
+    std::string line;
+    ASSERT_TRUE(channel.ReadLine(&line)) << count;
+    ASSERT_EQ(line.rfind("err ", 0), 0u) << count << ": " << line;
+    const RequestError error = RequestErrorFromJson(line.substr(4));
+    EXPECT_EQ(error.code, RequestErrorCode::kProtocol) << count;
+    EXPECT_EQ(error.message, "bad batch count in \"batch " + std::string(count) + "\"");
+  }
+  auto client = ServiceClient::Connect(socket_path);
+  ASSERT_TRUE(client.ok()) << client.error().Render();
+  EXPECT_TRUE(client->QueryStatus().ok());
 }
 
 TEST(ExperimentServerTest, ShutdownVerbDrainsAndStopsTheServer) {

@@ -100,6 +100,30 @@ TEST_F(WorkloadBuilderTest, ParseSpecListRejectsMalformed) {
   EXPECT_TRUE(ParseWorkloadSpec("list:bitcnts*2000000000", library_).empty());
 }
 
+TEST_F(WorkloadBuilderTest, ParseSpecCountsAreDigitsOnly) {
+  for (const char* spec : {"mixed:3x", "hot:2.9", "homog:1,1,1junk", "short: 4", "mixed:+3",
+                           "hot:-1", "homog:1,,1", "homog:1,1,1,", "list:bitcnts*+2"}) {
+    EXPECT_TRUE(ParseWorkloadSpec(spec, library_).empty()) << spec;
+  }
+  // An empty count keeps its default.
+  EXPECT_EQ(ParseWorkloadSpec("mixed:", library_), MixedWorkload(library_, 3));
+  EXPECT_EQ(ParseWorkloadSpec("hot:", library_), HotTaskWorkload(library_, 1));
+  EXPECT_EQ(ParseWorkloadSpec("short:", library_).size(), 16u);
+  EXPECT_EQ(ParseWorkloadSpec("mixed:3", library_), MixedWorkload(library_, 3));
+  EXPECT_EQ(ParseWorkloadSpec("homog:4,4,4", library_), HomogeneityWorkload(library_, 4, 4, 4));
+}
+
+TEST_F(WorkloadBuilderTest, ParseSpecBoundsTheWholeSpawnList) {
+  // At most 1,000,000 tasks per spec, counted before the list is built.
+  for (const char* spec : {"mixed:166667", "hot:1000001", "short:1000001",
+                           "homog:500000,500000,1", "list:bitcnts*600000,memrw*600000",
+                           "list:bitcnts*1000000,memrw"}) {
+    EXPECT_TRUE(ParseWorkloadSpec(spec, library_).empty()) << spec;
+  }
+  EXPECT_EQ(ParseWorkloadSpec("mixed:166666", library_).size(), 999'996u);
+  EXPECT_EQ(ParseWorkloadSpec("list:bitcnts*999999,memrw", library_).size(), 1'000'000u);
+}
+
 TEST_F(WorkloadBuilderTest, ParseSpecRejectsUnknown) {
   EXPECT_TRUE(ParseWorkloadSpec("bogus:3", library_).empty());
   EXPECT_TRUE(ParseWorkloadSpec("", library_).empty());

@@ -158,6 +158,26 @@ TEST(GeneratorsTest, TraceRejectsBadRows) {
   EXPECT_NE(error.find("line 1"), std::string::npos);
 }
 
+TEST(GeneratorsTest, TraceNumbersTakeTheSharedValueRules) {
+  const ProgramLibrary library(EnergyModel::Default());
+  Workload workload;
+  std::string error;
+  EXPECT_FALSE(ParseTraceWorkload("+5,bitcnts\n", library, &workload, &error));
+  EXPECT_EQ(error, "line 1: bad tick \"+5\"");
+  // Past int64: rejected, not saturated into an arrival that never spawns.
+  EXPECT_FALSE(ParseTraceWorkload("99999999999999999999,bitcnts\n", library, &workload, &error));
+  EXPECT_EQ(error, "line 1: bad tick \"99999999999999999999\"");
+  EXPECT_FALSE(ParseTraceWorkload("0,memrw,+3\n", library, &workload, &error));
+  EXPECT_EQ(error, "line 1: bad nice \"+3\"");
+  // A trailing comma is an empty nice field, not a missing one.
+  EXPECT_FALSE(ParseTraceWorkload("0,memrw,\n", library, &workload, &error));
+  EXPECT_EQ(error, "line 1: bad nice \"\"");
+  ASSERT_TRUE(ParseTraceWorkload("0,memrw,-20\r\n7 ,bitcnts\n", library, &workload, &error))
+      << error;
+  EXPECT_EQ(workload.arrivals()[0].nice, -20);
+  EXPECT_EQ(workload.arrivals()[1].tick, 7);
+}
+
 TEST(GeneratorsTest, LoadTraceWorkloadRoundTrip) {
   const ProgramLibrary library(EnergyModel::Default());
   const std::string path = "/tmp/eas_workload_trace_test.csv";

@@ -30,6 +30,10 @@ instead of one instance at test time. Three check families:
                      RegisterScalar/RegisterSeries calls outside
                      src/sim/metrics.cc are flagged so every summary column
                      keeps flowing through MetricScalars.
+  text-values        Number parsing has one home: atoi/strtol/sscanf/
+                     std::sto*/std::from_chars and their kin are flagged in
+                     src/ outside src/base/, so every parser reads its values
+                     through the shared rules of src/base/text.h.
 
 Engines
 -------
@@ -72,6 +76,7 @@ RULES = (
     "fault-rng-isolation",
     "registry-naming",
     "metric-schema",
+    "text-values",
     "suppression-justification",
 )
 
@@ -146,6 +151,15 @@ IDENT_CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
 # default-constructed Rng hides the seed. Both break replay.
 FAULT_SHARED_RNG_RE = re.compile(r"(?:\.|->)\s*rng\s*\(")
 FAULT_UNSEEDED_RNG_RE = re.compile(r"\b(?:eas\s*::\s*)?Rng\s+\w+\s*;")
+
+
+# Library number parsers: each carries its own rule for what a number is
+# (space, signs, saturation), so outside src/base/ values go through
+# src/base/text.h instead.
+TEXT_VALUE_RE = re.compile(
+    r"(?<![\w.>:])(?:std\s*::\s*)?(atoi|atol|atoll|atof|strto(?:l|ll|ul|ull|d|f)|sscanf|"
+    r"sto(?:i|l|ll|ul|ull|f|d|ld)|from_chars)\s*\("
+)
 
 
 def die(message):
@@ -561,6 +575,21 @@ class Linter:
                 f"{match.group(1)} call outside src/sim/metrics.cc: the "
                 "metric schema has exactly one source of truth, MetricScalars - "
                 "add the column family there instead",
+            )
+
+    def check_text_values(self, source):
+        if not source.in_src:
+            return
+        if "/src/base/" in source.path.replace(os.sep, "/"):
+            return
+        for match in TEXT_VALUE_RE.finditer(source.code):
+            self.add(
+                source,
+                source.line_of(match.start()),
+                "text-values",
+                f"'{match.group(1)}' outside src/base/: read numbers through "
+                "src/base/text.h (ParseUint, ParseInt, ParseFinite) so every "
+                "input shares one rule",
             )
 
     # -- suppression hygiene ---------------------------------------------------
@@ -1007,6 +1036,7 @@ def main():
         linter.check_fault_rng_isolation(source)
         linter.check_registry_naming(source)
         linter.check_metric_schema(source)
+        linter.check_text_values(source)
         linter.check_suppressions(source)
     check_shard_confinement(linter, sources)
 

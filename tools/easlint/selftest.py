@@ -105,7 +105,8 @@ def main():
         "determinism-wall-clock", "determinism-raw-rand",
         "determinism-unseeded-prng", "determinism-unordered-iter",
         "determinism-pointer-key", "shard-confinement", "fault-rng-isolation",
-        "registry-naming", "metric-schema", "suppression-justification",
+        "registry-naming", "metric-schema", "text-values",
+        "suppression-justification",
     }
     missing = required - set(rules_covered)
     check(not missing, "every rule has a known-bad fixture",

@@ -46,6 +46,7 @@
 #include "src/api/run_session.h"
 #include "src/api/sink_registry.h"
 #include "src/base/flags.h"
+#include "src/base/text.h"
 #include "src/fault/fault_plan.h"
 #include "src/freq/governor_registry.h"
 #include "src/service/experiment_server.h"
@@ -53,11 +54,6 @@
 #include "src/sim/scenario.h"
 
 namespace {
-
-// Each worker is one OS thread, started before any request runs (the
-// service's pool) or per spec (the offline runner); a larger count is a
-// typo, not a machine.
-constexpr long long kMaxThreads = 1'024;
 
 void PrintUsage() {
   std::printf(
@@ -93,7 +89,8 @@ void PrintUsage() {
       "                      temp-only = temperature_only; '-' matches '_')\n"
       "  --workload SPEC     mixed:<inst> | homog:<m>,<p>,<b> | hot:<n> | short:<n>\n"
       "                      | list:<prog>[*<count>],...  (programs by name)\n"
-      "                      | trace:<file.csv>   (rows: tick,program[,nice])\n"
+      "                      | trace:<file.csv>   (rows: tick,program[,nice]);\n"
+      "                      counts are digits, at most 1000000 tasks per spec\n"
       "  --governor NAME     DVFS frequency governor (default none = P0 pinned;\n"
       "                      see --list-governors)\n"
       "  --list-governors    list registered frequency governors and exit\n"
@@ -118,7 +115,7 @@ void PrintUsage() {
       "                      is the A/B timing escape hatch)\n"
       "  --intra-threads N   intra-run workers for the package-parallel tick\n"
       "                      pipeline (default 0 = the calling thread, like 1;\n"
-      "                      results are bit-identical for every N)\n"
+      "                      at most 1024; results are bit-identical for every N)\n"
       "  --request FILE      load a RunRequest file (key = value lines; flags\n"
       "                      above override its fields)\n"
       "  --batch FILE        run every request in FILE (one per line, 'key = v;\n"
@@ -221,7 +218,7 @@ bool LoadBatchRequests(const std::string& path, std::vector<eas::RunRequest>* re
     ++line_number;
     const std::size_t hash = line.find('#');
     const std::string body = hash == std::string::npos ? line : line.substr(0, hash);
-    if (body.find_first_not_of(" \t\r") == std::string::npos) {
+    if (eas::Trim(body).empty()) {
       continue;  // blank or comment-only line
     }
     const auto request = eas::ParseRunRequest(body);
@@ -309,17 +306,15 @@ std::string RequireSocket(const eas::FlagParser& flags) {
 
 // --- verbs -------------------------------------------------------------------
 
-int RunServe(const eas::FlagParser& flags) {
+int RunServe(const eas::FlagParser& flags, std::uint64_t threads, std::uint64_t queue_depth) {
   const std::string socket = RequireSocket(flags);
   if (socket.empty()) {
     return 1;
   }
   eas::ServerOptions options;
   options.socket_path = socket;
-  options.service.queue_depth =
-      static_cast<std::size_t>(std::max(1LL, flags.GetInt("queue-depth", 64)));
-  options.service.workers =
-      static_cast<std::size_t>(std::max(0LL, flags.GetInt("threads", 0)));
+  options.service.queue_depth = static_cast<std::size_t>(std::max<std::uint64_t>(1, queue_depth));
+  options.service.workers = static_cast<std::size_t>(threads);
   auto server = eas::ExperimentServer::Start(std::move(options));
   if (!server.ok()) {
     std::fprintf(stderr, "eastool serve: %s\n", server.error().Render().c_str());
@@ -456,20 +451,22 @@ int main(int argc, char** argv) {
 
   // Worker counts take the request file's integers: digits only, so
   // `--threads 4z` cannot run as 4, nor `--threads abc` as 0.
-  for (const char* flag : {"threads", "queue-depth"}) {
-    std::uint64_t count = 0;
-    if (flags.Has(flag) && !eas::ParseUintValue(flags.GetString(flag), &count)) {
+  std::uint64_t threads = 0;
+  std::uint64_t queue_depth = 64;
+  for (const auto& [flag, count] : {std::pair{"threads", &threads},
+                                    std::pair{"queue-depth", &queue_depth}}) {
+    if (flags.Has(flag) && !eas::ParseUint(flags.GetString(flag), count)) {
       std::fprintf(stderr, "--%s: bad value \"%s\" (want a non-negative integer)\n", flag,
                    flags.GetString(flag).c_str());
       return 1;
     }
   }
   // Capped before any verb runs, so neither the service nor the offline
-  // runner starts a thread for a count past the cap (GetInt saturates, so a
-  // count past 2^63 is caught too).
-  if (flags.GetInt("threads", 0) > kMaxThreads) {
-    std::fprintf(stderr, "--threads: bad value \"%s\" (want at most %lld)\n",
-                 flags.GetString("threads").c_str(), kMaxThreads);
+  // runner starts a thread for a count past the cap.
+  if (threads > eas::kMaxThreads) {
+    std::fprintf(stderr, "--threads: bad value \"%s\" (want at most %llu)\n",
+                 flags.GetString("threads").c_str(),
+                 static_cast<unsigned long long>(eas::kMaxThreads));
     return 1;
   }
 
@@ -486,7 +483,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (verb == "serve") {
-      return RunServe(flags);
+      return RunServe(flags, threads, queue_depth);
     }
     if (verb == "submit") {
       return RunSubmit(flags);
@@ -569,8 +566,7 @@ int main(int argc, char** argv) {
   eas::JsonlSink jsonl(jsonl_path);
   eas::AsciiPlotSink plot(stdout);
 
-  eas::RunSession session(
-      static_cast<std::size_t>(std::max(0LL, flags.GetInt("threads", 0))));
+  eas::RunSession session(static_cast<std::size_t>(threads));
   if (!summary_csv.empty() || !trace_csv.empty()) {
     session.AddSink(csv);
   }
