@@ -21,14 +21,18 @@
 // The balance rows probe the hierarchical balancer directly: a full
 // policy->Balance() sweep over every CPU at 128 and at 1024 CPUs, cache
 // invalidated between sweeps. Each sweep is timed on its own (at least 15
-// at any --ticks) and a row reports its median sweep, so one descheduled
-// sweep moves no reading. With per-domain aggregate rollups one pass costs
-// O(fanout x depth), so the per-pass cost must stay near-constant as the
-// machine grows 8x; the balance_scaling row asserts the ratio of the two
-// medians stays sublinear (< 4x for 8x the CPUs), and the bench fails if it
-// does not.
+// at any --ticks), on the wall clock and on the thread's CPU clock, and a
+// row reports its median wall-clock sweep, so one descheduled sweep moves no
+// reading. With per-domain aggregate rollups one pass costs O(fanout x
+// depth), so the per-pass cost must stay near-constant as the machine grows
+// 8x; the balance_scaling row asserts the ratio of the two medians stays
+// sublinear (< 4x for 8x the CPUs), and the bench fails if it does not.
+// That verdict reads the thread-CPU medians: a loaded host that preempts a
+// sweep stretches its wall time, not the CPU time the sweep used.
 //
 //   $ bench_cluster_scale [--ticks=2000] [--intra=4] [--out=BENCH_cluster_scale.json]
+
+#include <time.h>
 
 #include <algorithm>
 #include <chrono>
@@ -138,12 +142,27 @@ struct BalanceRow {
   std::string name;
   std::size_t cpus = 0;
   long long passes = 0;
-  double passes_per_second = 0.0;
+  double passes_per_second = 0.0;      // median sweep, wall clock
+  double cpu_passes_per_second = 0.0;  // median sweep, thread CPU clock
 };
+
+// CPU time the calling thread has used, in seconds.
+double ThreadCpuSeconds() {
+  timespec now{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) + static_cast<double>(now.tv_nsec) * 1e-9;
+}
+
+// Passes per second of the median sweep of `sweep_seconds` (reordered).
+double MedianRate(std::vector<double>& sweep_seconds, int passes_per_sweep) {
+  const auto median = sweep_seconds.begin() + sweep_seconds.size() / 2;
+  std::nth_element(sweep_seconds.begin(), median, sweep_seconds.end());
+  return *median > 0.0 ? passes_per_sweep / *median : 0.0;
+}
 
 // Full balance sweeps over a settled machine, advancing the tick between
 // sweeps so every sweep recomputes the per-domain aggregates instead of
-// replaying the version-keyed cache. The rate is the median sweep's.
+// replaying the version-keyed cache. Both rates are the median sweep's.
 BalanceRow MeasureBalance(const char* topology, const eas::ProgramLibrary& library,
                           int sweeps, Tick warmup_ticks) {
   const eas::MachineConfig config = BenchConfig(topology, 0);
@@ -161,19 +180,21 @@ BalanceRow MeasureBalance(const char* topology, const eas::ProgramLibrary& libra
   auto policy =
       eas::BalancePolicyRegistry::Global().CreateOrThrow(config.sched.balancer_name, config.sched);
   const int logical = static_cast<int>(config.topology.num_logical());
-  std::vector<double> sweep_seconds;
+  std::vector<double> wall_seconds;
+  std::vector<double> cpu_seconds;
   for (int sweep = 0; sweep < sweeps; ++sweep) {
+    const double cpu_start = ThreadCpuSeconds();
     const auto start = std::chrono::steady_clock::now();
     for (int cpu = 0; cpu < logical; ++cpu) {
       policy->Balance(cpu, state);
     }
-    sweep_seconds.push_back(SecondsSince(start));
+    wall_seconds.push_back(SecondsSince(start));
+    cpu_seconds.push_back(ThreadCpuSeconds() - cpu_start);
     state.AdvanceTick();
   }
-  const auto median = sweep_seconds.begin() + sweep_seconds.size() / 2;
-  std::nth_element(sweep_seconds.begin(), median, sweep_seconds.end());
   row.passes = static_cast<long long>(sweeps) * logical;
-  row.passes_per_second = *median > 0.0 ? logical / *median : 0.0;
+  row.passes_per_second = MedianRate(wall_seconds, logical);
+  row.cpu_passes_per_second = MedianRate(cpu_seconds, logical);
   return row;
 }
 
@@ -222,13 +243,16 @@ int main(int argc, char** argv) {
   // Per-pass cost ratio of the median sweeps: small passes/s over large
   // passes/s. 1.0 = constant per-pass cost; cpu_ratio = per-pass cost
   // growing linearly with machine size (a flat O(cpus) scan). Sublinear
-  // means staying well under cpu_ratio.
+  // means staying well under cpu_ratio, judged on thread CPU time.
+  const auto cost_ratio = [](double small_rate, double large_rate) {
+    return large_rate > 0.0 ? small_rate / large_rate : 0.0;
+  };
   const double per_pass_cost_ratio =
-      balance_large.passes_per_second > 0.0
-          ? balance_small.passes_per_second / balance_large.passes_per_second
-          : 0.0;
+      cost_ratio(balance_small.passes_per_second, balance_large.passes_per_second);
+  const double cpu_per_pass_cost_ratio =
+      cost_ratio(balance_small.cpu_passes_per_second, balance_large.cpu_passes_per_second);
   const bool sublinear =
-      per_pass_cost_ratio > 0.0 && per_pass_cost_ratio < cpu_ratio / 2.0;
+      cpu_per_pass_cost_ratio > 0.0 && cpu_per_pass_cost_ratio < cpu_ratio / 2.0;
 
   std::printf("  %-12s  %6s  %6s  %14s  %8s  %s\n", "row", "intra", "cpus", "ticks/s",
               "speedup", "identical");
@@ -238,14 +262,17 @@ int main(int argc, char** argv) {
                 row->intra_threads, row->cpus, row->ticks_per_second,
                 row->speedup_vs_pool_serial, row->identical ? "yes" : "NO");
   }
-  std::printf("\n  %-12s  %6s  %10s  %16s\n", "row", "cpus", "passes", "passes/s");
+  std::printf("\n  %-12s  %6s  %10s  %16s  %16s\n", "row", "cpus", "passes", "passes/s",
+              "cpu passes/s");
   const BalanceRow* balance_rows[] = {&balance_small, &balance_large};
   for (const BalanceRow* row : balance_rows) {
-    std::printf("  %-12s  %6zu  %10lld  %16.0f\n", row->name.c_str(), row->cpus, row->passes,
-                row->passes_per_second);
+    std::printf("  %-12s  %6zu  %10lld  %16.0f  %16.0f\n", row->name.c_str(), row->cpus,
+                row->passes, row->passes_per_second, row->cpu_passes_per_second);
   }
-  std::printf("\n  balance per-pass cost x%.2f for x%.0f CPUs -> %s\n", per_pass_cost_ratio,
-              cpu_ratio, sublinear ? "sublinear" : "NOT SUBLINEAR");
+  std::printf("\n  balance per-pass cost x%.2f in thread CPU time (x%.2f wall) for x%.0f CPUs "
+              "-> %s\n",
+              cpu_per_pass_cost_ratio, per_pass_cost_ratio, cpu_ratio,
+              sublinear ? "sublinear" : "NOT SUBLINEAR");
 
   eas::bench::BenchReport report("cluster_scale");
   report.Config("ticks", ticks);

@@ -46,7 +46,7 @@ BENCHMARK(BM_ProfileUpdate);
 void BM_Calibration(benchmark::State& state) {
   const eas::EnergyModel model = eas::EnergyModel::Default();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(eas::Calibrator::CalibrateDefault(model, 1, 0.02));
+    benchmark::DoNotOptimize(eas::Calibrator::CalibrateDefault(model, 1));
   }
 }
 BENCHMARK(BM_Calibration)->Unit(benchmark::kMillisecond);

@@ -72,8 +72,7 @@ int main() {
   std::printf("== Table 1: change in power consumption during successive timeslices ==\n\n");
 
   const eas::EnergyModel model = eas::EnergyModel::Default();
-  const eas::CalibrationResult calibration =
-      eas::Calibrator::CalibrateDefault(model, 2026, 0.02);
+  const eas::CalibrationResult calibration = eas::Calibrator::CalibrateDefault(model, 2026);
   const eas::EnergyEstimator estimator(calibration.weights, model.active_base_power());
   const eas::ProgramLibrary library(model);
 

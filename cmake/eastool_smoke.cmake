@@ -167,6 +167,28 @@ if(NOT result EQUAL 0)
   message(FATAL_ERROR "--request run is not byte-identical to the flag-driven run")
 endif()
 
+# --- every request flag reaches its key ---------------------------------------
+# One --print-request sets every request flag (--scenario excludes
+# --workload, so it runs on its own) and must print every key but `name`.
+execute_process(
+  COMMAND ${EASTOOL} --tag t1 --topology 2:4:2 --workload mixed:2 --policy eas
+          --governor ondemand --duration-s 7.5 --max-power 55 --temp-limit 39 --throttle
+          --faults off:1@500 --no-skip-ahead --intra-threads 2 --seed 9 --runs 2
+          --print-request
+  RESULT_VARIABLE result OUTPUT_VARIABLE every_flag ERROR_VARIABLE stderr)
+set(every_key "tag = t1\ntopology = 2:4:2\nworkload = mixed:2\npolicy = eas\n")
+string(APPEND every_key "governor = ondemand\nduration-s = 7.5\nmax-power = 55\n")
+string(APPEND every_key "temp-limit = 39\nthrottle = true\nfaults = off:1@500\n")
+string(APPEND every_key "skip-ahead = false\nintra-threads = 2\nseed = 9\nruns = 2\n")
+if(NOT result EQUAL 0 OR NOT every_flag STREQUAL every_key)
+  message(FATAL_ERROR "every-flag --print-request (${result}) printed:\n${every_flag}${stderr}")
+endif()
+execute_process(COMMAND ${EASTOOL} --scenario phase-shift --print-request
+                RESULT_VARIABLE result OUTPUT_VARIABLE scenario_only ERROR_VARIABLE stderr)
+if(NOT result EQUAL 0 OR NOT scenario_only STREQUAL "scenario = phase-shift\n")
+  message(FATAL_ERROR "--scenario --print-request (${result}) printed:\n${scenario_only}${stderr}")
+endif()
+
 # --- per-run sweep outputs ----------------------------------------------------
 # --runs N must keep every run: one summary row per run, per-run trace files
 # (run 0 at FILE, run K at FILE.runK).

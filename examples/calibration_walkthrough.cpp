@@ -17,7 +17,7 @@ int main() {
   const eas::EnergyModel truth = eas::EnergyModel::Default();
   std::printf("calibrating against a multimeter with 2%% gaussian error...\n");
   const eas::CalibrationResult calibration =
-      eas::Calibrator::CalibrateDefault(truth, /*seed=*/2026, /*meter_error_stddev=*/0.02);
+      eas::Calibrator::CalibrateDefault(truth, /*seed=*/2026);
 
   std::printf("\n%-18s %14s %14s %10s\n", "event", "true [J/kEv]", "calibrated", "error");
   for (std::size_t i = 0; i < eas::kNumEventTypes; ++i) {

@@ -207,6 +207,14 @@ constexpr std::uint64_t kMaxRuns = 100'000;
 
 }  // namespace
 
+std::vector<std::string> RunRequestKeys() {
+  std::vector<std::string> keys;
+  for (const KeyField& field : kFields) {
+    keys.push_back(field.key);
+  }
+  return keys;
+}
+
 std::optional<RequestError> ApplyRunRequestField(const std::string& key,
                                                  const std::string& value,
                                                  RunRequest* request) {

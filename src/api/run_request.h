@@ -120,6 +120,10 @@ struct RunRequest {
 // the offense on unknown/duplicate keys or malformed values.
 Expected<RunRequest> ParseRunRequest(const std::string& text);
 
+// Every request-file key, in canonical (format) order. eastool derives its
+// request flags from this list.
+std::vector<std::string> RunRequestKeys();
+
 // Applies one `key = value` pair onto `request` with exactly the keys and
 // value validation ParseRunRequest uses (exposed so eastool's flags share
 // the request file's strictness - `--seed 4z2` must be rejected the same

@@ -142,8 +142,4 @@ void GaussianStream::Refill() {
 
 double Rng::Gaussian(double mean, double stddev) { return mean + stddev * NextGaussian(); }
 
-bool Rng::Chance(double p) { return NextDouble() < p; }
-
-Rng Rng::Fork() { return Rng(NextU64()); }
-
 }  // namespace eas

@@ -65,13 +65,6 @@ class Rng {
   // Gaussian with the given mean and standard deviation.
   double Gaussian(double mean, double stddev);
 
-  // Bernoulli trial with probability p of returning true.
-  bool Chance(double p);
-
-  // Derives an independent generator; useful for giving each task its own
-  // stream while keeping the experiment controlled by one master seed.
-  Rng Fork();
-
  private:
   std::uint64_t state_[4];
   double spare_gaussian_ = 0.0;

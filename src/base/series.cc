@@ -11,13 +11,6 @@ double Series::MaxValue() const {
   return *std::max_element(values_.begin(), values_.end());
 }
 
-double Series::MinValue() const {
-  if (values_.empty()) {
-    return 0.0;
-  }
-  return *std::min_element(values_.begin(), values_.end());
-}
-
 double Series::ValueAt(Tick tick, double fallback) const {
   // ticks_ is monotonically nondecreasing by construction.
   auto it = std::upper_bound(ticks_.begin(), ticks_.end(), tick);
@@ -26,18 +19,6 @@ double Series::ValueAt(Tick tick, double fallback) const {
   }
   const std::size_t index = static_cast<std::size_t>(it - ticks_.begin()) - 1;
   return values_[index];
-}
-
-Series Series::Downsample(std::size_t max_points) const {
-  Series out(name_);
-  if (values_.empty() || max_points == 0) {
-    return out;
-  }
-  const std::size_t stride = std::max<std::size_t>(1, values_.size() / max_points);
-  for (std::size_t i = 0; i < values_.size(); i += stride) {
-    out.Add(ticks_[i], values_[i]);
-  }
-  return out;
 }
 
 Series& SeriesSet::Create(std::string name) {

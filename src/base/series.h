@@ -30,15 +30,11 @@ class Series {
   double value_at(std::size_t i) const { return values_[i]; }
   const std::vector<double>& values() const { return values_; }
 
-  // Largest / smallest sample value; 0 for an empty series.
+  // Largest sample value; 0 for an empty series.
   double MaxValue() const;
-  double MinValue() const;
 
   // Value of the last sample at or before `tick`; `fallback` if none.
   double ValueAt(Tick tick, double fallback) const;
-
-  // Downsamples to at most `max_points` evenly spaced samples (for printing).
-  Series Downsample(std::size_t max_points) const;
 
  private:
   std::string name_;

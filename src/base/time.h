@@ -17,9 +17,10 @@ using Tick = std::int64_t;
 // Duration of one tick in seconds (1 ms).
 inline constexpr double kTickSeconds = 1e-3;
 
-// Default timeslice, in ticks (100 ms, the Linux 2.6 default for the
-// default priority).
-inline constexpr Tick kDefaultTimesliceTicks = 100;
+// The nice-0 timeslice, in ticks (100 ms, the Linux 2.6 default for the
+// default priority). Task::TimesliceForNice scales it by priority, and it is
+// the standard period of every task's energy profile.
+inline constexpr Tick kTimesliceTicks = 100;
 
 // Converts a tick count to seconds.
 constexpr double TicksToSeconds(Tick ticks) { return static_cast<double>(ticks) * kTickSeconds; }

@@ -37,7 +37,6 @@ class CpuPowerState {
   double thermal_power() const { return thermal_average_.value(); }
 
   double max_power() const { return max_power_watts_; }
-  void set_max_power(double watts) { max_power_watts_ = watts; }
 
   double thermal_power_ratio() const { return thermal_power() / max_power_watts_; }
 

@@ -64,19 +64,14 @@ bool Calibrator::Solve(CalibrationResult& result) const {
   return true;
 }
 
-CalibrationResult Calibrator::CalibrateDefault(const EnergyModel& truth, std::uint64_t seed,
-                                               double meter_error_stddev) {
-  Calibrator calibrator(truth);
-  PowerMeter meter(seed ^ 0x5eedu, meter_error_stddev);
-  Rng rng(seed);
-
+void Calibrator::RunDefaultBattery(PowerMeter& meter, Rng& rng) {
   // One run per dominant event class keeps the system well conditioned...
   for (std::size_t dominant = 0; dominant < kNumEventTypes; ++dominant) {
     EventRates rates{};
     for (std::size_t i = 0; i < kNumEventTypes; ++i) {
       rates[i] = (i == dominant) ? 1500.0 : 60.0;
     }
-    calibrator.RunWorkload(rates, /*ticks=*/2000, meter, rng);
+    RunWorkload(rates, /*ticks=*/2000, meter, rng);
   }
   // ...and mixed runs average out the meter noise.
   for (int mix = 0; mix < 10; ++mix) {
@@ -84,8 +79,15 @@ CalibrationResult Calibrator::CalibrateDefault(const EnergyModel& truth, std::ui
     for (std::size_t i = 0; i < kNumEventTypes; ++i) {
       rates[i] = rng.Uniform(50.0, 1200.0);
     }
-    calibrator.RunWorkload(rates, /*ticks=*/2000, meter, rng);
+    RunWorkload(rates, /*ticks=*/2000, meter, rng);
   }
+}
+
+CalibrationResult Calibrator::CalibrateDefault(const EnergyModel& truth, std::uint64_t seed) {
+  Calibrator calibrator(truth);
+  PowerMeter meter(seed ^ 0x5eedu, kMeterErrorStddev);
+  Rng rng(seed);
+  calibrator.RunDefaultBattery(meter, rng);
 
   CalibrationResult result;
   const bool ok = calibrator.Solve(result);

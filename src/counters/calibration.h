@@ -48,11 +48,16 @@ class Calibrator {
   // linearly independent event mixes. Returns false on a singular system.
   bool Solve(CalibrationResult& result) const;
 
-  // Convenience: builds a standard battery of well-conditioned calibration
-  // mixes (one dominant event class per run plus mixed runs), runs them, and
-  // solves. This is the one-call path used by the simulator setup.
-  static CalibrationResult CalibrateDefault(const EnergyModel& truth, std::uint64_t seed,
-                                            double meter_error_stddev);
+  // Runs the standard battery of well-conditioned calibration mixes: one
+  // dominant event class per run, then mixed runs drawn from `rng`.
+  void RunDefaultBattery(PowerMeter& meter, Rng& rng);
+
+  // The one-call path the simulator setup uses: the default battery against
+  // a meter with kMeterErrorStddev noise, solved.
+  static CalibrationResult CalibrateDefault(const EnergyModel& truth, std::uint64_t seed);
+
+  // The meter's instrument error: 2% relative, Gaussian.
+  static constexpr double kMeterErrorStddev = 0.02;
 
   const std::vector<CalibrationRun>& runs() const { return runs_; }
 

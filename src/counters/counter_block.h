@@ -20,9 +20,6 @@ class CounterBlock {
   // Returns the current (monotonic) counter values.
   const EventVector& values() const { return values_; }
 
-  // Snapshot-and-diff helper: returns values() - `since` per component.
-  EventVector DiffSince(const EventVector& since) const;
-
   // Resets all counters to zero (only used by tests; real accounting never
   // resets, it diffs snapshots).
   void Reset();

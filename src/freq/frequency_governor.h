@@ -31,7 +31,7 @@ struct GovernorInputs {
   // budget - the same quantities the hlt ThrottleGate compares.
   double thermal_power_watts = 0.0;
   double budget_watts = 0.0;
-  // Step-up headroom margin, mirroring throttle_hysteresis_watts.
+  // Step-up headroom margin: the hlt throttle's kThrottleHysteresisWatts.
   double hysteresis_watts = 0.5;
 
   // Runnable share of the package's sibling capacity, in [0, 1]: how many

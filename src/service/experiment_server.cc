@@ -60,8 +60,7 @@ Expected<std::unique_ptr<ExperimentServer>> ExperimentServer::Start(ServerOption
 }
 
 ExperimentServer::ExperimentServer(ServerOptions options, UnixServerSocket socket)
-    : service_options_(options.service),
-      service_(options.service),
+    : service_(options.service),
       socket_(std::make_unique<UnixServerSocket>(std::move(socket))) {
   accept_thread_ = std::thread([this] { AcceptLoop(); });
 }
@@ -73,13 +72,32 @@ ExperimentServer::~ExperimentServer() {
 
 void ExperimentServer::AcceptLoop() {
   while (!stop_.load()) {
+    // A daemon serving one client per request would otherwise keep a
+    // finished thread, and its stack, for every connection it ever took.
+    JoinFinishedHandlers();
     // The poll timeout is how often the loop re-checks the stop flag.
     std::optional<int> fd = socket_->Accept(/*timeout_ms=*/200);
     if (!fd.has_value()) {
       continue;
     }
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections_.emplace_back([this, client = *fd] { HandleConnection(client); });
+    std::lock_guard<std::mutex> lock(handlers_mutex_);
+    Handler& handler = handlers_.emplace_back();
+    handler.thread = std::thread([this, &handler, client = *fd] {
+      HandleConnection(client);
+      handler.finished.store(true);
+    });
+  }
+}
+
+void ExperimentServer::JoinFinishedHandlers() {
+  std::lock_guard<std::mutex> lock(handlers_mutex_);
+  for (auto it = handlers_.begin(); it != handlers_.end();) {
+    if (it->finished.load()) {
+      it->thread.join();
+      it = handlers_.erase(it);
+    } else {
+      ++it;
+    }
   }
 }
 
@@ -189,14 +207,14 @@ void ExperimentServer::Wait() {
   }
   // Drain every admitted job (workers finish the backlog, then exit)...
   service_.Shutdown();
-  // ...then reap the connection handlers; their clients see EOF or `end`.
-  std::vector<std::thread> connections;
+  // ...then join the connection handlers; their clients see EOF or `end`.
+  std::list<Handler> handlers;
   {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections.swap(connections_);
+    std::lock_guard<std::mutex> lock(handlers_mutex_);
+    handlers.swap(handlers_);
   }
-  for (std::thread& connection : connections) {
-    connection.join();
+  for (Handler& handler : handlers) {
+    handler.thread.join();
   }
 }
 

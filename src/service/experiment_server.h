@@ -2,13 +2,13 @@
 //
 // `eastool serve` constructs one of these; it owns the listening socket,
 // accepts connections on a dedicated thread, and speaks the line protocol
-// of wire.h per connection (one handler thread each; record streaming
-// happens on service worker threads, serialized per connection by a write
-// mutex). The server adds no execution semantics of its own - every
-// submit/status/shutdown verb maps 1:1 onto the transport-free
-// ExperimentService call the in-process tests exercise, so socket clients
-// and direct callers observe identical behavior, including byte-identical
-// record payloads.
+// of wire.h per connection (one handler thread each, joined by the accept
+// loop once its client has gone; record streaming happens on service worker
+// threads, serialized per connection by a write mutex). The server adds no
+// execution semantics of its own - every submit/status/shutdown verb maps
+// 1:1 onto the transport-free ExperimentService call the in-process tests
+// exercise, so socket clients and direct callers observe identical
+// behavior, including byte-identical record payloads.
 //
 // Shutdown: a client `shutdown` verb (or Stop()) ends the accept loop;
 // Wait() then drains every admitted job through ExperimentService::Shutdown
@@ -18,10 +18,10 @@
 #define SRC_SERVICE_EXPERIMENT_SERVER_H_
 
 #include <atomic>
+#include <list>
 #include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "src/service/experiment_service.h"
 #include "src/service/socket_io.h"
@@ -57,16 +57,24 @@ class ExperimentServer {
  private:
   explicit ExperimentServer(ServerOptions options, UnixServerSocket socket);
 
+  // One connection's handler thread and the flag it raises on return.
+  struct Handler {
+    std::thread thread;
+    std::atomic<bool> finished{false};
+  };
+
   void AcceptLoop();
   void HandleConnection(int fd);
+  // Joins and drops every handler whose connection has ended.
+  void JoinFinishedHandlers();
 
-  ServiceOptions service_options_;
   ExperimentService service_;
   std::unique_ptr<UnixServerSocket> socket_;
   std::atomic<bool> stop_{false};
+  // A list, so a handler's own entry stays put while it runs.
+  std::mutex handlers_mutex_;
+  std::list<Handler> handlers_;
   std::thread accept_thread_;
-  std::mutex connections_mutex_;
-  std::vector<std::thread> connections_;
 };
 
 }  // namespace eas

@@ -1,9 +1,10 @@
 #include "src/service/wire.h"
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "src/api/result_sink.h"
+#include "src/base/text.h"
 
 namespace eas {
 namespace {
@@ -53,6 +54,22 @@ std::string StringFieldOf(const std::string& json, const std::string& field) {
   return out;
 }
 
+// The text of `"field": <number>` in a flat JSON object produced by this
+// file: everything up to the next ',' or '}'. std::nullopt when absent.
+std::optional<std::string> NumberTextOf(const std::string& json, const std::string& field) {
+  const std::string needle = "\"" + field + "\": ";
+  const std::size_t start = json.find(needle);
+  if (start == std::string::npos) {
+    return std::nullopt;
+  }
+  const std::size_t value = start + needle.size();
+  return json.substr(value, json.find_first_of(",}", value) - value);
+}
+
+RequestError MalformedPayload(const std::string& json) {
+  return RequestError{RequestErrorCode::kProtocol, "", 0, "malformed error payload: " + json};
+}
+
 }  // namespace
 
 std::string RequestErrorToJson(const RequestError& error) {
@@ -72,18 +89,23 @@ std::string RequestErrorToJson(const RequestError& error) {
 }
 
 RequestError RequestErrorFromJson(const std::string& json) {
-  RequestError error;
   const std::string code = StringFieldOf(json, "code");
   if (code.empty()) {
-    error.code = RequestErrorCode::kProtocol;
-    error.message = "malformed error payload: " + json;
-    return error;
+    return MalformedPayload(json);
   }
+  // The line number takes the request file's integer rule: a sign, a
+  // fraction or an exponent makes the whole payload malformed.
+  std::uint64_t line = 0;
+  const std::optional<std::string> line_text = NumberTextOf(json, "line");
+  if (line_text.has_value() && !ParseUint(*line_text, &line)) {
+    return MalformedPayload(json);
+  }
+  RequestError error;
   // An unrecognized spelling (a newer server) degrades to kProtocol but
   // keeps the message intact.
   error.code = RequestErrorCodeFromName(code).value_or(RequestErrorCode::kProtocol);
   error.key = StringFieldOf(json, "key");
-  error.line = static_cast<std::size_t>(StatusField(json, "line", 0.0));
+  error.line = static_cast<std::size_t>(line);
   error.message = StringFieldOf(json, "message");
   return error;
 }
@@ -105,16 +127,6 @@ std::string ServiceStatusToJson(const ServiceStatusSnapshot& status) {
                 status.cache_scenario_misses, status.cache_library_hits,
                 status.cache_library_misses);
   return std::string(buffer);
-}
-
-double StatusField(const std::string& json, const std::string& field, double fallback) {
-  const std::string needle = "\"" + field + "\": ";
-  const std::size_t start = json.find(needle);
-  if (start == std::string::npos) {
-    return fallback;
-  }
-  // easlint: allow(text-values) -- reads a number this file's own JSON writers printed
-  return std::strtod(json.c_str() + start + needle.size(), nullptr);
 }
 
 }  // namespace eas

@@ -54,8 +54,9 @@ std::string RequestErrorToJson(const RequestError& error);
 
 // Parses the wire spelling back into a RequestError (clients surface
 // server-side rejections with the same structure local parsing produces).
-// Tolerates unknown fields; a line that is not an err payload comes back as
-// a kProtocol error quoting it.
+// Tolerates unknown fields; a line that is not an err payload, or whose
+// "line" is not a ParseUint integer, comes back as a kProtocol error quoting
+// it.
 RequestError RequestErrorFromJson(const std::string& json);
 
 // Counters the `status` verb reports; serialized as one flat JSON object.
@@ -81,11 +82,6 @@ struct ServiceStatusSnapshot {
 };
 
 std::string ServiceStatusToJson(const ServiceStatusSnapshot& status);
-
-// Pulls one double/size_t field out of a flat status JSON object; the
-// fallback when absent. Enough for the smoke test and eastool's status verb
-// to sanity-check fields without a JSON parser dependency.
-double StatusField(const std::string& json, const std::string& field, double fallback);
 
 }  // namespace eas
 

@@ -78,9 +78,7 @@ ExperimentSpec PhaseShift() {
   ExperimentSpec spec;
   spec.config = PaperMachine();
   spec.config.explicit_max_power_physical = 60.0;
-  PhaseShiftOptions options;
-  options.tasks = 8;
-  spec.workload = PhaseShiftWorkload(spec.config.model, options);
+  spec.workload = PhaseShiftWorkload(spec.config.model);
   return spec;
 }
 

@@ -51,7 +51,7 @@ void FrequencyPhase::GovernPackage(SimulationState& state, std::size_t physical,
   inputs.num_pstates = domain.table().size();
   inputs.thermal_power_watts = state.PackageThermalPower(physical);
   inputs.budget_watts = state.MaxPowerPhysical(physical);
-  inputs.hysteresis_watts = state.config().throttle_hysteresis_watts;
+  inputs.hysteresis_watts = kThrottleHysteresisWatts;
   inputs.utilization = static_cast<double>(runnable) / static_cast<double>(siblings);
   inputs.package_throttled = package_throttled;
 

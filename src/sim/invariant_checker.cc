@@ -69,8 +69,8 @@ void InvariantChecker::OnTick(const SimulationState& state) {
   }
 
   // Reverse direction: every task the table says occupies a CPU must have
-  // been found on a queue - a task neither queued, running, sleeping nor
-  // finished has been lost.
+  // been found on a queue - a task neither queued, running nor sleeping has
+  // been lost.
   std::int64_t expected_members = 0;
   for (const Task* task : state.tasks()) {
     if (SimulationState::TaskCpu(*task) != kInvalidCpu) {

@@ -1,4 +1,10 @@
 // Machine configuration: topology, thermal, energy model, policy switches.
+//
+// Only what some run varies is a field here. The machine's fixed physics -
+// the SMT co-run and cache-warmup slowdowns, the timeslice, the hlt
+// hysteresis band, the P-state ladder and the calibration meter's noise -
+// are named constants beside the code that reads them (sched_tick.cc,
+// simulation_state.h, src/base/time.h, src/counters/calibration.h).
 
 #ifndef SRC_SIM_MACHINE_CONFIG_H_
 #define SRC_SIM_MACHINE_CONFIG_H_
@@ -13,7 +19,6 @@
 #include "src/task/energy_profile.h"
 #include "src/thermal/cooling_profile.h"
 #include "src/topo/cpu_topology.h"
-#include "src/topo/frequency_domain.h"
 
 namespace eas {
 
@@ -23,9 +28,9 @@ struct MachineConfig {
   EnergyModel model = EnergyModel::Default();
 
   // Calibrated estimator weights. If unset, the machine calibrates on
-  // construction (the realistic path); tests can inject oracle weights.
+  // construction against a meter with Calibrator::kMeterErrorStddev noise
+  // (the realistic path); tests can inject oracle weights.
   std::optional<EventWeights> estimator_weights;
-  double meter_error_stddev = 0.02;
 
   // Maximum power assignment per *physical* package:
   //  - explicit_max_power_physical set: the experiment dictates it (e.g.
@@ -38,15 +43,13 @@ struct MachineConfig {
   // Whether thermal throttling is enforced (Sections 6.2/6.4) or only
   // observed (Section 6.1 plots the would-be limit).
   bool throttling_enabled = false;
-  double throttle_hysteresis_watts = 0.5;
 
   // DVFS (the competing power-capping mechanism the paper positions hlt
-  // throttling against): the per-package P-state ladder and the frequency
-  // governor driving it, selected by name through the
+  // throttling against): the frequency governor driving each package's
+  // PStateTable::Default() ladder, selected by name through the
   // FrequencyGovernorRegistry (src/freq). "none" pins every package at P0
   // and the engine skips the frequency phase entirely, so such a machine is
   // bit-identical to one predating the frequency layer.
-  PStateTable pstates = PStateTable::Default();
   std::string frequency_governor = "none";
 
   // Whether a real governor drives the P-states. The single source of truth
@@ -67,23 +70,9 @@ struct MachineConfig {
   // Scheduling policy switches (the paper's contribution vs baseline).
   EnergySchedConfig sched = EnergySchedConfig::EnergyAware();
 
-  Tick timeslice_ticks = kDefaultTimesliceTicks;
-
   // Exponential-average weight of a task's energy profile for one standard
   // timeslice (Equation 2's p). The ablation bench sweeps this.
   double profile_sample_weight = EnergyProfile::kDefaultSampleWeight;
-
-  // SMT co-run slowdown: per-thread speed when both siblings execute.
-  double smt_corun_speed = 0.65;
-
-  // Cache-warmup penalty after a migration: the task runs at `warmup_speed`
-  // for this many ticks (longer if the migration crossed a node).
-  Tick warmup_ticks_same_node = 3;
-  Tick warmup_ticks_cross_node = 12;
-  double warmup_speed = 0.5;
-
-  // Completed tasks restart their program (throughput accounting).
-  bool respawn_completed = true;
 
   // Closed-form skip-ahead over quiescent spans: when every runqueue is
   // empty and the balancing policy guarantees idle passes are no-ops, the

@@ -1,6 +1,16 @@
 #include "src/sim/sched_tick.h"
 
 namespace eas {
+namespace {
+
+// Per-thread speed while both SMT siblings of a package execute.
+constexpr double kSmtCorunSpeed = 0.65;
+
+// Speed of a task whose cache is still cold after a migration, for the
+// warmup ticks MigrateTask grants it.
+constexpr double kWarmupSpeed = 0.5;
+
+}  // namespace
 
 void SchedTick::SpawnArrivals(SimulationState& state) const {
   TickEventQueue<SimulationState::PendingArrival>& queue = state.arrival_queue();
@@ -57,15 +67,13 @@ void SchedTick::SelectActive(const SimulationState& state, std::size_t physical,
 void SchedTick::ExecuteActive(SimulationState& state, const std::vector<int>& active,
                               std::vector<EventVector>& events,
                               double frequency_multiplier) const {
-  const MachineConfig& config = state.config();
-  const double corun_speed =
-      (active.size() >= 2 ? config.smt_corun_speed : 1.0) * frequency_multiplier;
+  const double corun_speed = (active.size() >= 2 ? kSmtCorunSpeed : 1.0) * frequency_multiplier;
   events.resize(active.size());
   for (std::size_t i = 0; i < active.size(); ++i) {
     Task* task = state.runqueue(active[i]).current();
     double speed = corun_speed;
     if (task->warmup_ticks_left() > 0) {
-      speed *= config.warmup_speed;
+      speed *= kWarmupSpeed;
     }
     events[i] = task->ExecuteTick(speed);
     task->AccountActiveTick();
@@ -74,7 +82,6 @@ void SchedTick::ExecuteActive(SimulationState& state, const std::vector<int>& ac
 }
 
 void SchedTick::HandleLifecycle(SimulationState& state, int cpu) const {
-  const MachineConfig& config = state.config();
   Runqueue& rq = state.runqueue(cpu);
   Task* task = rq.current();
   if (task == nullptr) {
@@ -90,28 +97,22 @@ void SchedTick::HandleLifecycle(SimulationState& state, int cpu) const {
     return;
   }
 
-  // Work completion.
+  // Work completion: the task respawns as a fresh process of the same
+  // binary, so it goes through placement again, seeded from the registry.
   if (task->WorkComplete()) {
     state.CommitPeriod(*task);
-    if (config.respawn_completed) {
-      task->RestartProgram();
-      // A respawned task models a fresh process of the same binary: it goes
-      // through placement again, seeded from the registry.
-      rq.TakeCurrent();
-      const int cpu_new = state.PlaceTask(*task);
-      task->set_timeslice_left(Task::TimesliceForNice(task->nice(), config.timeslice_ticks));
-      state.runqueue(cpu_new).Enqueue(task);
-    } else {
-      rq.TakeCurrent();
-      task->set_state(TaskState::kFinished);
-    }
+    task->RestartProgram();
+    rq.TakeCurrent();
+    const int cpu_new = state.PlaceTask(*task);
+    task->set_timeslice_left(Task::TimesliceForNice(task->nice()));
+    state.runqueue(cpu_new).Enqueue(task);
     return;
   }
 
   // Timeslice expiry: rotate within the local queue.
   if (task->timeslice_left() <= 0) {
     state.CommitPeriod(*task);
-    task->set_timeslice_left(Task::TimesliceForNice(task->nice(), config.timeslice_ticks));
+    task->set_timeslice_left(Task::TimesliceForNice(task->nice()));
     if (rq.nr_queued() > 0) {
       rq.TakeCurrent();
       rq.Enqueue(task);

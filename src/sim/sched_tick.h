@@ -49,7 +49,7 @@ class SchedTick {
                                      double frequency_multiplier = 1.0) const;
 
   // End-of-tick lifecycle for `cpu`'s current task: start a blocking sleep,
-  // respawn or retire on completion, rotate on timeslice expiry. Cross-shard
+  // respawn on completion, rotate on timeslice expiry. Cross-shard
   // (sequential): respawn placement scans every runqueue and commits feed
   // the shared binary registry.
   EAS_CROSS_SHARD void HandleLifecycle(SimulationState& state, int cpu) const;

@@ -8,6 +8,14 @@
 #include "src/counters/calibration.h"
 
 namespace eas {
+namespace {
+
+// Cache-warmup penalty after a migration: the task runs this many ticks at
+// SchedTick's warmup speed, longer when the move crossed a node.
+constexpr Tick kWarmupTicksSameNode = 3;
+constexpr Tick kWarmupTicksCrossNode = 12;
+
+}  // namespace
 
 SimulationState::SimulationState(const MachineConfig& config)
     : config_(config),
@@ -24,9 +32,7 @@ SimulationState::SimulationState(const MachineConfig& config)
   if (config_.estimator_weights.has_value()) {
     weights = *config_.estimator_weights;
   } else {
-    weights = Calibrator::CalibrateDefault(config_.model, config_.seed ^ 0xca11b7a7eULL,
-                                           config_.meter_error_stddev)
-                  .weights;
+    weights = Calibrator::CalibrateDefault(config_.model, config_.seed ^ 0xca11b7a7eULL).weights;
   }
   estimator_ = std::make_unique<EnergyEstimator>(
       weights, config_.model.active_base_power() / static_cast<double>(siblings));
@@ -52,8 +58,7 @@ SimulationState::SimulationState(const MachineConfig& config)
   // each runqueue holds into its shard) stay valid for the state's lifetime.
   shards_.reserve(physical);
   for (std::size_t phys = 0; phys < physical; ++phys) {
-    shards_.emplace_back(config_.cooling.ParamsFor(phys), config_.pstates,
-                         config_.throttle_hysteresis_watts, config_.model.halt_power());
+    shards_.emplace_back(config_.cooling.ParamsFor(phys), config_.model.halt_power());
     PackageShard& shard = shards_.back();
     shard.runqueues.reserve(siblings);
     shard.counters.reserve(siblings);
@@ -67,7 +72,7 @@ SimulationState::SimulationState(const MachineConfig& config)
       shard.power_states.emplace_back(max_power_logical_[static_cast<std::size_t>(cpu)],
                                       config_.cooling.ParamsFor(phys).TimeConstant(),
                                       idle_logical);
-      shard.throttles.emplace_back(config_.throttle_hysteresis_watts);
+      shard.throttles.emplace_back(kThrottleHysteresisWatts);
     }
   }
 
@@ -145,10 +150,7 @@ double SimulationState::MaxPower(int cpu) const {
 }
 
 int SimulationState::TaskCpu(const Task& task) {
-  if (task.state() == TaskState::kSleeping || task.state() == TaskState::kFinished) {
-    return kInvalidCpu;
-  }
-  return task.cpu();
+  return task.state() == TaskState::kSleeping ? kInvalidCpu : task.cpu();
 }
 
 Task* SimulationState::Spawn(const Program& program, int nice) {
@@ -164,7 +166,7 @@ Task* SimulationState::Spawn(const Program& program, int nice) {
   // the variable-period exponential average normalizes any actual period
   // length (Section 3.3), so profiles of tasks with different priorities
   // remain comparable.
-  raw->profile() = EnergyProfile(config_.profile_sample_weight, config_.timeslice_ticks);
+  raw->profile() = EnergyProfile(config_.profile_sample_weight);
   tasks_.push_back(raw);
 
   const int cpu = PlaceTask(*raw);
@@ -174,7 +176,7 @@ Task* SimulationState::Spawn(const Program& program, int nice) {
     // with the registry default (no per-binary knowledge).
     raw->profile().Seed(registry_.default_power());
   }
-  raw->set_timeslice_left(Task::TimesliceForNice(raw->nice(), config_.timeslice_ticks));
+  raw->set_timeslice_left(Task::TimesliceForNice(raw->nice()));
   runqueue(cpu).Enqueue(raw);
   return raw;
 }
@@ -250,8 +252,7 @@ bool SimulationState::MigrateTask(Task* task, int from, int to) {
   }
 
   const bool crossed_node = !config_.topology.SameNode(from, to);
-  task->NoteMigration(crossed_node, crossed_node ? config_.warmup_ticks_cross_node
-                                                 : config_.warmup_ticks_same_node);
+  task->NoteMigration(crossed_node, crossed_node ? kWarmupTicksCrossNode : kWarmupTicksSameNode);
   dst.Enqueue(task);
   ++migration_count_;
   return true;
@@ -284,7 +285,7 @@ void SimulationState::SwitchInIfIdle(int cpu) {
   }
   Task* next = rq.PickNext();
   if (next != nullptr) {
-    next->set_timeslice_left(Task::TimesliceForNice(next->nice(), config_.timeslice_ticks));
+    next->set_timeslice_left(Task::TimesliceForNice(next->nice()));
     next->BeginAccountingPeriod();
   }
 }

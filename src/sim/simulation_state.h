@@ -45,8 +45,14 @@
 #include "src/task/binary_registry.h"
 #include "src/thermal/rc_model.h"
 #include "src/thermal/throttle_controller.h"
+#include "src/topo/frequency_domain.h"
 
 namespace eas {
+
+// The hlt throttle's hysteresis band: a halted package resumes once its
+// thermal power has fallen this far below its budget. The frequency
+// governors take the same margin as their step-up headroom.
+inline constexpr double kThrottleHysteresisWatts = 0.5;
 
 // Everything one physical package mutates during the engine's package phase
 // loop. `runqueues[t]` etc. are indexed by the SMT thread slot; the flat
@@ -55,11 +61,10 @@ namespace eas {
 // and shards never move, so those pointers (and the runnable-counter pointer
 // each runqueue holds into its shard) stay valid for the state's lifetime.
 struct PackageShard {
-  PackageShard(const ThermalParams& params, const PStateTable& pstates,
-               double throttle_hysteresis_watts, double halt_power)
-      : package_throttle(throttle_hysteresis_watts),
+  PackageShard(const ThermalParams& params, double halt_power)
+      : package_throttle(kThrottleHysteresisWatts),
         thermal(params),
-        freq_domain(pstates),
+        freq_domain(PStateTable::Default()),
         last_true_power(halt_power) {}
 
   std::vector<Runqueue> runqueues;            // per SMT sibling
@@ -252,7 +257,7 @@ class SimulationState : public BalanceEnv {
   EAS_CROSS_SHARD std::int64_t TotalCompletions() const;
   EAS_CROSS_SHARD double TotalTaskEnergy() const;
 
-  // Logical CPU a task occupies, or kInvalidCpu if sleeping/finished.
+  // Logical CPU a task occupies, or kInvalidCpu while it sleeps.
   static int TaskCpu(const Task& task);
 
   // --- raw state (the phase components work on these) -----------------------

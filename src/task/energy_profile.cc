@@ -2,8 +2,8 @@
 
 namespace eas {
 
-EnergyProfile::EnergyProfile(double sample_weight, Tick timeslice_ticks)
-    : average_(sample_weight, TicksToSeconds(timeslice_ticks)) {}
+EnergyProfile::EnergyProfile(double sample_weight)
+    : average_(sample_weight, TicksToSeconds(kTimesliceTicks)) {}
 
 void EnergyProfile::AddPeriod(double energy_joules, Tick period_ticks) {
   if (period_ticks <= 0) {

@@ -19,10 +19,9 @@ namespace eas {
 
 class EnergyProfile {
  public:
-  // `sample_weight` is p from Equation 2 for a standard-length timeslice;
-  // `timeslice_ticks` defines the standard period.
-  explicit EnergyProfile(double sample_weight = kDefaultSampleWeight,
-                         Tick timeslice_ticks = kDefaultTimesliceTicks);
+  // `sample_weight` is p from Equation 2 for a standard-length timeslice,
+  // the nice-0 kTimesliceTicks.
+  explicit EnergyProfile(double sample_weight = kDefaultSampleWeight);
 
   // Folds in one execution period: `energy_joules` consumed over
   // `period_ticks` ticks of execution.

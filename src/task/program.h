@@ -42,8 +42,8 @@ class Program {
   const Phase& phase(std::size_t i) const { return phases_[i]; }
   std::size_t num_phases() const { return phases_.size(); }
 
-  // CPU ticks of work after which the task completes (and, in throughput
-  // experiments, is respawned). 0 means the task runs forever.
+  // CPU ticks of work after which the task completes and is respawned. 0
+  // means the task runs forever.
   Tick total_work_ticks() const { return total_work_ticks_; }
 
  private:

@@ -11,11 +11,11 @@ Task::Task(TaskId id, const Program* program, std::uint64_t seed)
   EnterPhase(0);
 }
 
-Tick Task::TimesliceForNice(int nice, Tick base_ticks) {
-  // nice -20 -> 2x base, nice 0 -> base, nice 19 -> ~1/20 base (5 ticks at
-  // the default 100-tick base), mirroring Linux 2.6's static priority scale.
-  const Tick scaled = base_ticks * (20 - nice) / 20;
-  return std::max<Tick>(base_ticks / 20, scaled);
+Tick Task::TimesliceForNice(int nice) {
+  // nice -20 -> 2x base, nice 0 -> base, nice 19 -> ~1/20 base (5 ticks),
+  // mirroring Linux 2.6's static priority scale.
+  const Tick scaled = kTimesliceTicks * (20 - nice) / 20;
+  return std::max<Tick>(kTimesliceTicks / 20, scaled);
 }
 
 void Task::EnterPhase(std::size_t index) {

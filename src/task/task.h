@@ -28,7 +28,6 @@ enum class TaskState {
   kRunnable,  // on a runqueue, not currently executing
   kRunning,   // currently executing on its CPU
   kSleeping,  // blocked; wakes at wake_tick
-  kFinished,  // completed all work and was not respawned
 };
 
 class Task {
@@ -52,11 +51,11 @@ class Task {
   Tick TakePendingSleep();
 
   // True once total_work_ticks of work have been executed (never for
-  // infinite programs). The machine respawns or retires the task.
+  // infinite programs). The machine then respawns the task.
   bool WorkComplete() const;
 
   // Restarts the program from phase 0 with fresh work accounting (respawn
-  // after completion; used by throughput experiments).
+  // after completion).
   void RestartProgram();
 
   const Phase& current_phase() const { return program_->phase(phase_index_); }
@@ -82,9 +81,9 @@ class Task {
   void set_nice(int nice) { nice_ = nice; }
 
   // Timeslice a fresh scheduling round grants this task, derived from its
-  // nice level: base length at nice 0, twice that at nice -20, a small floor
-  // near nice 19 (a simplified Linux 2.6 static-priority scale).
-  static Tick TimesliceForNice(int nice, Tick base_ticks);
+  // nice level: kTimesliceTicks at nice 0, twice that at nice -20, a small
+  // floor near nice 19 (a simplified Linux 2.6 static-priority scale).
+  static Tick TimesliceForNice(int nice);
 
   Tick timeslice_left() const { return timeslice_left_; }
   void set_timeslice_left(Tick t) { timeslice_left_ = t; }
@@ -143,7 +142,7 @@ class Task {
   Tick wake_tick_ = 0;
   int cpu_ = kInvalidCpu;
   int nice_ = 0;
-  Tick timeslice_left_ = kDefaultTimesliceTicks;
+  Tick timeslice_left_ = kTimesliceTicks;
 
   EnergyProfile profile_;
   double enqueued_power_ = 0.0;

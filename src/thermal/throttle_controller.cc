@@ -35,10 +35,4 @@ double ThrottleController::ThrottledFraction() const {
   return static_cast<double>(throttled_ticks_) / static_cast<double>(total_ticks_);
 }
 
-void ThrottleController::ResetAccounting() {
-  throttled_ticks_ = 0;
-  total_ticks_ = 0;
-  demand_ticks_ = 0;
-}
-
 }  // namespace eas

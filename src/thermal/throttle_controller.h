@@ -20,7 +20,7 @@ class ThrottleController {
   // `hysteresis_watts`: how far thermal power must fall below the limit
   // before execution resumes. Small values duty-cycle the CPU near the limit
   // the way BIOS hlt throttling does.
-  explicit ThrottleController(double hysteresis_watts = 0.5);
+  explicit ThrottleController(double hysteresis_watts);
 
   // Updates the throttle state given the CPU's current thermal power and
   // limit; returns true if the CPU must halt this tick.
@@ -40,8 +40,6 @@ class ThrottleController {
 
   // Fraction of accounted ticks spent throttled (Table 3's percentages).
   double ThrottledFraction() const;
-
-  void ResetAccounting();
 
  private:
   double hysteresis_watts_;

@@ -72,11 +72,6 @@ std::size_t CpuTopology::UnitsAtLevel(std::size_t level) const {
   return num_physical_ / packages_per_unit_[level];
 }
 
-std::size_t CpuTopology::UnitOf(int logical, std::size_t level) const {
-  assert(level + 1 < levels_.size());
-  return PhysicalOf(logical) / packages_per_unit_[level];
-}
-
 std::size_t CpuTopology::PhysicalOf(int logical) const {
   assert(logical >= 0 && static_cast<std::size_t>(logical) < num_logical());
   return static_cast<std::size_t>(logical) % num_physical();

@@ -53,10 +53,6 @@ class CpuTopology {
     return packages_per_unit_[level];
   }
 
-  // Unit index (flattened) containing `logical` at topology level `level`
-  // (level <= num_levels()-2).
-  std::size_t UnitOf(int logical, std::size_t level) const;
-
   // Legacy grid accessors. For deep trees, "node" means the unit one level
   // above the package level (the cheapest level whose crossings carry the
   // paper's cache-affinity penalty).

@@ -34,18 +34,6 @@ void FrequencyDomain::SetPState(std::size_t index) {
   current_ = index >= table_.size() ? table_.deepest() : index;
 }
 
-void FrequencyDomain::StepDown() {
-  if (current_ < table_.deepest()) {
-    ++current_;
-  }
-}
-
-void FrequencyDomain::StepUp() {
-  if (current_ > 0) {
-    --current_;
-  }
-}
-
 void FrequencyDomain::AccountTick() {
   ++residency_[current_];
   ++total_ticks_;
@@ -64,14 +52,6 @@ double FrequencyDomain::AverageFrequency() const {
     return 1.0;
   }
   return multiplier_ticks_ / static_cast<double>(total_ticks_);
-}
-
-void FrequencyDomain::ResetAccounting() {
-  for (Tick& r : residency_) {
-    r = 0;
-  }
-  total_ticks_ = 0;
-  multiplier_ticks_ = 0.0;
 }
 
 }  // namespace eas

@@ -70,10 +70,8 @@ class FrequencyDomain {
   double frequency_multiplier() const { return state().frequency_multiplier; }
   double energy_scale() const { return state().EnergyScale(); }
 
-  // Clamped transitions; SetPState is the governor's direct interface.
+  // The governor's interface; an index past the deepest state clamps to it.
   void SetPState(std::size_t index);
-  void StepDown();  // one state deeper (slower), clamped at the deepest
-  void StepUp();    // one state shallower (faster), clamped at P0
 
   // Records one tick of residency at the current P-state.
   void AccountTick();
@@ -87,8 +85,6 @@ class FrequencyDomain {
   // Tick-weighted average frequency multiplier (1.0 if never accounted:
   // a domain that was never governed ran at P0 by definition).
   double AverageFrequency() const;
-
-  void ResetAccounting();
 
  private:
   PStateTable table_;

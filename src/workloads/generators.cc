@@ -52,14 +52,16 @@ Phase ShiftPhase(const EnergyModel& model, const EventRates& signature, double p
 
 }  // namespace
 
-Workload PhaseShiftWorkload(const EnergyModel& model, const PhaseShiftOptions& options) {
+Workload PhaseShiftWorkload(const EnergyModel& model) {
+  constexpr int kTasks = 8;
+  constexpr Tick kPhaseTicks = 30'000;     // duration of each (hot|cool) phase
+  constexpr double kHotPowerWatts = 58.0;  // ALU-bound phase target power
+  constexpr double kCoolPowerWatts = 38.0; // memory-bound phase target power
   Workload workload;
-  for (int i = 0; i < options.tasks; ++i) {
+  for (int i = 0; i < kTasks; ++i) {
     const bool start_cool = i % 2 == 1;  // odd tasks flip the machine-wide mix
-    const Phase hot = ShiftPhase(model, HotSignature(), options.hot_power_watts,
-                                 options.phase_ticks);
-    const Phase cool = ShiftPhase(model, CoolSignature(), options.cool_power_watts,
-                                  options.phase_ticks);
+    const Phase hot = ShiftPhase(model, HotSignature(), kHotPowerWatts, kPhaseTicks);
+    const Phase cool = ShiftPhase(model, CoolSignature(), kCoolPowerWatts, kPhaseTicks);
     std::vector<Phase> phases = start_cool ? std::vector<Phase>{cool, hot}
                                            : std::vector<Phase>{hot, cool};
     const Program* program = workload.Own(std::make_unique<Program>(

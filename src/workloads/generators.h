@@ -25,18 +25,11 @@
 
 namespace eas {
 
-struct PhaseShiftOptions {
-  int tasks = 8;                  // number of phase-shifting tasks
-  Tick phase_ticks = 30'000;      // duration of each (hot|cool) phase
-  double hot_power_watts = 58.0;  // ALU-bound phase target power
-  double cool_power_watts = 38.0; // memory-bound phase target power
-};
-
-// Builds `options.tasks` programs that alternate between a hot ALU phase and
-// a cool memory phase of `phase_ticks` each. Odd tasks start cool so the
+// Builds 8 programs that alternate between a hot ALU phase (58 W) and a cool
+// memory phase (38 W) of 30,000 ticks each. Odd tasks start cool so the
 // machine-wide mix flips every phase. The generated programs are owned by
 // the returned workload.
-Workload PhaseShiftWorkload(const EnergyModel& model, const PhaseShiftOptions& options);
+Workload PhaseShiftWorkload(const EnergyModel& model);
 
 struct PoissonOptions {
   double arrivals_per_second = 2.0;  // open-loop arrival rate

@@ -205,26 +205,5 @@ TEST(RngTest, NextBelowInRange) {
   }
 }
 
-TEST(RngTest, ChanceExtremes) {
-  Rng rng(23);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(rng.Chance(0.0));
-    EXPECT_TRUE(rng.Chance(1.0));
-  }
-}
-
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(31);
-  Rng child = parent.Fork();
-  // The child stream should not be identical to the parent's continuation.
-  int equal = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (parent.NextU64() == child.NextU64()) {
-      ++equal;
-    }
-  }
-  EXPECT_LT(equal, 3);
-}
-
 }  // namespace
 }  // namespace eas

@@ -48,12 +48,6 @@ TEST(CpuPowerStateTest, SeedOverrides) {
   EXPECT_DOUBLE_EQ(state.thermal_power(), 40.0);
 }
 
-TEST(CpuPowerStateTest, MaxPowerAdjustable) {
-  CpuPowerState state(60.0, 12.0, 30.0);
-  state.set_max_power(40.0);
-  EXPECT_NEAR(state.thermal_power_ratio(), 0.75, 1e-12);
-}
-
 TEST(CpuPowerStateTest, DecaysTowardIdleWhenUnloaded) {
   CpuPowerState state(60.0, 12.0, 61.0);
   for (int i = 0; i < 100'000; ++i) {

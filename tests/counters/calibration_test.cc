@@ -12,7 +12,7 @@ namespace {
 
 TEST(CalibrationTest, RecoversWeightsWithinTolerance) {
   const EnergyModel truth = EnergyModel::Default();
-  const CalibrationResult result = Calibrator::CalibrateDefault(truth, 123, 0.02);
+  const CalibrationResult result = Calibrator::CalibrateDefault(truth, 123);
   EXPECT_EQ(result.runs_used, 16u);
   // With 2% meter noise the recovered weights must stay within 10% of truth
   // (the paper's overall estimation error bound).
@@ -25,8 +25,7 @@ TEST(CalibrationTest, RecoversWeightsWithinTolerance) {
 TEST(CalibrationTest, DefaultWeightsKnownAnswer) {
   // The exact weights one seed calibrates to: any change to the order or
   // arithmetic of the calibration noise moves at least one of these bits.
-  const CalibrationResult result =
-      Calibrator::CalibrateDefault(EnergyModel::Default(), 123, 0.02);
+  const CalibrationResult result = Calibrator::CalibrateDefault(EnergyModel::Default(), 123);
   constexpr std::uint64_t kExpected[kNumEventTypes] = {
       0x3ee12f12bc76d58bULL, 0x3ee5d34461c371b0ULL, 0x3ef83fb96635bbc8ULL,
       0x3eff0a8c11a16a72ULL, 0x3f0862b78d4e1ed4ULL, 0x3ed9c82b78a74160ULL,
@@ -39,7 +38,12 @@ TEST(CalibrationTest, DefaultWeightsKnownAnswer) {
 
 TEST(CalibrationTest, PerfectMeterRecoversAlmostExactly) {
   const EnergyModel truth = EnergyModel::Default();
-  const CalibrationResult result = Calibrator::CalibrateDefault(truth, 7, 0.0);
+  Calibrator calibrator(truth);
+  PowerMeter meter(7, /*relative_error_stddev=*/0.0);
+  Rng rng(7);
+  calibrator.RunDefaultBattery(meter, rng);
+  CalibrationResult result;
+  ASSERT_TRUE(calibrator.Solve(result));
   // Only per-tick rate jitter remains; least squares still averages it out.
   EXPECT_LT(result.max_relative_weight_error, 0.02);
 }
@@ -74,7 +78,7 @@ TEST(CalibrationTest, DegenerateRunsAreSingular) {
 TEST(CalibrationTest, EndToEndEstimationErrorUnderTenPercent) {
   // The paper's headline bound: estimation error < 10% for real workloads.
   const EnergyModel truth = EnergyModel::Default();
-  const CalibrationResult calibration = Calibrator::CalibrateDefault(truth, 99, 0.02);
+  const CalibrationResult calibration = Calibrator::CalibrateDefault(truth, 99);
   const EnergyEstimator estimator(calibration.weights, truth.active_base_power());
 
   Rng rng(4242);

@@ -27,17 +27,6 @@ TEST(CounterBlockTest, AccumulatesMonotonically) {
   EXPECT_DOUBLE_EQ(block.values()[EventIndex(EventType::kMemTransactions)], 6.0);
 }
 
-TEST(CounterBlockTest, DiffSinceSnapshot) {
-  CounterBlock block;
-  block.Accumulate(MakeEvents(10.0, 5.0));
-  const EventVector snapshot = block.values();
-  block.Accumulate(MakeEvents(3.0, 2.0));
-  const EventVector diff = block.DiffSince(snapshot);
-  EXPECT_DOUBLE_EQ(diff[EventIndex(EventType::kUopsRetired)], 3.0);
-  EXPECT_DOUBLE_EQ(diff[EventIndex(EventType::kMemTransactions)], 2.0);
-  EXPECT_DOUBLE_EQ(diff[EventIndex(EventType::kIntAluOps)], 0.0);
-}
-
 TEST(CounterBlockTest, ResetClears) {
   CounterBlock block;
   block.Accumulate(MakeEvents(10.0, 5.0));

@@ -10,12 +10,25 @@
 namespace eas {
 namespace {
 
+// The default calibration battery against a meter with `noise` relative
+// error.
+CalibrationResult CalibrateWithMeterNoise(const EnergyModel& truth, std::uint64_t seed,
+                                          double noise) {
+  Calibrator calibrator(truth);
+  PowerMeter meter(seed ^ 0x5eedu, noise);
+  Rng rng(seed);
+  calibrator.RunDefaultBattery(meter, rng);
+  CalibrationResult result;
+  EXPECT_TRUE(calibrator.Solve(result));
+  return result;
+}
+
 class EstimationNoiseProperty : public ::testing::TestWithParam<double> {};
 
 TEST_P(EstimationNoiseProperty, CalibrationErrorBoundedByNoise) {
   const double noise = GetParam();
   const EnergyModel truth = EnergyModel::Default();
-  const CalibrationResult result = Calibrator::CalibrateDefault(truth, 2024, noise);
+  const CalibrationResult result = CalibrateWithMeterNoise(truth, 2024, noise);
   // Weight error should be on the order of the meter noise: allow 5x plus a
   // small floor for the per-tick jitter.
   EXPECT_LT(result.max_relative_weight_error, 5.0 * noise + 0.02);
@@ -24,7 +37,7 @@ TEST_P(EstimationNoiseProperty, CalibrationErrorBoundedByNoise) {
 TEST_P(EstimationNoiseProperty, RandomWorkloadEstimationError) {
   const double noise = GetParam();
   const EnergyModel truth = EnergyModel::Default();
-  const CalibrationResult calibration = Calibrator::CalibrateDefault(truth, 7, noise);
+  const CalibrationResult calibration = CalibrateWithMeterNoise(truth, 7, noise);
   const EnergyEstimator estimator(calibration.weights, truth.active_base_power());
 
   Rng rng(1000 + static_cast<std::uint64_t>(noise * 1e4));
@@ -58,7 +71,7 @@ class ProfileWeightProperty : public ::testing::TestWithParam<double> {};
 
 TEST_P(ProfileWeightProperty, ProfileConvergesForAnyWeight) {
   const double weight = GetParam();
-  EnergyProfile profile(weight, 100);
+  EnergyProfile profile(weight);
   profile.Seed(40.0);
   for (int i = 0; i < 400; ++i) {
     profile.AddPeriod(6.1, 100);  // constant 61 W
@@ -68,7 +81,7 @@ TEST_P(ProfileWeightProperty, ProfileConvergesForAnyWeight) {
 
 TEST_P(ProfileWeightProperty, SmallerWeightSmoothsMore) {
   const double weight = GetParam();
-  EnergyProfile profile(weight, 100);
+  EnergyProfile profile(weight);
   profile.Seed(40.0);
   profile.AddPeriod(8.0, 100);  // one 80 W spike
   const double moved = profile.power() - 40.0;

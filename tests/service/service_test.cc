@@ -17,6 +17,7 @@
 
 #include "src/api/result_sink.h"
 #include "src/api/run_session.h"
+#include "tests/service/status_field.h"
 
 namespace eas {
 namespace {

@@ -4,10 +4,12 @@
 // real socket, with concurrent clients demuxed by submission id.
 
 #include <gtest/gtest.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <string>
@@ -18,6 +20,7 @@
 #include "src/api/run_session.h"
 #include "src/service/experiment_server.h"
 #include "src/service/service_client.h"
+#include "tests/service/status_field.h"
 
 namespace eas {
 namespace {
@@ -238,6 +241,58 @@ TEST(ExperimentServerTest, ShutdownVerbDrainsAndStopsTheServer) {
   // The daemon is gone: connecting again fails.
   auto late = ServiceClient::Connect(socket_path);
   EXPECT_FALSE(late.ok());
+}
+
+// The virtual memory the process maps, in bytes (Linux /proc).
+long long VmSizeBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      long long kib = 0;
+      status >> kib;
+      return kib * 1024;
+    }
+    std::getline(status, key);
+  }
+  return 0;
+}
+
+// The stack a new thread of this process gets, in bytes.
+long long ThreadStackBytes() {
+  std::size_t bytes = 0;
+  std::thread([&bytes] {
+    pthread_attr_t attr;
+    pthread_getattr_np(pthread_self(), &attr);
+    pthread_attr_getstacksize(&attr, &bytes);
+    pthread_attr_destroy(&attr);
+  }).join();
+  return static_cast<long long>(bytes);
+}
+
+TEST(ExperimentServerTest, FinishedConnectionsLeaveNoHandlerThreadBehind) {
+  const std::string socket_path = SocketPath("reap");
+  auto server = ExperimentServer::Start(QuickServer(socket_path));
+  ASSERT_TRUE(server.ok()) << server.error().Render();
+  // One `eastool status`: connect, ask, hang up.
+  const auto status_cycle = [&socket_path] {
+    auto client = ServiceClient::Connect(socket_path);
+    ASSERT_TRUE(client.ok()) << client.error().Render();
+    EXPECT_TRUE(client->QueryStatus().ok());
+  };
+  for (int i = 0; i < 4; ++i) {
+    status_cycle();  // the first handlers map the stacks later ones reuse
+  }
+  const long long before = VmSizeBytes();
+  constexpr int kCycles = 64;
+  for (int i = 0; i < kCycles; ++i) {
+    status_cycle();
+  }
+  // A handler thread kept after its client left holds its stack: 64 of them
+  // would map 64 stacks. Joined handlers hand theirs back for reuse.
+  const long long grown = VmSizeBytes() - before;
+  EXPECT_LT(grown, 8 * ThreadStackBytes()) << "VmSize grew by " << grown << " bytes over "
+                                           << kCycles << " connections";
 }
 
 TEST(ExperimentServerTest, ConnectToMissingSocketDiagnoses) {

@@ -32,6 +32,25 @@ TEST(WireTest, EveryErrorCodeRoundTripsByName) {
   }
 }
 
+TEST(WireTest, ErrorLineIsAnUnsignedInteger) {
+  const RequestError error =
+      RequestErrorFromJson(R"({"code": "bad-value", "line": 7, "message": "m"})");
+  EXPECT_EQ(error.code, RequestErrorCode::kBadValue);
+  EXPECT_EQ(error.line, 7u);
+  EXPECT_EQ(RequestErrorFromJson(R"({"code": "bad-value", "message": "m"})").line, 0u);
+  // Each of these once went through strtod and a cast to size_t; a negative
+  // or huge value made that cast undefined.
+  for (const char* line : {"-1", "1e30", "3.5", "+3", "0x10", "", " 7", "18446744073709551616",
+                           "nan", "\"7\""}) {
+    const std::string json =
+        std::string(R"({"code": "bad-value", "line": )") + line + R"(, "message": "m"})";
+    const RequestError malformed = RequestErrorFromJson(json);
+    EXPECT_EQ(malformed.code, RequestErrorCode::kProtocol) << line;
+    EXPECT_EQ(malformed.message, "malformed error payload: " + json) << line;
+    EXPECT_EQ(malformed.line, 0u) << line;
+  }
+}
+
 TEST(WireTest, UnknownCodeNameBecomesProtocol) {
   const RequestError error =
       RequestErrorFromJson(R"({"code": "from-a-newer-server", "message": "kept"})");

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/core/policy_registry.h"
@@ -21,6 +22,13 @@
 
 namespace eas {
 namespace {
+
+// The machine's fixed physics, written out here as literals so the port
+// stays independent of the production constants: the SMT co-run speed, the
+// cache-warmup speed, and the timeslice at `nice` on the 100-tick base.
+constexpr double kCorunSpeed = 0.65;
+constexpr double kColdCacheSpeed = 0.5;
+Tick TimesliceAt(int nice) { return std::max<Tick>(100 / 20, 100 * (20 - nice) / 20); }
 
 // The pre-refactor Machine::Step, expressed over SimulationState, with
 // lifecycle moved after the package loop.
@@ -70,13 +78,13 @@ class ManualStepper {
         }
       }
 
-      const double corun_speed = active.size() >= 2 ? config.smt_corun_speed : 1.0;
+      const double corun_speed = active.size() >= 2 ? kCorunSpeed : 1.0;
       double true_dynamic = 0.0;
       for (int cpu : active) {
         Task* task = s.runqueue(cpu).current();
         double speed = corun_speed;
         if (task->warmup_ticks_left() > 0) {
-          speed *= config.warmup_speed;
+          speed *= kColdCacheSpeed;
         }
         const EventVector events = task->ExecuteTick(speed);
         s.counters(cpu).Accumulate(events);
@@ -141,7 +149,6 @@ class ManualStepper {
 
  private:
   void Lifecycle(SimulationState& s, int cpu) {
-    const MachineConfig& config = s.config();
     Runqueue& rq = s.runqueue(cpu);
     Task* task = rq.current();
     if (task == nullptr) {
@@ -157,21 +164,16 @@ class ManualStepper {
     }
     if (task->WorkComplete()) {
       s.CommitPeriod(*task);
-      if (config.respawn_completed) {
-        task->RestartProgram();
-        rq.TakeCurrent();
-        const int cpu_new = s.PlaceTask(*task);
-        task->set_timeslice_left(Task::TimesliceForNice(task->nice(), config.timeslice_ticks));
-        s.runqueue(cpu_new).Enqueue(task);
-      } else {
-        rq.TakeCurrent();
-        task->set_state(TaskState::kFinished);
-      }
+      task->RestartProgram();
+      rq.TakeCurrent();
+      const int cpu_new = s.PlaceTask(*task);
+      task->set_timeslice_left(TimesliceAt(task->nice()));
+      s.runqueue(cpu_new).Enqueue(task);
       return;
     }
     if (task->timeslice_left() <= 0) {
       s.CommitPeriod(*task);
-      task->set_timeslice_left(Task::TimesliceForNice(task->nice(), config.timeslice_ticks));
+      task->set_timeslice_left(TimesliceAt(task->nice()));
       if (rq.nr_queued() > 0) {
         rq.TakeCurrent();
         rq.Enqueue(task);

@@ -25,7 +25,6 @@ MachineConfig OneCpuConfig() {
   config.cooling = CoolingProfile::Uniform(1, ThermalParams{});
   config.explicit_max_power_physical = 200.0;
   config.estimator_weights = EnergyModel::Default().weights();
-  config.respawn_completed = false;
   config.seed = 3;
   return config;
 }
@@ -60,12 +59,17 @@ TEST(WakeQueueTest, SleeperWakesOnExactTickCurrentTaskCompletes) {
   machine.Run(49);  // ticks 0..48: the worker runs, one tick of work short
   EXPECT_EQ(b->state(), TaskState::kSleeping);
   EXPECT_EQ(state.runqueue(0).current(), a);
+  EXPECT_EQ(a->completions(), 0);
 
-  machine.Run(1);  // tick 49: b wakes at the start, a completes at the end
-  EXPECT_EQ(a->state(), TaskState::kFinished);
+  // Tick 49: b wakes at the start, onto the front of the queue; a completes
+  // at the end and respawns onto the back.
+  machine.Run(1);
+  EXPECT_EQ(a->completions(), 1);
   EXPECT_EQ(b->state(), TaskState::kRunnable);
   EXPECT_EQ(state.runqueue(0).current(), nullptr);
-  EXPECT_EQ(state.runqueue(0).nr_queued(), 1u);
+  ASSERT_EQ(state.runqueue(0).nr_queued(), 2u);
+  EXPECT_EQ(state.runqueue(0).queued()[0], b);
+  EXPECT_EQ(state.runqueue(0).queued()[1], a);
 
   machine.Run(1);  // tick 50: the woken daemon switches in
   EXPECT_EQ(state.runqueue(0).current(), b);

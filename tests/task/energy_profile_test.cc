@@ -13,14 +13,14 @@ TEST(EnergyProfileTest, SeedSetsPower) {
 }
 
 TEST(EnergyProfileTest, FullTimeslicePowerSample) {
-  EnergyProfile profile(0.3, 100);
+  EnergyProfile profile(0.3);
   // 6.1 J over 100 ms = 61 W; first sample initializes.
   profile.AddPeriod(6.1, 100);
   EXPECT_NEAR(profile.power(), 61.0, 1e-9);
 }
 
 TEST(EnergyProfileTest, ConvergesToSteadyPower) {
-  EnergyProfile profile(0.3, 100);
+  EnergyProfile profile(0.3);
   for (int i = 0; i < 50; ++i) {
     profile.AddPeriod(4.7, 100);  // 47 W
   }
@@ -28,7 +28,7 @@ TEST(EnergyProfileTest, ConvergesToSteadyPower) {
 }
 
 TEST(EnergyProfileTest, SpikeDoesNotDominate) {
-  EnergyProfile profile(0.3, 100);
+  EnergyProfile profile(0.3);
   profile.Seed(40.0);
   profile.AddPeriod(8.0, 100);  // one 80 W timeslice
   EXPECT_LT(profile.power(), 55.0);
@@ -36,7 +36,7 @@ TEST(EnergyProfileTest, SpikeDoesNotDominate) {
 }
 
 TEST(EnergyProfileTest, PersistentChangeShowsUp) {
-  EnergyProfile profile(0.3, 100);
+  EnergyProfile profile(0.3);
   profile.Seed(40.0);
   for (int i = 0; i < 15; ++i) {
     profile.AddPeriod(8.0, 100);
@@ -47,11 +47,11 @@ TEST(EnergyProfileTest, PersistentChangeShowsUp) {
 TEST(EnergyProfileTest, PartialPeriodWeightsLess) {
   // A 10 ms partial slice must move the profile less than a 100 ms slice of
   // the same power - the variable-period weight at work.
-  EnergyProfile partial(0.3, 100);
+  EnergyProfile partial(0.3);
   partial.Seed(40.0);
   partial.AddPeriod(0.8, 10);  // 80 W over 10 ms
 
-  EnergyProfile full(0.3, 100);
+  EnergyProfile full(0.3);
   full.Seed(40.0);
   full.AddPeriod(8.0, 100);  // 80 W over 100 ms
 
@@ -62,12 +62,12 @@ TEST(EnergyProfileTest, PartialPeriodWeightsLess) {
 TEST(EnergyProfileTest, SplitPeriodEqualsWholePeriod) {
   // Ten 10 ms samples at constant power must equal one 100 ms sample: the
   // defining consistency property of the paper's extension (Section 3.3).
-  EnergyProfile split(0.3, 100);
+  EnergyProfile split(0.3);
   split.Seed(40.0);
   for (int i = 0; i < 10; ++i) {
     split.AddPeriod(0.8, 10);
   }
-  EnergyProfile whole(0.3, 100);
+  EnergyProfile whole(0.3);
   whole.Seed(40.0);
   whole.AddPeriod(8.0, 100);
   EXPECT_NEAR(split.power(), whole.power(), 1e-9);

@@ -13,21 +13,21 @@ namespace eas {
 namespace {
 
 TEST(PriorityTest, TimesliceScale) {
-  EXPECT_EQ(Task::TimesliceForNice(0, 100), 100);
-  EXPECT_EQ(Task::TimesliceForNice(-20, 100), 200);
-  EXPECT_EQ(Task::TimesliceForNice(10, 100), 50);
-  EXPECT_EQ(Task::TimesliceForNice(19, 100), 5);
+  EXPECT_EQ(Task::TimesliceForNice(0), 100);
+  EXPECT_EQ(Task::TimesliceForNice(-20), 200);
+  EXPECT_EQ(Task::TimesliceForNice(10), 50);
+  EXPECT_EQ(Task::TimesliceForNice(19), 5);
 }
 
 TEST(PriorityTest, TimesliceNeverBelowFloor) {
   for (int nice = -20; nice <= 19; ++nice) {
-    EXPECT_GE(Task::TimesliceForNice(nice, 100), 5) << "nice " << nice;
+    EXPECT_GE(Task::TimesliceForNice(nice), 5) << "nice " << nice;
   }
 }
 
 TEST(PriorityTest, TimesliceMonotoneInPriority) {
   for (int nice = -19; nice <= 19; ++nice) {
-    EXPECT_LE(Task::TimesliceForNice(nice, 100), Task::TimesliceForNice(nice - 1, 100));
+    EXPECT_LE(Task::TimesliceForNice(nice), Task::TimesliceForNice(nice - 1));
   }
 }
 

@@ -6,7 +6,7 @@ namespace eas {
 namespace {
 
 TEST(ThrottleTest, StartsUnthrottled) {
-  ThrottleController t;
+  ThrottleController t(0.5);
   EXPECT_FALSE(t.throttled());
 }
 
@@ -34,7 +34,7 @@ TEST(ThrottleTest, ReengagesAfterRecovery) {
 }
 
 TEST(ThrottleTest, AccountsThrottledFraction) {
-  ThrottleController t;
+  ThrottleController t(0.5);
   for (int i = 0; i < 30; ++i) {
     t.AccountTick(true);
   }
@@ -47,17 +47,8 @@ TEST(ThrottleTest, AccountsThrottledFraction) {
 }
 
 TEST(ThrottleTest, FractionZeroWithoutTicks) {
-  ThrottleController t;
-  EXPECT_DOUBLE_EQ(t.ThrottledFraction(), 0.0);
-}
-
-TEST(ThrottleTest, ResetAccountingKeepsState) {
   ThrottleController t(0.5);
-  EXPECT_TRUE(t.ShouldThrottle(50.0, 40.0));
-  t.AccountTick(true);
-  t.ResetAccounting();
-  EXPECT_EQ(t.total_ticks(), 0);
-  EXPECT_TRUE(t.throttled());  // hysteresis state survives accounting reset
+  EXPECT_DOUBLE_EQ(t.ThrottledFraction(), 0.0);
 }
 
 TEST(ThrottleTest, DutyCycleEnforcesAverage) {

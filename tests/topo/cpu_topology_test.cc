@@ -181,10 +181,6 @@ TEST(CpuTopologyTest, DeepTreeUnitIndexing) {
   EXPECT_EQ(topo->UnitsAtLevel(0), 2u);
   EXPECT_EQ(topo->UnitsAtLevel(1), 4u);
   EXPECT_EQ(topo->UnitsAtLevel(2), 8u);
-  // CPU 5 = thread 0 of package 5 -> board 2, rack 1.
-  EXPECT_EQ(topo->UnitOf(5, 2), 5u);
-  EXPECT_EQ(topo->UnitOf(5, 1), 2u);
-  EXPECT_EQ(topo->UnitOf(5, 0), 1u);
   // Sibling numbering is unchanged by depth: logical = t * num_physical + p.
   EXPECT_EQ(topo->LogicalId(5, 1), 13);
   EXPECT_TRUE(topo->AreSiblings(5, 13));

@@ -33,14 +33,10 @@ TEST(PStateTableTest, DefaultLadderIsMonotonic) {
   }
 }
 
-TEST(FrequencyDomainTest, TransitionsClampAtLadderEnds) {
+TEST(FrequencyDomainTest, SetPStateClampsAtTheDeepestState) {
   FrequencyDomain domain{PStateTable::Default()};
   EXPECT_EQ(domain.current(), 0u);
-  domain.StepUp();
-  EXPECT_EQ(domain.current(), 0u);  // already at P0
-  for (std::size_t i = 0; i < domain.table().size() + 3; ++i) {
-    domain.StepDown();
-  }
+  domain.SetPState(domain.table().deepest());
   EXPECT_EQ(domain.current(), domain.table().deepest());
   domain.SetPState(99);  // past the end: clamped
   EXPECT_EQ(domain.current(), domain.table().deepest());
@@ -64,14 +60,15 @@ TEST(FrequencyDomainTest, ResidencyAndAverageFrequency) {
   EXPECT_DOUBLE_EQ(domain.ResidencyFraction(1), 0.0);
   const double p2 = domain.table().at(2).frequency_multiplier;
   EXPECT_DOUBLE_EQ(domain.AverageFrequency(), (2.0 * 1.0 + 2.0 * p2) / 4.0);
+}
 
-  domain.ResetAccounting();
+TEST(FrequencyDomainTest, NeverAccountedDomainReadsFullSpeed) {
+  FrequencyDomain domain{PStateTable::Default()};
+  domain.SetPState(2);
   EXPECT_EQ(domain.total_ticks(), 0);
   EXPECT_DOUBLE_EQ(domain.ResidencyFraction(2), 0.0);
   // Never-governed domains read as full speed, not 0.
   EXPECT_DOUBLE_EQ(domain.AverageFrequency(), 1.0);
-  // The P-state itself survives a statistics reset.
-  EXPECT_EQ(domain.current(), 2u);
 }
 
 }  // namespace

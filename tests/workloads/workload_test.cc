@@ -60,11 +60,9 @@ TEST(WorkloadTest, CopiesShareOwnedProgramsAndRetainedResources) {
 
 TEST(GeneratorsTest, PhaseShiftAlternatesStartMix) {
   const EnergyModel model = EnergyModel::Default();
-  PhaseShiftOptions options;
-  options.tasks = 4;
-  const Workload workload = PhaseShiftWorkload(model, options);
-  ASSERT_EQ(workload.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
+  const Workload workload = PhaseShiftWorkload(model);
+  ASSERT_EQ(workload.size(), 8u);
+  for (std::size_t i = 0; i < 8; ++i) {
     const Program* program = workload.arrivals()[i].program;
     ASSERT_EQ(program->num_phases(), 2u);
     // Phases must actually shift the mix: phase powers differ by > 10 W.

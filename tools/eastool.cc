@@ -138,23 +138,40 @@ void PrintUsage() {
       "  --plot              print an ASCII thermal-power plot per run\n");
 }
 
-constexpr const char* kKnownFlags[] = {
-    "help",       "list-scenarios", "list-governors", "list-sinks",  "scenario",
-    "topology",   "policy",         "workload",       "governor",    "duration-s",
-    "runs",       "seed",           "tag",            "request",     "batch",
-    "print-request", "threads",     "trace-csv",      "summary-csv", "jsonl",
-    "sink",       "plot",           "max-power",      "temp-limit",  "throttle",
-    "no-skip-ahead", "intra-threads", "socket",       "queue-depth", "faults",
-    "list-faults"};
+// Every request key is a flag of the same name, except these two: `name`
+// has no flag, and `skip-ahead` is the bare switch --no-skip-ahead.
+const std::map<std::string, std::string> kFlagExceptions = {{"name", ""},
+                                                            {"skip-ahead", "no-skip-ahead"}};
 
-// The flags that shape the request itself (as opposed to execution/output);
-// rejected with --batch, where the batch file is the single source of truth.
-constexpr const char* kRequestFlags[] = {"scenario",   "topology",   "policy",
-                                         "workload",   "governor",   "duration-s",
-                                         "runs",       "seed",       "tag",
-                                         "max-power",  "temp-limit", "throttle",
-                                         "no-skip-ahead", "intra-threads", "request",
-                                         "faults"};
+// The flag that sets request key `key`; "" for a key without one.
+std::string FlagForKey(const std::string& key) {
+  const auto exception = kFlagExceptions.find(key);
+  return exception == kFlagExceptions.end() ? key : exception->second;
+}
+
+// The flags that shape the request itself (as opposed to execution/output):
+// one per request key, and --request; rejected with --batch, where the batch
+// file is the single source of truth.
+std::vector<std::string> RequestFlags() {
+  std::vector<std::string> flags;
+  for (const std::string& key : eas::RunRequestKeys()) {
+    if (const std::string flag = FlagForKey(key); !flag.empty()) {
+      flags.push_back(flag);
+    }
+  }
+  flags.push_back("request");
+  return flags;
+}
+
+// Every flag eastool takes: the request flags, then listing, verb, execution
+// and output flags.
+std::vector<std::string> KnownFlags() {
+  std::vector<std::string> flags = RequestFlags();
+  flags.insert(flags.end(), {"help", "list-scenarios", "list-governors", "list-sinks",
+                             "list-faults", "socket", "queue-depth", "batch", "print-request",
+                             "threads", "trace-csv", "summary-csv", "jsonl", "sink", "plot"});
+  return flags;
+}
 
 bool ReadFileToString(const std::string& path, std::string* out) {
   std::ifstream stream(path, std::ios::binary);
@@ -174,31 +191,29 @@ bool ReadFileToString(const std::string& path, std::string* out) {
 // silently running with seed 0. False (with a printed diagnostic) on a bad
 // value.
 bool ApplyFlagOverrides(const eas::FlagParser& flags, eas::RunRequest* request) {
-  for (const char* key : {"scenario", "topology", "policy", "workload", "governor",
-                          "faults", "duration-s", "max-power", "temp-limit",
-                          "intra-threads", "seed", "runs", "tag", "throttle"}) {
-    if (!flags.Has(key)) {
+  for (const std::string& key : eas::RunRequestKeys()) {
+    const std::string flag = FlagForKey(key);
+    if (flag.empty() || !flags.Has(flag)) {
       continue;
     }
-    std::string value = flags.GetString(key);
+    std::string value = flags.GetString(flag);
+    if (key == "skip-ahead") {
+      // --no-skip-ahead is a bare switch for the file's `skip-ahead = false`.
+      if (!value.empty()) {
+        std::fprintf(stderr, "--%s: takes no value, got \"%s\"\n", flag.c_str(),
+                     value.c_str());
+        return false;
+      }
+      value = "false";
+    }
     // --throttle is also a bare switch: without a value it means true.
-    if (value.empty() && std::string(key) == "throttle") {
+    if (value.empty() && key == "throttle") {
       value = "true";
     }
     if (auto error = eas::ApplyRunRequestField(key, value, request)) {
-      std::fprintf(stderr, "--%s: %s\n", key, error->Render().c_str());
+      std::fprintf(stderr, "--%s: %s\n", flag.c_str(), error->Render().c_str());
       return false;
     }
-  }
-  // --no-skip-ahead is a bare switch; it maps onto the request's skip-ahead
-  // key (the file spelling of the same choice).
-  if (flags.Has("no-skip-ahead")) {
-    if (!flags.GetString("no-skip-ahead").empty()) {
-      std::fprintf(stderr, "--no-skip-ahead: takes no value, got \"%s\"\n",
-                   flags.GetString("no-skip-ahead").c_str());
-      return false;
-    }
-    request->skip_ahead = false;
   }
   return true;
 }
@@ -246,10 +261,10 @@ bool LoadBatchRequests(const std::string& path, std::vector<eas::RunRequest>* re
 bool AssembleRequests(const eas::FlagParser& flags, bool batch,
                       std::vector<eas::RunRequest>* requests) {
   if (batch) {
-    for (const char* flag : kRequestFlags) {
+    for (const std::string& flag : RequestFlags()) {
       if (flags.Has(flag)) {
         std::fprintf(stderr, "--%s cannot be combined with --batch (put it in the file)\n",
-                     flag);
+                     flag.c_str());
         return false;
       }
     }
@@ -430,9 +445,7 @@ int main(int argc, char** argv) {
 
   // Typos must not be silently swallowed: every flag is validated against
   // the known set before anything runs.
-  const std::vector<std::string> unknown(
-      flags.UnknownFlags(std::vector<std::string>(std::begin(kKnownFlags),
-                                                  std::end(kKnownFlags))));
+  const std::vector<std::string> unknown = flags.UnknownFlags(KnownFlags());
   if (!unknown.empty()) {
     for (const std::string& flag : unknown) {
       std::fprintf(stderr, "unknown flag --%s\n", flag.c_str());
