@@ -21,24 +21,26 @@
 // The balance rows probe the hierarchical balancer directly: a full
 // policy->Balance() sweep over every CPU at 128 and at 1024 CPUs, cache
 // invalidated between sweeps. Each sweep is timed on its own (at least 15
-// at any --ticks), on the wall clock and on the thread's CPU clock, and a
-// row reports its median wall-clock sweep, so one descheduled sweep moves no
-// reading. With per-domain aggregate rollups one pass costs O(fanout x
-// depth), so the per-pass cost must stay near-constant as the machine grows
-// 8x; the balance_scaling row asserts the ratio of the two medians stays
-// sublinear (< 4x for 8x the CPUs), and the bench fails if it does not.
-// That verdict reads the thread-CPU medians: a loaded host that preempts a
-// sweep stretches its wall time, not the CPU time the sweep used.
+// at any --ticks) and a row reports its median wall-clock sweep, so one
+// descheduled sweep moves no reading. With per-domain aggregate rollups one
+// pass costs O(fanout x depth), so the per-pass cost must stay near-constant
+// as the machine grows 8x. The balance_scaling row decides that on a count
+// the host cannot perturb: one more sweep at each size runs through a
+// BalanceEnv that counts the per-CPU queries a pass makes (runqueue,
+// RunqueuePower, ThermalPower, MaxPower, CpuOnline). A pass that scans
+// every CPU adds at least the CPU count per pass, so `sublinear` holds only
+// if the queries per pass grow by less than half the CPUs added (448 for
+// 128 -> 1024), and the bench fails if they do not.
 //
 //   $ bench_cluster_scale [--ticks=2000] [--intra=4] [--out=BENCH_cluster_scale.json]
 
-#include <time.h>
-
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_report.h"
@@ -46,6 +48,7 @@
 #include "src/base/flags.h"
 #include "src/core/policy_registry.h"
 #include "src/counters/energy_model.h"
+#include "src/sched/balance_env.h"
 #include "src/sim/simulation_engine.h"
 #include "src/workloads/programs.h"
 
@@ -142,27 +145,60 @@ struct BalanceRow {
   std::string name;
   std::size_t cpus = 0;
   long long passes = 0;
-  double passes_per_second = 0.0;      // median sweep, wall clock
-  double cpu_passes_per_second = 0.0;  // median sweep, thread CPU clock
+  double passes_per_second = 0.0;  // median sweep, wall clock
+  double queries_per_pass = 0.0;   // per-CPU queries of the counted sweep
 };
 
-// CPU time the calling thread has used, in seconds.
-double ThreadCpuSeconds() {
-  timespec now{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
-  return static_cast<double>(now.tv_sec) + static_cast<double>(now.tv_nsec) * 1e-9;
-}
+// The machine state as a BalanceEnv that counts every per-CPU query a
+// balance pass makes. Everything else forwards, the metrics version too, so
+// the aggregate cache keeps its once-per-tick rebuild.
+class CountingEnv : public eas::BalanceEnv {
+ public:
+  explicit CountingEnv(eas::SimulationState& state) : state_(state) {}
 
-// Passes per second of the median sweep of `sweep_seconds` (reordered).
-double MedianRate(std::vector<double>& sweep_seconds, int passes_per_sweep) {
-  const auto median = sweep_seconds.begin() + sweep_seconds.size() / 2;
-  std::nth_element(sweep_seconds.begin(), median, sweep_seconds.end());
-  return *median > 0.0 ? passes_per_sweep / *median : 0.0;
-}
+  long long queries() const { return queries_; }
+
+  std::uint64_t metrics_version() const override { return state_.metrics_version(); }
+  const eas::CpuTopology& topology() const override { return state_.topology(); }
+  const eas::DomainHierarchy& domains() const override { return state_.domains(); }
+  eas::Runqueue& runqueue(int cpu) override {
+    ++queries_;
+    return state_.runqueue(cpu);
+  }
+  const eas::Runqueue& runqueue(int cpu) const override {
+    ++queries_;
+    return std::as_const(state_).runqueue(cpu);
+  }
+  double RunqueuePower(int cpu) const override {
+    ++queries_;
+    return state_.RunqueuePower(cpu);
+  }
+  double ThermalPower(int cpu) const override {
+    ++queries_;
+    return state_.ThermalPower(cpu);
+  }
+  double MaxPower(int cpu) const override {
+    ++queries_;
+    return state_.MaxPower(cpu);
+  }
+  bool CpuOnline(int cpu) const override {
+    ++queries_;
+    return state_.CpuOnline(cpu);
+  }
+  bool MigrateTask(eas::Task* task, int from, int to) override {
+    return state_.MigrateTask(task, from, to);
+  }
+  std::int64_t migration_count() const override { return state_.migration_count(); }
+
+ private:
+  eas::SimulationState& state_;
+  mutable long long queries_ = 0;
+};
 
 // Full balance sweeps over a settled machine, advancing the tick between
 // sweeps so every sweep recomputes the per-domain aggregates instead of
-// replaying the version-keyed cache. Both rates are the median sweep's.
+// replaying the version-keyed cache. The rate is the median timed sweep's;
+// one last sweep, untimed, counts the queries.
 BalanceRow MeasureBalance(const char* topology, const eas::ProgramLibrary& library,
                           int sweeps, Tick warmup_ticks) {
   const eas::MachineConfig config = BenchConfig(topology, 0);
@@ -180,21 +216,25 @@ BalanceRow MeasureBalance(const char* topology, const eas::ProgramLibrary& libra
   auto policy =
       eas::BalancePolicyRegistry::Global().CreateOrThrow(config.sched.balancer_name, config.sched);
   const int logical = static_cast<int>(config.topology.num_logical());
-  std::vector<double> wall_seconds;
-  std::vector<double> cpu_seconds;
+  std::vector<double> seconds;
   for (int sweep = 0; sweep < sweeps; ++sweep) {
-    const double cpu_start = ThreadCpuSeconds();
     const auto start = std::chrono::steady_clock::now();
     for (int cpu = 0; cpu < logical; ++cpu) {
       policy->Balance(cpu, state);
     }
-    wall_seconds.push_back(SecondsSince(start));
-    cpu_seconds.push_back(ThreadCpuSeconds() - cpu_start);
+    seconds.push_back(SecondsSince(start));
     state.AdvanceTick();
   }
   row.passes = static_cast<long long>(sweeps) * logical;
-  row.passes_per_second = MedianRate(wall_seconds, logical);
-  row.cpu_passes_per_second = MedianRate(cpu_seconds, logical);
+  const auto median = seconds.begin() + seconds.size() / 2;
+  std::nth_element(seconds.begin(), median, seconds.end());
+  row.passes_per_second = *median > 0.0 ? logical / *median : 0.0;
+
+  CountingEnv counting(state);
+  for (int cpu = 0; cpu < logical; ++cpu) {
+    policy->Balance(cpu, counting);
+  }
+  row.queries_per_pass = static_cast<double>(counting.queries()) / logical;
   return row;
 }
 
@@ -238,21 +278,14 @@ int main(int argc, char** argv) {
   BalanceRow balance_small = MeasureBalance(kSmallTopology, library, sweeps, warmup);
   BalanceRow balance_large = MeasureBalance(kClusterTopology, library, sweeps, warmup);
 
-  const double cpu_ratio =
-      static_cast<double>(balance_large.cpus) / static_cast<double>(balance_small.cpus);
-  // Per-pass cost ratio of the median sweeps: small passes/s over large
-  // passes/s. 1.0 = constant per-pass cost; cpu_ratio = per-pass cost
-  // growing linearly with machine size (a flat O(cpus) scan). Sublinear
-  // means staying well under cpu_ratio, judged on thread CPU time.
-  const auto cost_ratio = [](double small_rate, double large_rate) {
-    return large_rate > 0.0 ? small_rate / large_rate : 0.0;
-  };
-  const double per_pass_cost_ratio =
-      cost_ratio(balance_small.passes_per_second, balance_large.passes_per_second);
-  const double cpu_per_pass_cost_ratio =
-      cost_ratio(balance_small.cpu_passes_per_second, balance_large.cpu_passes_per_second);
-  const bool sublinear =
-      cpu_per_pass_cost_ratio > 0.0 && cpu_per_pass_cost_ratio < cpu_ratio / 2.0;
+  // A flat per-CPU scan in each pass adds at least one query per CPU
+  // added; the cached hierarchy adds a few per level whose fanout grew.
+  // Sublinear means the queries per pass grow by less than half the CPUs
+  // added.
+  const double added_cpus =
+      static_cast<double>(balance_large.cpus) - static_cast<double>(balance_small.cpus);
+  const double added_queries = balance_large.queries_per_pass - balance_small.queries_per_pass;
+  const bool sublinear = added_queries < added_cpus / 2.0;
 
   std::printf("  %-12s  %6s  %6s  %14s  %8s  %s\n", "row", "intra", "cpus", "ticks/s",
               "speedup", "identical");
@@ -262,16 +295,15 @@ int main(int argc, char** argv) {
                 row->intra_threads, row->cpus, row->ticks_per_second,
                 row->speedup_vs_pool_serial, row->identical ? "yes" : "NO");
   }
-  std::printf("\n  %-12s  %6s  %10s  %16s  %16s\n", "row", "cpus", "passes", "passes/s",
-              "cpu passes/s");
+  std::printf("\n  %-12s  %6s  %10s  %16s  %14s\n", "row", "cpus", "passes", "passes/s",
+              "queries/pass");
   const BalanceRow* balance_rows[] = {&balance_small, &balance_large};
   for (const BalanceRow* row : balance_rows) {
-    std::printf("  %-12s  %6zu  %10lld  %16.0f  %16.0f\n", row->name.c_str(), row->cpus,
-                row->passes, row->passes_per_second, row->cpu_passes_per_second);
+    std::printf("  %-12s  %6zu  %10lld  %16.0f  %14.2f\n", row->name.c_str(), row->cpus,
+                row->passes, row->passes_per_second, row->queries_per_pass);
   }
-  std::printf("\n  balance per-pass cost x%.2f in thread CPU time (x%.2f wall) for x%.0f CPUs "
-              "-> %s\n",
-              cpu_per_pass_cost_ratio, per_pass_cost_ratio, cpu_ratio,
+  std::printf("\n  balance queries per pass %+.2f for %+.0f CPUs (limit %+.0f) -> %s\n",
+              added_queries, added_cpus, added_cpus / 2.0,
               sublinear ? "sublinear" : "NOT SUBLINEAR");
 
   eas::bench::BenchReport report("cluster_scale");

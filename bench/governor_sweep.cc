@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
                 record.result.AverageThrottledFraction() * 100,
                 record.result.AverageFrequencyMultiplier());
     report.Tight(record.spec.name, "throughput", record.result.Throughput(), "work-ticks/s");
-    // The DVFS presence rule, read off the metric schema every sink renders.
+    // The DVFS presence rule, read off the metric schema every output renders.
     const std::vector<eas::MetricValue> columns = eas::MetricScalars(record.result);
     const bool dvfs_columns =
         std::any_of(columns.begin(), columns.end(),

@@ -1,10 +1,11 @@
 # eastool smoke test, run by ctest (see the tests section of the root
 # CMakeLists): one scenario end to end with both CSV outputs parsed
 # non-empty, the request-file round trip (--print-request output must rerun
-# to a byte-identical summary), per-run sweep outputs, batch mode, plus the
-# CLI rejection paths (unknown or repeated flags, bad flag values, bad
-# topology, unknown policy, unknown scenario, too many runs or threads,
-# misread workload and fault values) exiting 1.
+# to a byte-identical summary), per-run sweep outputs, batch mode, the order
+# of stdout outputs, an unwritable output path, plus the CLI rejection
+# paths (unknown, removed or repeated flags, bad flag values, bad topology,
+# unknown policy, unknown scenario, too many runs or threads, misread
+# workload and fault values) exiting 1.
 #
 # Variables: EASTOOL (path to the binary), OUT_DIR (writable scratch dir).
 
@@ -267,6 +268,52 @@ if(NOT batch_length EQUAL 2)
   message(FATAL_ERROR "canonical batch replay wrote ${batch_length} record(s); want 2")
 endif()
 
+# --- stdout outputs, record by record -----------------------------------------
+# `--jsonl -` and --plot share stdout: each record's JSONL line and then its
+# plot, in record order, all before the run report.
+execute_process(
+  COMMAND ${EASTOOL} --topology 1:2:1 --workload hot:2 --duration-s 1 --runs 2
+          --jsonl - --plot
+  RESULT_VARIABLE result OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr)
+if(NOT result EQUAL 0)
+  message(FATAL_ERROR "--jsonl - --plot failed (${result}): ${stderr}")
+endif()
+set(previous -1)
+foreach(piece "{\"name\": \"cli/seed42\", " "\n-- cli/seed42 (seed 42) per-CPU thermal power --\n"
+        "\n{\"name\": \"cli/seed43\", " "\n-- cli/seed43 (seed 43) per-CPU thermal power --\n"
+        "\npolicy:            energy_aware\n")
+  string(FIND "${stdout}" "${piece}" position)
+  if(position LESS_EQUAL previous OR (previous EQUAL -1 AND NOT position EQUAL 0))
+    message(FATAL_ERROR "stdout holds \"${piece}\" at ${position}, after ${previous}:\n${stdout}")
+  endif()
+  set(previous ${position})
+endforeach()
+
+# --- an unwritable output -----------------------------------------------------
+# A path that cannot be opened fails the invocation (exit 1, naming the path)
+# after the run report, and the other outputs are still written.
+set(bad_jsonl ${OUT_DIR}/eastool_smoke_no_such_dir/out.jsonl)
+set(beside_summary ${OUT_DIR}/eastool_smoke_beside_bad.csv)
+file(REMOVE_RECURSE ${OUT_DIR}/eastool_smoke_no_such_dir)
+file(REMOVE ${beside_summary})
+execute_process(
+  COMMAND ${EASTOOL} --topology 1:2:1 --workload hot:2 --duration-s 1
+          --jsonl ${bad_jsonl} --summary-csv ${beside_summary}
+  RESULT_VARIABLE result OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr)
+if(NOT result EQUAL 1 OR NOT stderr STREQUAL "failed to open ${bad_jsonl}\n")
+  message(FATAL_ERROR "unwritable --jsonl: want exit 1 naming the path, got ${result}: ${stderr}")
+endif()
+if(NOT stdout MATCHES "policy:[ ]+energy_aware\nrun:[ ]+cli\n")
+  message(FATAL_ERROR "unwritable --jsonl: no run report on stdout:\n${stdout}")
+endif()
+if(NOT EXISTS ${beside_summary})
+  message(FATAL_ERROR "unwritable --jsonl: the summary CSV beside it was not written")
+endif()
+file(READ ${beside_summary} beside_text)
+if(NOT beside_text MATCHES "^migrations,")
+  message(FATAL_ERROR "unwritable --jsonl: summary CSV looks wrong:\n${beside_text}")
+endif()
+
 # --- rejection paths ----------------------------------------------------------
 run_expect_failure("unknown flag" ${EASTOOL} --polcy eas --duration-s 1)
 # A repeated flag must be rejected by name, not resolved to its last value.
@@ -293,9 +340,13 @@ run_expect_flag_rejected(runs ${EASTOOL} --runs 18446744073709551615 --print-req
 set(huge_runs_file ${OUT_DIR}/eastool_smoke_huge_runs.req)
 file(WRITE ${huge_runs_file} "runs = 18446744073709551615\n")
 run_expect_flag_rejected(runs ${EASTOOL} --request ${huge_runs_file} --print-request)
-run_expect_failure("repeated sink" ${EASTOOL} --duration-s 1
-                   --sink jsonl:${OUT_DIR}/eastool_smoke_a.jsonl
-                   --sink jsonl:${OUT_DIR}/eastool_smoke_b.jsonl)
+run_expect_flag_rejected(--jsonl ${EASTOOL} --duration-s 1
+                         --jsonl ${OUT_DIR}/eastool_smoke_a.jsonl
+                         --jsonl ${OUT_DIR}/eastool_smoke_b.jsonl)
+# --sink and --list-sinks are not flags: each output has a flag of its own.
+run_expect_flag_rejected("unknown flag --sink\n" ${EASTOOL} --duration-s 1
+                         --sink jsonl:${OUT_DIR}/eastool_smoke_sink.jsonl)
+run_expect_flag_rejected("unknown flag --list-sinks\n" ${EASTOOL} --list-sinks)
 run_expect_failure("request flag with --batch"
                    ${EASTOOL} --batch ${batch_file} --seed 3)
 run_expect_failure("--request with --batch"

@@ -6,9 +6,8 @@
 // Walks through the public API end to end: a run is *described* as a
 // RunRequest (the same `key = value` text `eastool --request` reads),
 // *resolved* against the registries into runnable specs, and *executed* by
-// a RunSession that streams each completed run to ResultSinks as a
-// RunRecord. The baseline and energy-aware runs execute concurrently on
-// the session's thread pool.
+// a RunSession that returns one RunRecord per run. The baseline and
+// energy-aware runs execute concurrently on the session's thread pool.
 
 #include <cstdio>
 #include <string>
@@ -48,8 +47,9 @@ int main() {
   std::printf("== quickstart: energy-aware scheduling on a simulated 8-way SMP ==\n\n");
 
   // 3. Execute: one session runs both requests concurrently and returns a
-  //    RunRecord per run (request + spec + result). Attaching a CsvSink or
-  //    JsonlSink here would stream the records to disk as they complete.
+  //    RunRecord per run (request + spec + result). The output formats of
+  //    src/api/result_sink.h (SummaryCsv, JsonlRecordLine, RecordPlot)
+  //    render these records, as eastool does once a sweep has finished.
   const eas::RunSession session;
   const std::vector<eas::RunRecord> records =
       session.Run({MakeRequest(false), MakeRequest(true)});

@@ -30,7 +30,7 @@ enum class RequestErrorCode {
   kDuplicateKey,  // key given twice in one request
   kEmptyValue,    // key with no value
   kBadValue,      // value fails the key's validation
-  kUnknownName,   // scenario/policy/governor/sink name not registered
+  kUnknownName,   // scenario/policy/governor name not registered
   kQueueFull,     // service backpressure: bounded work queue cannot admit
   kShuttingDown,  // service is draining; no new submissions
   kProtocol,      // malformed service wire message

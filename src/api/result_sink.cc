@@ -1,104 +1,60 @@
 #include "src/api/result_sink.h"
 
-#include <iostream>
-#include <utility>
+#include <algorithm>
+#include <cstdio>
 
+#include "src/base/ascii_plot.h"
 #include "src/sim/csv_export.h"
 #include "src/sim/metrics.h"
 
 namespace eas {
 
-// --- CsvSink -----------------------------------------------------------------
-
-CsvSink::CsvSink(std::string summary_path, std::string trace_path)
-    : summary_path_(std::move(summary_path)), trace_path_(std::move(trace_path)) {}
-
-void CsvSink::Begin(std::size_t total_records) { total_records_ = total_records; }
-
-std::string CsvSink::TracePathFor(std::size_t index) const {
-  if (trace_path_.empty()) {
-    return "";
+std::string SummaryCsv(const std::vector<RunRecord>& records) {
+  if (records.size() == 1) {
+    return RunSummaryToCsv(records.front().result);
   }
-  // Record 0 keeps the historical name; later runs get a .runK suffix.
-  return index == 0 ? trace_path_ : trace_path_ + ".run" + std::to_string(index);
-}
-
-void CsvSink::Consume(const RunRecord& record) {
-  if (!summary_path_.empty()) {
-    if (total_records_ <= 1) {
-      // Single run: the historical key,value summary, byte for byte (the
-      // same shim every legacy caller still uses).
-      summary_ += RunSummaryToCsv(record.result);
-    } else {
-      rows_.push_back(Row{record.index, record.spec.name, record.seed(),
-                          MetricScalars(record.result)});
-    }
-  }
-  if (!trace_path_.empty()) {
-    const std::string path = TracePathFor(record.index);
-    if (!WriteFile(path, SeriesSetToCsv(record.result.thermal_power)) && error_.empty()) {
-      error_ = "failed to write trace CSV " + path;
-    }
-  }
-}
-
-void CsvSink::Finish() {
-  if (finished_) {
-    return;
-  }
-  finished_ = true;
-  if (summary_path_.empty()) {
-    return;
-  }
-  if (!rows_.empty()) {
-    // Multi-run table: columns are the union of every run's schema, in
-    // first-seen order, so no run's metrics are dropped (a batch can mix
-    // governed and ungoverned runs, or different topologies).
-    std::vector<std::string> columns;
-    for (const Row& row : rows_) {
-      for (const MetricValue& metric : row.metrics) {
-        bool known = false;
-        for (const std::string& column : columns) {
-          if (column == metric.name) {
-            known = true;
-            break;
-          }
-        }
-        if (!known) {
-          columns.push_back(metric.name);
-        }
+  // Columns are the union of every record's schema, in first-seen order, so
+  // no run's metrics are dropped (a batch can mix governed and ungoverned
+  // runs, or different topologies).
+  std::vector<std::vector<MetricValue>> rows;
+  std::vector<std::string> columns;
+  for (const RunRecord& record : records) {
+    rows.push_back(MetricScalars(record.result));
+    for (const MetricValue& metric : rows.back()) {
+      if (std::find(columns.begin(), columns.end(), metric.name) == columns.end()) {
+        columns.push_back(metric.name);
       }
     }
-    summary_ = "run,name,seed";
+  }
+  std::string csv = "run,name,seed";
+  for (const std::string& column : columns) {
+    csv += ',';
+    csv += column;
+  }
+  csv += '\n';
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    csv += std::to_string(records[r].index);
+    csv += ',';
+    csv += records[r].spec.name;
+    csv += ',';
+    csv += std::to_string(records[r].seed());
     for (const std::string& column : columns) {
-      summary_ += ',';
-      summary_ += column;
-    }
-    summary_ += '\n';
-    for (const Row& row : rows_) {
-      summary_ += std::to_string(row.index);
-      summary_ += ',';
-      summary_ += row.name;
-      summary_ += ',';
-      summary_ += std::to_string(row.seed);
-      for (const std::string& column : columns) {
-        summary_ += ',';
-        for (const MetricValue& metric : row.metrics) {
-          if (metric.name == column) {
-            summary_ += FormatMetricValue(metric);
-            break;
-          }
+      csv += ',';
+      for (const MetricValue& metric : rows[r]) {
+        if (metric.name == column) {
+          csv += FormatMetricValue(metric);
+          break;
         }
       }
-      summary_ += '\n';
     }
+    csv += '\n';
   }
-  if (!WriteFile(summary_path_, summary_) && error_.empty()) {
-    error_ = "failed to write summary CSV " + summary_path_;
-  }
+  return csv;
 }
 
-// --- JsonlSink ---------------------------------------------------------------
+std::string TracePath(const std::string& trace_path, std::size_t index) {
+  return index == 0 ? trace_path : trace_path + ".run" + std::to_string(index);
+}
 
 std::string JsonEscape(const std::string& text) {
   std::string out;
@@ -160,107 +116,15 @@ std::string JsonlRecordLine(const RunRecord& record) {
   return line;
 }
 
-JsonlSink::JsonlSink(std::string path) : path_(std::move(path)) {}
-
-void JsonlSink::EnsureOpen() {
-  if (opened_) {
-    return;
-  }
-  opened_ = true;
-  if (path_ == "-") {
-    out_ = &std::cout;
-    return;
-  }
-  stream_.open(path_, std::ios::binary);
-  if (!stream_) {
-    error_ = "failed to open " + path_;
-    return;
-  }
-  out_ = &stream_;
-}
-
-void JsonlSink::Begin(std::size_t /*total_records*/) { EnsureOpen(); }
-
-void JsonlSink::AppendLine(const std::string& json_object) {
-  EnsureOpen();
-  if (!error_.empty()) {
-    return;
-  }
-  *out_ << json_object << '\n';
-}
-
-void JsonlSink::Consume(const RunRecord& record) { AppendLine(JsonlRecordLine(record)); }
-
-void JsonlSink::Finish() {
-  if (finished_) {
-    return;
-  }
-  finished_ = true;
-  if (!opened_ || !error_.empty()) {
-    return;
-  }
-  if (out_ == &std::cout) {
-    out_->flush();
-    return;
-  }
-  stream_.close();
-  if (!stream_) {
-    error_ = "failed to write " + path_;
-  }
-}
-
-// --- AsciiPlotSink -----------------------------------------------------------
-
-AsciiPlotSink::AsciiPlotSink(std::FILE* out, PlotOptions options)
-    : out_(out), options_(std::move(options)) {}
-
-AsciiPlotSink::AsciiPlotSink(const std::string& path, PlotOptions options)
-    : out_(nullptr), options_(std::move(options)), path_(path) {
-  if (path == "-") {
-    out_ = stdout;
-    return;
-  }
-  out_ = std::fopen(path.c_str(), "wb");
-  if (out_ == nullptr) {
-    error_ = "failed to open " + path;
-  } else {
-    owned_ = true;
-  }
-}
-
-AsciiPlotSink::~AsciiPlotSink() { Finish(); }
-
-void AsciiPlotSink::Consume(const RunRecord& record) {
-  if (out_ == nullptr) {
-    return;
-  }
-  PlotOptions options = options_;
-  if (!options.use_marker && record.spec.config.explicit_max_power_physical.has_value()) {
+std::string RecordPlot(const RunRecord& record) {
+  PlotOptions options;
+  if (record.spec.config.explicit_max_power_physical.has_value()) {
     options.marker = *record.spec.config.explicit_max_power_physical;
     options.use_marker = true;
   }
-  if (options.y_label.empty()) {
-    // std::string(...) rather than a char* assignment: gcc 12's -Wrestrict
-    // misfires on the in-place assign after the copy above.
-    options.y_label = std::string("W");
-  }
-  std::fprintf(out_, "-- %s (seed %llu) per-CPU thermal power --\n", record.spec.name.c_str(),
-               static_cast<unsigned long long>(record.seed()));
-  std::fputs(RenderPlot(record.result.thermal_power, options).c_str(), out_);
-}
-
-void AsciiPlotSink::Finish() {
-  if (finished_) {
-    return;
-  }
-  finished_ = true;
-  if (!owned_ || out_ == nullptr) {
-    return;
-  }
-  if (std::fclose(out_) != 0 && error_.empty()) {
-    error_ = "failed to write " + path_;
-  }
-  out_ = nullptr;
+  options.y_label = "W";
+  return "-- " + record.spec.name + " (seed " + std::to_string(record.seed()) +
+         ") per-CPU thermal power --\n" + RenderPlot(record.result.thermal_power, options);
 }
 
 }  // namespace eas

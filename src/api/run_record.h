@@ -3,9 +3,10 @@
 // A RunResult alone cannot be exported faithfully - you also need to know
 // what produced it (which spec, which seed, how long) and which request it
 // belongs to (to reproduce it, and to group a sweep's runs). A RunRecord
-// bundles all of that, so a ResultSink can render any record without
-// side-channel context, and a record written to disk (JsonlSink embeds the
-// formatted request) is enough to replay the run that produced it.
+// bundles all of that, so every output format (src/api/result_sink.h) can
+// render a record without side-channel context, and a record written to
+// disk (JsonlRecordLine embeds the formatted request) is enough to replay
+// the run that produced it.
 
 #ifndef SRC_API_RUN_RECORD_H_
 #define SRC_API_RUN_RECORD_H_
@@ -25,11 +26,9 @@ struct RunRecord {
   // governor...), options (duration, sampling) and workload.
   ExperimentSpec spec;
 
-  // Position within the session: 0-based across every record the session
-  // emits, and the session's total. Sinks use these to pick per-run file
-  // names and the single-run vs multi-run table shape.
+  // Position within the session, 0-based across every record it returns;
+  // run K of a sweep writes its trace to FILE.runK.
   std::size_t index = 0;
-  std::size_t total = 1;
 
   RunResult result;
 

@@ -308,7 +308,7 @@ Expected<ResolvedRequest> ResolveRunRequest(const RunRequest& request, ScenarioC
   const bool from_scenario = !request.scenario.empty();
 
   // Every resolved request must survive FormatRunRequest -> ParseRunRequest
-  // unchanged - that round trip is what makes a JsonlSink record or a
+  // unchanged - that round trip is what makes a JSONL record or a
   // --print-request file an exact reproduction recipe. A value the text
   // format cannot carry (comment/separator characters, edge whitespace)
   // would silently replay as a *different* run, so it is rejected here,
@@ -517,14 +517,6 @@ RunRequest RunRequestForScenario(const std::string& scenario) {
   RunRequest request;
   request.scenario = scenario;
   return request;
-}
-
-std::vector<RunRequest> CannedScenarioRequests() {
-  std::vector<RunRequest> requests;
-  for (const std::string& name : ScenarioRegistry::Global().Names()) {
-    requests.push_back(RunRequestForScenario(name));
-  }
-  return requests;
 }
 
 }  // namespace eas

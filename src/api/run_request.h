@@ -28,11 +28,11 @@
 //
 // ResolveRunRequest turns a request into runnable ExperimentSpecs (one per
 // run, seed-swept) plus the effective policy/governor names; feed those to
-// RunSession (src/api/run_session.h) to execute and stream RunRecords into
-// ResultSinks. The overload taking a ScenarioCache is the warm-process
-// path: a resident service resolves thousands of requests against one
-// cached scenario/program-library set instead of rebuilding per request
-// (results are bit-identical either way - the cache is pure memoization of
+// RunSession (src/api/run_session.h) to execute them into RunRecords. The
+// overload taking a ScenarioCache is the warm-process path: a resident
+// service resolves thousands of requests against one cached
+// scenario/program-library set instead of rebuilding per request (results
+// are bit-identical either way - the cache is pure memoization of
 // deterministic builds).
 
 #ifndef SRC_API_RUN_REQUEST_H_
@@ -164,10 +164,6 @@ Expected<ResolvedRequest> ResolveRunRequest(const RunRequest& request,
 // The canned request a registered scenario stands for (scenario = name,
 // everything else inherited).
 RunRequest RunRequestForScenario(const std::string& scenario);
-
-// One canned request per registered scenario, sorted by name: the builtin
-// catalogue as data.
-std::vector<RunRequest> CannedScenarioRequests();
 
 // Registry policy name for a CLI/request spelling: '-' matches '_', plus
 // the aliases eastool has always accepted (baseline, eas, temp-only).

@@ -6,8 +6,6 @@ namespace eas {
 
 RunSession::RunSession(std::size_t num_threads) : runner_(num_threads) {}
 
-void RunSession::AddSink(ResultSink& sink) { sinks_.push_back(&sink); }
-
 std::vector<RunRecord> RunSession::Run(const std::vector<ResolvedRequest>& requests) const {
   // Flatten every request's specs into one sweep, remembering which request
   // each flat index belongs to.
@@ -20,34 +18,16 @@ std::vector<RunRecord> RunSession::Run(const std::vector<ResolvedRequest>& reque
     }
   }
 
+  std::vector<RunResult> results = runner_.RunAll(specs);
   std::vector<RunRecord> records(specs.size());
-  std::vector<bool> done(specs.size(), false);
-  for (ResultSink* sink : sinks_) {
-    sink->Begin(specs.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    records[i].request = requests[request_of[i]].request;
+    // The sweep is done with its specs, so each one (and its possibly large
+    // workload) moves into its record instead of being copied again.
+    records[i].spec = std::move(specs[i]);
+    records[i].index = i;
+    records[i].result = std::move(results[i]);
   }
-
-  // RunEach serializes this callback, so the reorder bookkeeping needs no
-  // lock of its own: store the completed run, then deliver every record
-  // whose predecessors have all arrived.
-  std::size_t next_emit = 0;
-  runner_.RunEach(specs, [&](std::size_t i, RunResult&& result) {
-    RunRecord& record = records[i];
-    record.request = requests[request_of[i]].request;
-    // The runner is done with spec i once it reports the result, and no
-    // other index aliases it, so the spec (and its possibly large
-    // workload) moves into the record instead of being copied again.
-    record.spec = std::move(specs[i]);
-    record.index = i;
-    record.total = specs.size();
-    record.result = std::move(result);
-    done[i] = true;
-    while (next_emit < records.size() && done[next_emit]) {
-      for (ResultSink* sink : sinks_) {
-        sink->Consume(records[next_emit]);
-      }
-      ++next_emit;
-    }
-  });
   return records;
 }
 

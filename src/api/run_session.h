@@ -1,25 +1,20 @@
-// RunSession: execute resolved RunRequests and stream RunRecords to sinks.
+// RunSession: execute resolved RunRequests and return their RunRecords.
 //
 // The session flattens every request's specs into one sweep, fans it across
-// the parallel ExperimentRunner, and delivers each completed run to the
-// attached ResultSinks as a RunRecord - in record order (request order,
-// seeds ascending within a request), as soon as the run and all its
-// predecessors have completed. Sink output is therefore bit-identical for
-// any thread count, while a long sweep still streams: record K is delivered
-// the moment runs 0..K are done, not after the whole sweep.
+// the parallel ExperimentRunner, and returns one RunRecord per run in record
+// order (request order, seeds ascending within a request) - bit-identical
+// for any thread count. The output formats of src/api/result_sink.h render
+// the finished records:
 //
 //   RunSession session(/*num_threads=*/0);
-//   CsvSink csv("summary.csv", "trace.csv");
-//   session.AddSink(csv);
 //   std::vector<RunRecord> records = session.Run({resolved});
-//   csv.Finish();
+//   WriteFile("summary.csv", SummaryCsv(records));
 
 #ifndef SRC_API_RUN_SESSION_H_
 #define SRC_API_RUN_SESSION_H_
 
 #include <vector>
 
-#include "src/api/result_sink.h"
 #include "src/api/run_record.h"
 #include "src/api/run_request.h"
 
@@ -30,14 +25,9 @@ class RunSession {
   // `num_threads` = 0 picks the hardware concurrency.
   explicit RunSession(std::size_t num_threads = 0);
 
-  // Attaches a sink (borrowed, not owned). The session calls Begin and
-  // Consume; the caller calls Finish when done with the sink.
-  void AddSink(ResultSink& sink);
-
   // Runs every spec of every request and returns the records in record
-  // order. Failure semantics follow ExperimentRunner::RunEach: records
-  // streamed before the failure stay delivered, the lowest-indexed failed
-  // spec's exception is rethrown after the sweep drains.
+  // order. Failure semantics follow ExperimentRunner::RunAll: every spec
+  // still runs, and the lowest-indexed failed spec's exception is rethrown.
   std::vector<RunRecord> Run(const std::vector<ResolvedRequest>& requests) const;
   std::vector<RunRecord> Run(const ResolvedRequest& request) const;
 
@@ -45,7 +35,6 @@ class RunSession {
 
  private:
   ExperimentRunner runner_;
-  std::vector<ResultSink*> sinks_;
 };
 
 }  // namespace eas

@@ -1,6 +1,5 @@
 // A thread-safe name -> entry table: the one implementation behind every
-// component registry (balancing policies, frequency governors, scenarios,
-// sinks).
+// component registry (balancing policies, frequency governors, scenarios).
 //
 // Names sort: Names() is the catalogue order of every `--list-*` and of the
 // one unknown-name diagnostic, UnknownMessage(). Entries are registered at

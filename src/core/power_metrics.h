@@ -38,8 +38,6 @@ class CpuPowerState {
 
   double max_power() const { return max_power_watts_; }
 
-  double thermal_power_ratio() const { return thermal_power() / max_power_watts_; }
-
   // Forces the thermal power (e.g. starting an experiment from idle-warm, or
   // storing the value a skip-ahead span stepped to).
   void SeedThermalPower(double watts) { thermal_average_.Reset(watts); }

@@ -59,8 +59,6 @@ class Calibrator {
   // The meter's instrument error: 2% relative, Gaussian.
   static constexpr double kMeterErrorStddev = 0.02;
 
-  const std::vector<CalibrationRun>& runs() const { return runs_; }
-
  private:
   const EnergyModel& truth_;
   std::vector<CalibrationRun> runs_;

@@ -8,6 +8,4 @@ void CounterBlock::Accumulate(const EventVector& events) {
   }
 }
 
-void CounterBlock::Reset() { values_ = EventVector{}; }
-
 }  // namespace eas

@@ -20,10 +20,6 @@ class CounterBlock {
   // Returns the current (monotonic) counter values.
   const EventVector& values() const { return values_; }
 
-  // Resets all counters to zero (only used by tests; real accounting never
-  // resets, it diffs snapshots).
-  void Reset();
-
  private:
   EventVector values_{};
 };

@@ -20,8 +20,6 @@ class PowerMeter {
   // Returns a noisy measurement of `true_energy_joules`.
   double MeasureEnergy(double true_energy_joules);
 
-  double relative_error_stddev() const { return relative_error_stddev_; }
-
  private:
   Rng rng_;
   double relative_error_stddev_;

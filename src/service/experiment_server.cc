@@ -14,7 +14,7 @@ namespace {
 // shared_ptr, so the channel outlives the handler until the last record of
 // the last outstanding submission has been written.
 struct Connection {
-  explicit Connection(int fd) : channel(fd) {}
+  explicit Connection(int fd) : channel(fd, kMaxClientLineBytes) {}
 
   LineChannel channel;
   std::mutex write_mutex;  // serializes handler replies with record streams
@@ -167,9 +167,11 @@ void ExperimentServer::HandleConnection(int fd) {
       for (std::uint64_t i = 0; i < count; ++i) {
         std::string member;
         if (!conn->channel.ReadLine(&member) || member.rfind("run ", 0) != 0) {
-          conn->Write("err " + RequestErrorToJson(ProtocolError(
-                                   "batch expected " + std::to_string(count) +
-                                   " run lines, got \"" + member + "\"")));
+          if (!conn->channel.line_too_long()) {  // reported once, below
+            conn->Write("err " + RequestErrorToJson(ProtocolError(
+                                     "batch expected " + std::to_string(count) +
+                                     " run lines, got \"" + member + "\"")));
+          }
           bad = true;
           break;
         }
@@ -196,6 +198,11 @@ void ExperimentServer::HandleConnection(int fd) {
       break;
     }
     conn->Write("err " + RequestErrorToJson(ProtocolError("unknown verb: \"" + line + "\"")));
+  }
+  if (conn->channel.line_too_long()) {
+    conn->Write("err " + RequestErrorToJson(ProtocolError(
+                             "line longer than " + std::to_string(kMaxClientLineBytes) +
+                             " bytes; closing the connection")));
   }
   // conn stays alive through the callbacks' shared_ptr until the last
   // outstanding record is streamed; nothing to wait for here.

@@ -18,6 +18,7 @@
 #define SRC_SERVICE_EXPERIMENT_SERVER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <list>
 #include <memory>
 #include <string>
@@ -27,6 +28,13 @@
 #include "src/service/socket_io.h"
 
 namespace eas {
+
+// The longest line the daemon reads from a client (1 MiB; a `run` line is a
+// few hundred bytes). A longer line gets a `protocol` err and the daemon
+// closes that connection, so no client can grow a handler's buffer without
+// bound. Only the daemon reads with this bound: clients read whole `rec`
+// lines of any length.
+inline constexpr std::size_t kMaxClientLineBytes = std::size_t{1} << 20;
 
 struct ServerOptions {
   std::string socket_path;

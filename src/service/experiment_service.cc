@@ -152,13 +152,11 @@ void ExperimentService::RunJob(const Job& job) {
     record.request = submission.request;
     record.spec = spec;
     record.index = job.index;
-    record.total = submission.specs.size();
     record.result = std::move(result);
 
     StreamedRecord streamed;
     streamed.submission = submission.id;
     streamed.index = job.index;
-    streamed.total = record.total;
     streamed.tag = submission.request.tag;
     streamed.jsonl = JsonlRecordLine(record);
     ++completed_runs_;

@@ -22,7 +22,7 @@
 //   workers             pop jobs, run them (Experiment::Run), and stream
 //                       each completed run to the submission's RecordFn in
 //                       completion order. The streamed payload is exactly
-//                       the offline JsonlSink line (JsonlRecordLine), which
+//                       the offline --jsonl line (JsonlRecordLine), which
 //                       is what makes serve-mode output byte-comparable to
 //                       `eastool --request` replay; records carry their
 //                       index so clients can reorder.
@@ -70,9 +70,8 @@ struct ServiceOptions {
 struct StreamedRecord {
   std::uint64_t submission = 0;  // service-wide submission id
   std::size_t index = 0;         // record position within the submission
-  std::size_t total = 1;         // records the submission produces
   std::string tag;               // the request's tag ("" = untagged)
-  std::string jsonl;             // byte-exact offline JsonlSink line
+  std::string jsonl;             // byte-exact offline --jsonl line
 };
 
 struct SubmitResult {
@@ -83,8 +82,8 @@ struct SubmitResult {
 class ExperimentService {
  public:
   // Called per completed run, from a worker thread; calls for one
-  // submission may be concurrent with calls for another, so sinks shared
-  // across submissions need their own lock.
+  // submission may be concurrent with calls for another, so state shared
+  // across submissions needs its own lock.
   using RecordFn = std::function<void(const StreamedRecord&)>;
 
   // Called once per submission after its last record. `error` is empty on

@@ -28,7 +28,7 @@ namespace eas {
 struct ClientRecord {
   std::uint64_t submission = 0;
   std::size_t index = 0;
-  std::string jsonl;  // byte-exact offline JsonlSink line
+  std::string jsonl;  // byte-exact offline --jsonl line
 };
 
 // What a submission group came back as.

@@ -103,7 +103,10 @@ Expected<int> ConnectUnix(const std::string& path) {
 }
 
 LineChannel::LineChannel(LineChannel&& other) noexcept
-    : fd_(other.fd_), buffer_(std::move(other.buffer_)) {
+    : fd_(other.fd_),
+      max_line_bytes_(other.max_line_bytes_),
+      line_too_long_(other.line_too_long_),
+      buffer_(std::move(other.buffer_)) {
   other.fd_ = -1;
 }
 
@@ -114,13 +117,21 @@ LineChannel::~LineChannel() {
 }
 
 bool LineChannel::ReadLine(std::string* line) {
-  while (true) {
-    const std::size_t newline = buffer_.find('\n');
+  std::size_t scanned = 0;  // buffer_[0, scanned) holds no newline
+  while (!line_too_long_) {
+    const std::size_t newline = buffer_.find('\n', scanned);
+    if ((newline == std::string::npos ? buffer_.size() : newline) > max_line_bytes_) {
+      line_too_long_ = true;
+      buffer_.clear();
+      buffer_.shrink_to_fit();
+      return false;
+    }
     if (newline != std::string::npos) {
       *line = buffer_.substr(0, newline);
       buffer_.erase(0, newline + 1);
       return true;
     }
+    scanned = buffer_.size();
     char chunk[4096];
     const ssize_t got = ::read(fd_, chunk, sizeof(chunk));
     if (got < 0) {
@@ -140,6 +151,7 @@ bool LineChannel::ReadLine(std::string* line) {
     }
     buffer_.append(chunk, static_cast<std::size_t>(got));
   }
+  return false;
 }
 
 bool LineChannel::WriteLine(const std::string& line) {

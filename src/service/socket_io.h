@@ -11,9 +11,9 @@
 //                      flag; unlinks the path on destruction
 //   ConnectUnix        client connect, as a plain fd
 //   LineChannel        newline-framed reads/writes over an fd: ReadLine
-//                      buffers partial reads, WriteLine loops partial
-//                      writes. Framing only - message semantics live in
-//                      wire.h
+//                      buffers partial reads up to an optional line-length
+//                      bound, WriteLine loops partial writes. Framing only -
+//                      message semantics live in wire.h
 //
 // Everything reports failure as RequestError (code kIo) so transport and
 // request errors flow through the same client-facing type.
@@ -21,6 +21,8 @@
 #ifndef SRC_SERVICE_SOCKET_IO_H_
 #define SRC_SERVICE_SOCKET_IO_H_
 
+#include <cstddef>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -61,15 +63,22 @@ Expected<int> ConnectUnix(const std::string& path);
 // their own mutex.
 class LineChannel {
  public:
-  explicit LineChannel(int fd) : fd_(fd) {}
+  // ReadLine refuses a line longer than `max_line_bytes` (terminator not
+  // counted); the default takes a line of any length.
+  explicit LineChannel(int fd,
+                       std::size_t max_line_bytes = std::numeric_limits<std::size_t>::max())
+      : fd_(fd), max_line_bytes_(max_line_bytes) {}
   LineChannel(LineChannel&& other) noexcept;
   LineChannel& operator=(LineChannel&&) = delete;
   LineChannel(const LineChannel&) = delete;
   ~LineChannel();
 
   // Reads the next '\n'-terminated line (terminator stripped); false on
-  // EOF or error (a final unterminated fragment is delivered first).
+  // EOF or error (a final unterminated fragment is delivered first). Also
+  // false once a line runs past the bound: line_too_long() then reads true,
+  // the partial line is dropped, and every later call returns false.
   bool ReadLine(std::string* line);
+  bool line_too_long() const { return line_too_long_; }
 
   // Writes `line` plus the '\n' frame; false once the peer is gone.
   bool WriteLine(const std::string& line);
@@ -78,6 +87,8 @@ class LineChannel {
 
  private:
   int fd_ = -1;
+  std::size_t max_line_bytes_;
+  bool line_too_long_ = false;
   std::string buffer_;
 };
 

@@ -1,8 +1,9 @@
 // The experiment service's wire protocol.
 //
 // One Unix-domain stream socket, newline-framed UTF-8 lines, one message
-// per line - greppable with socat, no binary framing to version. Client ->
-// server:
+// per line - greppable with socat, no binary framing to version. A client
+// line longer than kMaxClientLineBytes (1 MiB, experiment_server.h) gets an
+// `err` and the server closes the connection. Client -> server:
 //
 //   run <request>        submit one request; <request> is the single-line
 //                        `key = value; ...` form (FormatRunRequestLine)
@@ -20,7 +21,7 @@
 //                        submission order, so clients map ids to requests)
 //   rec <id> <index> <json>
 //                        one completed run. <json> is byte-for-byte the
-//                        line an offline JsonlSink would have written for
+//                        line an offline --jsonl file holds for
 //                        this record (JsonlRecordLine) - that identity is
 //                        the protocol's determinism contract. Records
 //                        arrive in completion order; <index> is the

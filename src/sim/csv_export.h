@@ -17,9 +17,8 @@ namespace eas {
 std::string SeriesSetToCsv(const SeriesSet& set);
 
 // Renders the headline scalars of a run as "key,value" lines, in the
-// metric-schema order (src/sim/metrics.h). Kept as the single-run
-// compatibility surface; new code should stream RunRecords into a CsvSink
-// (src/api/result_sink.h), which renders the same schema.
+// metric-schema order (src/sim/metrics.h). SummaryCsv
+// (src/api/result_sink.h) writes exactly this for a single-run sweep.
 std::string RunSummaryToCsv(const RunResult& result);
 
 // Writes `contents` to `path`; returns false on I/O failure.

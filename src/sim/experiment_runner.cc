@@ -16,28 +16,17 @@ ExperimentRunner::ExperimentRunner(std::size_t num_threads) : num_threads_(num_t
 }
 
 std::vector<RunResult> ExperimentRunner::RunAll(const std::vector<ExperimentSpec>& specs) const {
-  // The vector form is the streaming form with a collector: each worker's
-  // result lands in its own spec's slot, so the aggregate keeps spec order.
   std::vector<RunResult> results(specs.size());
-  RunEach(specs, [&results](std::size_t i, RunResult&& result) {
-    results[i] = std::move(result);
-  });
-  return results;
-}
-
-void ExperimentRunner::RunEach(
-    const std::vector<ExperimentSpec>& specs,
-    const std::function<void(std::size_t, RunResult&&)>& consume) const {
   if (specs.empty()) {
-    return;
+    return results;
   }
 
-  // Work stealing over an atomic cursor; completed results are handed to
-  // `consume` under one mutex, so consumers need no locking. A spec that
-  // throws (e.g. an unknown balancer_name) must not escape its worker
-  // thread - that would terminate the process - so the lowest-indexed
-  // failure is captured and rethrown after the join, matching what the
-  // single-threaded path would have raised first.
+  // Work stealing over an atomic cursor; each worker writes its result into
+  // its own spec's slot, so the aggregate keeps spec order without a lock. A
+  // spec that throws (e.g. an unknown balancer_name) must not escape its
+  // worker thread - that would terminate the process - so the
+  // lowest-indexed failure is captured and rethrown after the join,
+  // matching what the single-threaded path would have raised first.
   //
   // Scaling: the cursor lives on its own cache line so cursor traffic never
   // invalidates the line holding the failure state or the caller's capture,
@@ -54,7 +43,7 @@ void ExperimentRunner::RunEach(
     std::atomic<std::size_t> next{0};
   };
   PaddedCursor cursor;
-  std::mutex consume_mutex;
+  std::mutex failure_mutex;
   std::size_t failed_index = specs.size();
   std::exception_ptr failure;
   auto worker = [&]() {
@@ -67,11 +56,9 @@ void ExperimentRunner::RunEach(
       for (std::size_t i = start; i < stop; ++i) {
         try {
           Experiment experiment(specs[i].config, specs[i].options);
-          RunResult result = experiment.Run(specs[i].workload);
-          std::lock_guard<std::mutex> lock(consume_mutex);
-          consume(i, std::move(result));
+          results[i] = experiment.Run(specs[i].workload);
         } catch (...) {
-          std::lock_guard<std::mutex> lock(consume_mutex);
+          std::lock_guard<std::mutex> lock(failure_mutex);
           if (i < failed_index) {
             failed_index = i;
             failure = std::current_exception();
@@ -96,6 +83,7 @@ void ExperimentRunner::RunEach(
   if (failure != nullptr) {
     std::rethrow_exception(failure);
   }
+  return results;
 }
 
 std::vector<ExperimentSpec> ExperimentRunner::SeedSweep(const ExperimentSpec& base,

@@ -11,7 +11,6 @@
 #define SRC_SIM_EXPERIMENT_RUNNER_H_
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -43,18 +42,6 @@ class ExperimentRunner {
   // the lowest-indexed spec's exception is rethrown - again independent of
   // the thread count.
   std::vector<RunResult> RunAll(const std::vector<ExperimentSpec>& specs) const;
-
-  // Streaming form: `consume(i, std::move(result))` is invoked once per spec
-  // as its run completes, in completion order (NOT spec order - callers that
-  // need spec order reorder themselves, e.g. RunSession in src/api). Calls
-  // are serialized by an internal mutex, so `consume` needs no locking of
-  // its own. Nothing is retained by the runner, so a sweep too large to hold
-  // every RunResult in memory can stream through here. Failure semantics
-  // match RunAll: a failed spec produces no callback, the remaining specs
-  // still run, and the lowest-indexed spec's exception is rethrown after the
-  // join.
-  void RunEach(const std::vector<ExperimentSpec>& specs,
-               const std::function<void(std::size_t, RunResult&&)>& consume) const;
 
   // Expands `base` into one spec per (name, config) variant produced by
   // repeating it with the seeds [base.config.seed, base.config.seed + n).

@@ -34,7 +34,7 @@ struct MetricValue {
 };
 
 // Renders a value the way the summary CSV always has: "%lld" for integral
-// metrics, "%.<precision>f" otherwise. Every sink uses this, so a metric
+// metrics, "%.<precision>f" otherwise. Every output uses this, so a metric
 // prints identically in CSV, JSONL and stdout tables.
 std::string FormatMetricValue(const MetricValue& value);
 

@@ -34,8 +34,6 @@ class ThrottleController {
   void AccountTick(bool throttled, bool had_demand = true);
 
   bool throttled() const { return throttled_; }
-  Tick throttled_ticks() const { return throttled_ticks_; }
-  Tick total_ticks() const { return total_ticks_; }
   Tick demand_ticks() const { return demand_ticks_; }
 
   // Fraction of accounted ticks spent throttled (Table 3's percentages).

@@ -6,9 +6,9 @@
 // mechanism for capping package power. A FrequencyDomain models that
 // alternative: a table of discrete P-states, each a (frequency multiplier,
 // relative voltage) pair. Dynamic power scales ~ f*V^2, so each P-state
-// carries a precomputed energy scale V^2 (the per-event energy factor; the
-// event *rate* already scales with f through execution speed) and a power
-// scale f*V^2 for a priori comparisons. Which P-state the package runs at is
+// carries an energy scale V^2 (the per-event energy factor; the event *rate*
+// already scales with f through execution speed). Which P-state the package
+// runs at is
 // a policy decision made by a FrequencyGovernor (src/freq); the domain only
 // holds hardware facts and residency statistics.
 
@@ -31,9 +31,6 @@ struct PState {
   // Per-event energy factor: E_event ~ V^2 (the f factor arrives through
   // the event rate, which follows execution speed).
   double EnergyScale() const { return voltage * voltage; }
-
-  // Dynamic power relative to P0 at full utilization: f * V^2.
-  double PowerScale() const { return frequency_multiplier * EnergyScale(); }
 };
 
 // An ordered P-state table, P0 (fastest) first. Shared by every package of
@@ -76,7 +73,6 @@ class FrequencyDomain {
   // Records one tick of residency at the current P-state.
   void AccountTick();
 
-  Tick residency_ticks(std::size_t pstate) const { return residency_[pstate]; }
   Tick total_ticks() const { return total_ticks_; }
 
   // Fraction of accounted ticks spent in `pstate` (0 if never accounted).

@@ -575,13 +575,12 @@ TEST(RunRequestResolveTest, RejectionsDiagnose) {
   }
 }
 
-TEST(RunRequestResolveTest, CannedRequestsCoverTheCatalogue) {
-  const std::vector<RunRequest> canned = CannedScenarioRequests();
-  EXPECT_EQ(canned.size(), ScenarioRegistry::Global().Names().size());
-  for (const RunRequest& request : canned) {
-    const auto resolved = ResolveRunRequest(request);
-    EXPECT_TRUE(resolved.ok())
-        << request.scenario << ": " << (resolved.ok() ? "" : resolved.error().Render());
+TEST(RunRequestResolveTest, EveryScenarioRequestResolves) {
+  const std::vector<std::string> names = ScenarioRegistry::Global().Names();
+  EXPECT_FALSE(names.empty());
+  for (const std::string& name : names) {
+    const auto resolved = ResolveRunRequest(RunRequestForScenario(name));
+    EXPECT_TRUE(resolved.ok()) << name << ": " << (resolved.ok() ? "" : resolved.error().Render());
   }
 }
 

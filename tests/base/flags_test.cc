@@ -66,11 +66,11 @@ TEST(FlagsTest, UnknownFlagsNamesStrays) {
 
 TEST(FlagsTest, RepeatedFlagsNamesRepeats) {
   const FlagParser flags =
-      Parse({"--seed", "1", "--sink=jsonl:a", "--seed=2", "--sink", "jsonl:b", "--plot", "--plot"});
-  EXPECT_EQ(flags.RepeatedFlags(), (std::vector<std::string>{"plot", "seed", "sink"}));
+      Parse({"--seed", "1", "--jsonl=a.jsonl", "--seed=2", "--jsonl", "b.jsonl", "--plot", "--plot"});
+  EXPECT_EQ(flags.RepeatedFlags(), (std::vector<std::string>{"jsonl", "plot", "seed"}));
   EXPECT_EQ(flags.GetInt("seed", 0), 2);  // the accessors keep the last value
-  EXPECT_EQ(flags.GetString("sink"), "jsonl:b");
-  EXPECT_TRUE(Parse({"--seed", "1", "--sink=jsonl:a"}).RepeatedFlags().empty());
+  EXPECT_EQ(flags.GetString("jsonl"), "b.jsonl");
+  EXPECT_TRUE(Parse({"--seed", "1", "--jsonl=a.jsonl"}).RepeatedFlags().empty());
 }
 
 }  // namespace

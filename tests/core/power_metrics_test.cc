@@ -11,7 +11,6 @@ TEST(CpuPowerStateTest, InitialThermalPowerIsSeed) {
   CpuPowerState state(60.0, 12.0, 13.6);
   EXPECT_DOUBLE_EQ(state.thermal_power(), 13.6);
   EXPECT_DOUBLE_EQ(state.max_power(), 60.0);
-  EXPECT_NEAR(state.thermal_power_ratio(), 13.6 / 60.0, 1e-12);
 }
 
 TEST(CpuPowerStateTest, ThermalPowerFollowsConstantLoad) {

@@ -27,15 +27,6 @@ TEST(CounterBlockTest, AccumulatesMonotonically) {
   EXPECT_DOUBLE_EQ(block.values()[EventIndex(EventType::kMemTransactions)], 6.0);
 }
 
-TEST(CounterBlockTest, ResetClears) {
-  CounterBlock block;
-  block.Accumulate(MakeEvents(10.0, 5.0));
-  block.Reset();
-  for (double v : block.values()) {
-    EXPECT_DOUBLE_EQ(v, 0.0);
-  }
-}
-
 TEST(EventTypesTest, NamesAreDistinct) {
   for (std::size_t i = 0; i < kNumEventTypes; ++i) {
     for (std::size_t j = i + 1; j < kNumEventTypes; ++j) {

@@ -218,6 +218,63 @@ TEST(ExperimentServerTest, BatchCountsAreDigitsOnly) {
   EXPECT_TRUE(client->QueryStatus().ok());
 }
 
+TEST(LineChannelTest, RefusesALineLongerThanItsBound) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  LineChannel writer(fds[0]);
+  LineChannel reader(fds[1], /*max_line_bytes=*/8);
+  ASSERT_TRUE(writer.WriteLine("12345678"));   // at the bound
+  ASSERT_TRUE(writer.WriteLine("123456789"));  // one byte past it
+  ASSERT_TRUE(writer.WriteLine("after"));
+  std::string line;
+  ASSERT_TRUE(reader.ReadLine(&line));
+  EXPECT_EQ(line, "12345678");
+  EXPECT_FALSE(reader.line_too_long());
+  EXPECT_FALSE(reader.ReadLine(&line));
+  EXPECT_TRUE(reader.line_too_long());
+  EXPECT_FALSE(reader.ReadLine(&line));  // the channel reads nothing more
+}
+
+TEST(ExperimentServerTest, OverlongLineGetsAnErrorAndTheConnectionCloses) {
+  const std::string socket_path = SocketPath("overlong");
+  auto server = ExperimentServer::Start(QuickServer(socket_path));
+  ASSERT_TRUE(server.ok()) << server.error().Render();
+
+  auto fd = ConnectUnix(socket_path);
+  ASSERT_TRUE(fd.ok()) << fd.error().Render();
+  LineChannel channel(*fd);
+  // 2 MiB without a newline. The server stops reading past its bound and
+  // hangs up, so the send may end early with EPIPE; then the stream ends,
+  // so a server without the bound answers instead of waiting forever.
+  const std::string flood(std::size_t{2} << 20, 'x');
+  std::size_t sent = 0;
+  while (sent < flood.size()) {
+    const ssize_t wrote =
+        ::send(channel.fd(), flood.data() + sent, flood.size() - sent, MSG_NOSIGNAL);
+    if (wrote <= 0) {
+      break;
+    }
+    sent += static_cast<std::size_t>(wrote);
+  }
+  EXPECT_GT(sent, kMaxClientLineBytes);
+  ::shutdown(channel.fd(), SHUT_WR);
+
+  std::string line;
+  ASSERT_TRUE(channel.ReadLine(&line));
+  ASSERT_EQ(line.rfind("err ", 0), 0u) << line.substr(0, 200);
+  const RequestError error = RequestErrorFromJson(line.substr(4));
+  EXPECT_EQ(error.code, RequestErrorCode::kProtocol);
+  // Compared through a prefix, so a failure does not print megabytes.
+  EXPECT_EQ(error.message.substr(0, 100),
+            "line longer than 1048576 bytes; closing the connection");
+  EXPECT_FALSE(channel.ReadLine(&line)) << "the connection stayed open";
+
+  // The daemon serves the next client as before.
+  auto client = ServiceClient::Connect(socket_path);
+  ASSERT_TRUE(client.ok()) << client.error().Render();
+  EXPECT_TRUE(client->QueryStatus().ok());
+}
+
 TEST(ExperimentServerTest, ShutdownVerbDrainsAndStopsTheServer) {
   const std::string socket_path = SocketPath("shutdown");
   auto server = ExperimentServer::Start(QuickServer(socket_path));

@@ -103,46 +103,28 @@ TEST(ExperimentRunnerTest, EmptySweep) {
   EXPECT_TRUE(ExperimentRunner(4).RunAll({}).empty());
 }
 
-TEST(ExperimentRunnerTest, RunEachStreamsEverySpecExactlyOnce) {
-  const ProgramLibrary library(EnergyModel::Default());
-  const std::vector<ExperimentSpec> specs = MakeSpecs(library);
-  const std::vector<RunResult> expected = ExperimentRunner(1).RunAll(specs);
-
-  // Callback delivery is serialized by the runner, so plain containers are
-  // safe to touch from it even with 4 workers.
-  std::vector<bool> seen(specs.size(), false);
-  std::vector<RunResult> streamed(specs.size());
-  ExperimentRunner(4).RunEach(specs, [&](std::size_t i, RunResult&& result) {
-    EXPECT_FALSE(seen[i]);
-    seen[i] = true;
-    streamed[i] = std::move(result);
-  });
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_TRUE(seen[i]) << "spec " << i << " never streamed";
-    ExpectIdentical(expected[i], streamed[i]);
-  }
-}
-
-TEST(ExperimentRunnerTest, RunEachSkipsFailedSpecsAndRethrows) {
-  const ProgramLibrary library(EnergyModel::Default());
-  std::vector<ExperimentSpec> specs = MakeSpecs(library);
-  specs[0].config.sched.balancer_name = "no_such_policy";  // spec 0 is energy-aware
-  std::vector<std::size_t> delivered;
-  EXPECT_THROW(ExperimentRunner(2).RunEach(
-                   specs, [&](std::size_t i, RunResult&&) { delivered.push_back(i); }),
-               std::invalid_argument);
-  EXPECT_EQ(delivered.size(), specs.size() - 1);  // every healthy spec still ran
-  for (std::size_t i : delivered) {
-    EXPECT_NE(i, 0u);
-  }
-}
-
 TEST(ExperimentRunnerTest, FailingSpecRethrownForAnyThreadCount) {
   const ProgramLibrary library(EnergyModel::Default());
   std::vector<ExperimentSpec> specs = MakeSpecs(library);
   specs[0].config.sched.balancer_name = "no_such_policy";  // spec 0 is energy-aware
   EXPECT_THROW(ExperimentRunner(1).RunAll(specs), std::invalid_argument);
   EXPECT_THROW(ExperimentRunner(4).RunAll(specs), std::invalid_argument);
+}
+
+TEST(ExperimentRunnerTest, LowestIndexedFailureWinsForAnyThreadCount) {
+  const ProgramLibrary library(EnergyModel::Default());
+  std::vector<ExperimentSpec> specs = MakeSpecs(library);
+  specs[1].config.sched.balancer_name = "first_bad_policy";
+  specs[4].config.sched.balancer_name = "second_bad_policy";
+  for (std::size_t threads : {1u, 4u}) {
+    try {
+      ExperimentRunner(threads).RunAll(specs);
+      ADD_FAILURE() << threads << " threads: no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("\"first_bad_policy\""), std::string::npos)
+          << threads << " threads: " << e.what();
+    }
+  }
 }
 
 TEST(ExperimentRunnerTest, ZeroThreadsPicksHardwareConcurrency) {

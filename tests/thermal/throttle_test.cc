@@ -42,8 +42,6 @@ TEST(ThrottleTest, AccountsThrottledFraction) {
     t.AccountTick(false);
   }
   EXPECT_DOUBLE_EQ(t.ThrottledFraction(), 0.3);
-  EXPECT_EQ(t.throttled_ticks(), 30);
-  EXPECT_EQ(t.total_ticks(), 100);
 }
 
 TEST(ThrottleTest, FractionZeroWithoutTicks) {

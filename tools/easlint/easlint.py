@@ -26,9 +26,8 @@ instead of one instance at test time. Three check families:
   registry/metric    Registered scenario and governor names are lowercase
   hygiene            kebab-case, balance-policy names lowercase snake_case
                      (the established naming rules); the metric schema is
-                     defined exactly once - MetricValue construction and
-                     RegisterScalar/RegisterSeries calls outside
-                     src/sim/metrics.cc are flagged so every summary column
+                     defined exactly once - MetricValue construction outside
+                     src/sim/metrics.cc is flagged so every summary column
                      keeps flowing through MetricScalars.
   text-values        Number parsing has one home: atoi/strtol/sscanf/
                      std::sto*/std::from_chars and their kin are flagged in
@@ -564,17 +563,6 @@ class Linter:
                 "MetricValue constructed outside src/sim/metrics.cc: summary "
                 "columns are defined once, in MetricScalars - add the column "
                 "family there instead",
-            )
-        # Only call sites through a receiver: plain `void RegisterScalar(...)`
-        # declarations (metrics.h) define the API, they don't extend the schema.
-        for match in re.finditer(r"(?:\.|->)\s*(RegisterScalar|RegisterSeries)\s*\(", code):
-            self.add(
-                source,
-                source.line_of(match.start()),
-                "metric-schema",
-                f"{match.group(1)} call outside src/sim/metrics.cc: the "
-                "metric schema has exactly one source of truth, MetricScalars - "
-                "add the column family there instead",
             )
 
     def check_text_values(self, source):

@@ -9,15 +9,8 @@ struct MetricValue {
   double value;
 };
 
-struct MetricRegistry {
-  void RegisterScalar(const char* name, int expander);
-  void RegisterSeries(const char* name, int expander);
-};
-
-void SmuggleColumn(MetricRegistry& registry, std::vector<MetricValue>& out) {
+void SmuggleColumn(std::vector<MetricValue>& out) {
   out.push_back(MetricValue{"rogue_column", 1.0});  // expect: metric-schema
-  registry.RegisterScalar("rogue_scalar", 7);  // expect: metric-schema
-  registry.RegisterSeries("rogue_series", 8);  // expect: metric-schema
 }
 
 }  // namespace eas

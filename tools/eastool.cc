@@ -21,9 +21,9 @@
 // --print-request writes the canonical file for the current flags - so any
 // flag invocation can be captured as data and replayed exactly. --batch
 // runs one request per line of a file, fanned across the parallel
-// ExperimentRunner together. Results stream through ResultSinks: the
-// summary/trace CSVs, JSONL, an ASCII thermal plot, or any --sink
-// kind:path spec the SinkRegistry resolves.
+// ExperimentRunner together. Once every run has finished, the outputs are
+// written from the records (src/api/result_sink.h): the summary/trace CSVs,
+// JSONL and an ASCII thermal plot.
 //
 // The serve/submit/status/shutdown verbs talk the line protocol of
 // src/service/wire.h over a Unix socket; `submit` records are byte-for-byte
@@ -35,7 +35,6 @@
 #include <exception>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -44,13 +43,13 @@
 #include "src/api/result_sink.h"
 #include "src/api/run_request.h"
 #include "src/api/run_session.h"
-#include "src/api/sink_registry.h"
 #include "src/base/flags.h"
 #include "src/base/text.h"
 #include "src/fault/fault_plan.h"
 #include "src/freq/governor_registry.h"
 #include "src/service/experiment_server.h"
 #include "src/service/service_client.h"
+#include "src/sim/csv_export.h"
 #include "src/sim/scenario.h"
 
 namespace {
@@ -76,7 +75,6 @@ void PrintUsage() {
       "                      a submission needing more free slots is rejected\n"
       "                      whole with queue-full)\n"
       "  --list-scenarios    list registered scenarios and exit\n"
-      "  --list-sinks        list registered sink kinds and exit\n"
       "  --scenario NAME     run a registered scenario (flags below override it)\n"
       "  --topology SPEC     colon-separated level widths, outermost level first,\n"
       "                      last level = SMT threads per package (default 2:4:1,\n"
@@ -133,8 +131,6 @@ void PrintUsage() {
       "                      row per run (columns run,name,seed,<metrics>)\n"
       "  --jsonl FILE        write one JSON object per run (metrics + the\n"
       "                      request that reproduces it); FILE '-' = stdout\n"
-      "  --sink SPEC         add a sink by registry spec: csv:PATH | trace:PATH |\n"
-      "                      jsonl:PATH | plot:PATH (PATH '-' = stdout)\n"
       "  --plot              print an ASCII thermal-power plot per run\n");
 }
 
@@ -167,9 +163,9 @@ std::vector<std::string> RequestFlags() {
 // and output flags.
 std::vector<std::string> KnownFlags() {
   std::vector<std::string> flags = RequestFlags();
-  flags.insert(flags.end(), {"help", "list-scenarios", "list-governors", "list-sinks",
-                             "list-faults", "socket", "queue-depth", "batch", "print-request",
-                             "threads", "trace-csv", "summary-csv", "jsonl", "sink", "plot"});
+  flags.insert(flags.end(), {"help", "list-scenarios", "list-governors", "list-faults",
+                             "socket", "queue-depth", "batch", "print-request", "threads",
+                             "trace-csv", "summary-csv", "jsonl", "plot"});
   return flags;
 }
 
@@ -292,6 +288,22 @@ bool AssembleRequests(const eas::FlagParser& flags, bool batch,
   return true;
 }
 
+// Writes `text` to the --jsonl destination, `path` or stdout for "-". The
+// failure ("failed to open PATH" / "failed to write PATH"), or "".
+std::string WriteJsonl(const std::string& path, const std::string& text) {
+  if (path == "-") {
+    std::fputs(text.c_str(), stdout);
+    return "";
+  }
+  std::ofstream stream(path, std::ios::binary);
+  if (!stream) {
+    return "failed to open " + path;
+  }
+  stream << text;
+  stream.close();
+  return stream ? "" : "failed to write " + path;
+}
+
 void PrintResult(const eas::RunRecord& record) {
   const eas::MachineConfig& config = record.spec.config;
   const eas::RunResult& result = record.result;
@@ -382,13 +394,13 @@ int RunSubmit(const eas::FlagParser& flags) {
     return 1;
   }
   if (!jsonl_path.empty()) {
-    eas::JsonlSink sink(jsonl_path);
+    std::string jsonl;
     for (const auto& [key, line] : ordered) {
-      sink.AppendLine(line);
+      jsonl += line;
+      jsonl += '\n';
     }
-    sink.Finish();
-    if (!sink.ok()) {
-      std::fprintf(stderr, "eastool submit: %s\n", sink.error().c_str());
+    if (const std::string error = WriteJsonl(jsonl_path, jsonl); !error.empty()) {
+      std::fprintf(stderr, "eastool submit: %s\n", error.c_str());
       return 1;
     }
     if (jsonl_path != "-") {
@@ -532,13 +544,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (flags.Has("list-sinks")) {
-    for (const std::string& name : eas::SinkRegistry::Global().Names()) {
-      std::printf("%s\n", name.c_str());
-    }
-    return 0;
-  }
-
   // --- assemble the request(s) ----------------------------------------------
   const bool batch = flags.Has("batch");
   std::vector<eas::RunRequest> requests;
@@ -571,44 +576,33 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // --- sinks -----------------------------------------------------------------
-  const std::string trace_csv = flags.GetString("trace-csv");
-  const std::string summary_csv = flags.GetString("summary-csv");
-  const std::string jsonl_path = flags.GetString("jsonl");
-  eas::CsvSink csv(summary_csv, trace_csv);
-  eas::JsonlSink jsonl(jsonl_path);
-  eas::AsciiPlotSink plot(stdout);
-
-  eas::RunSession session(static_cast<std::size_t>(threads));
-  if (!summary_csv.empty() || !trace_csv.empty()) {
-    session.AddSink(csv);
-  }
-  if (!jsonl_path.empty()) {
-    session.AddSink(jsonl);
-  }
-  if (flags.Has("plot")) {
-    session.AddSink(plot);
-  }
-  // --sink kind:path sinks come from the registry - the same resolution the
-  // service uses, so a spec that works here works there.
-  std::unique_ptr<eas::ResultSink> registry_sink;
-  if (flags.Has("sink")) {
-    auto created = eas::SinkRegistry::Global().Create(flags.GetString("sink"));
-    if (!created.ok()) {
-      std::fprintf(stderr, "--sink: %s\n", created.error().Render().c_str());
-      return 1;
-    }
-    registry_sink = std::move(*created);
-    session.AddSink(*registry_sink);
-  }
-
   // --- run (always through the parallel runner) ------------------------------
+  const eas::RunSession session(static_cast<std::size_t>(threads));
   std::vector<eas::RunRecord> records;
   try {
     records = session.Run(resolved);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "run failed: %s\n", e.what());
     return 1;
+  }
+
+  // --- outputs, from the finished records -------------------------------------
+  // Stdout output comes first, record by record: the JSONL line (for
+  // `--jsonl -`), then the plot.
+  const std::string trace_csv = flags.GetString("trace-csv");
+  const std::string summary_csv = flags.GetString("summary-csv");
+  const std::string jsonl_path = flags.GetString("jsonl");
+  std::string jsonl;  // the --jsonl file's contents
+  for (const eas::RunRecord& record : records) {
+    const std::string line = jsonl_path.empty() ? "" : eas::JsonlRecordLine(record) + '\n';
+    if (jsonl_path == "-") {
+      std::fputs(line.c_str(), stdout);
+    } else {
+      jsonl += line;
+    }
+    if (flags.Has("plot")) {
+      std::fputs(eas::RecordPlot(record).c_str(), stdout);
+    }
   }
 
   if (!batch) {
@@ -628,18 +622,30 @@ int main(int argc, char** argv) {
     PrintResult(records[i]);
   }
 
-  csv.Finish();
-  jsonl.Finish();
-  if (registry_sink != nullptr) {
-    registry_sink->Finish();
-  }
-  for (const eas::ResultSink* sink : {static_cast<const eas::ResultSink*>(&csv),
-                                      static_cast<const eas::ResultSink*>(&jsonl),
-                                      static_cast<const eas::ResultSink*>(registry_sink.get())}) {
-    if (sink != nullptr && !sink->ok()) {
-      std::fprintf(stderr, "%s\n", sink->error().c_str());
-      return 1;
+  // Every file is written; the first failure, if any, is reported.
+  std::string error;
+  if (!trace_csv.empty()) {
+    for (const eas::RunRecord& record : records) {
+      const std::string path = eas::TracePath(trace_csv, record.index);
+      if (!eas::WriteFile(path, eas::SeriesSetToCsv(record.result.thermal_power)) &&
+          error.empty()) {
+        error = "failed to write trace CSV " + path;
+      }
     }
+  }
+  if (!summary_csv.empty() && !eas::WriteFile(summary_csv, eas::SummaryCsv(records)) &&
+      error.empty()) {
+    error = "failed to write summary CSV " + summary_csv;
+  }
+  if (!jsonl_path.empty() && jsonl_path != "-") {
+    const std::string jsonl_error = WriteJsonl(jsonl_path, jsonl);
+    if (error.empty()) {
+      error = jsonl_error;
+    }
+  }
+  if (!error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
   }
   if (!trace_csv.empty()) {
     std::printf("trace written:     %s%s\n", trace_csv.c_str(),
