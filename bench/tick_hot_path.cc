@@ -137,7 +137,8 @@ Measurement MeasurePopulation(const eas::ProgramLibrary& library, int tasks, Tic
 
 // End states must match bitwise between the skip-ahead and naive runs: the
 // scheduler-visible aggregates plus the analog state skip-ahead integrates
-// in closed form (package temperature and true power).
+// in closed form (package temperature and true power, and every CPU's
+// thermal-power average).
 bool BitIdentical(eas::SimulationState& a, eas::SimulationState& b) {
   if (a.TotalWorkDone() != b.TotalWorkDone() || a.TotalTaskEnergy() != b.TotalTaskEnergy() ||
       a.migration_count() != b.migration_count() || a.now() != b.now()) {
@@ -145,6 +146,11 @@ bool BitIdentical(eas::SimulationState& a, eas::SimulationState& b) {
   }
   for (std::size_t phys = 0; phys < a.num_physical(); ++phys) {
     if (a.Temperature(phys) != b.Temperature(phys) || a.TruePower(phys) != b.TruePower(phys)) {
+      return false;
+    }
+  }
+  for (std::size_t cpu = 0; cpu < a.num_cpus(); ++cpu) {
+    if (a.ThermalPower(static_cast<int>(cpu)) != b.ThermalPower(static_cast<int>(cpu))) {
       return false;
     }
   }

@@ -2,7 +2,7 @@
 # CMakeLists): one scenario end to end with both CSV outputs parsed
 # non-empty, the request-file round trip (--print-request output must rerun
 # to a byte-identical summary), per-run sweep outputs, batch mode, the order
-# of stdout outputs, an unwritable output path, plus the CLI rejection
+# of stdout outputs, an unwritable or full output path, plus the CLI rejection
 # paths (unknown, removed or repeated flags, bad flag values, bad topology,
 # unknown policy, unknown scenario, too many runs or threads, misread
 # workload and fault values) exiting 1.
@@ -312,6 +312,20 @@ endif()
 file(READ ${beside_summary} beside_text)
 if(NOT beside_text MATCHES "^migrations,")
   message(FATAL_ERROR "unwritable --jsonl: summary CSV looks wrong:\n${beside_text}")
+endif()
+
+# A write that fails only when the file is flushed fails the invocation too.
+if(EXISTS /dev/full)
+  execute_process(
+    COMMAND ${EASTOOL} --topology 1:2:1 --workload hot:2 --duration-s 1 --summary-csv /dev/full
+    RESULT_VARIABLE result OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr)
+  if(NOT result EQUAL 1 OR NOT stderr STREQUAL "failed to write summary CSV /dev/full\n")
+    message(FATAL_ERROR
+            "--summary-csv /dev/full: want exit 1 naming the path, got ${result}: ${stderr}")
+  endif()
+  if(stdout MATCHES "summary written")
+    message(FATAL_ERROR "--summary-csv /dev/full: reported as written:\n${stdout}")
+  endif()
 endif()
 
 # --- rejection paths ----------------------------------------------------------

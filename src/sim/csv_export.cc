@@ -66,6 +66,9 @@ bool WriteFile(const std::string& path, const std::string& contents) {
     return false;
   }
   stream << contents;
+  // A write can fail only when the buffer is flushed (a full device), so
+  // the state that counts is the one after the close.
+  stream.close();
   return static_cast<bool>(stream);
 }
 

@@ -159,7 +159,8 @@ void SimulationEngine::RunQuiescentSpanFast(SimulationState& state, eas::Tick sp
   // touch nothing on an idle machine and draw no randomness, so eliding
   // them is bit-neutral. Each chain repeats its class's own per-tick
   // recurrence, built from the per-tick operands, and StepInLockstep
-  // replays the per-tick loop exactly.
+  // replays the per-tick loop exactly. The two families share one call, so
+  // each block of CPU averages steps beside a block of package temperatures.
   const double idle_share = state.IdlePowerPerLogical();
   const double idle_joules = idle_share * kTickSeconds;
   const std::size_t logical = state.num_cpus();
@@ -167,10 +168,6 @@ void SimulationEngine::RunQuiescentSpanFast(SimulationState& state, eas::Tick sp
   for (std::size_t cpu = 0; cpu < logical; ++cpu) {
     CpuPowerState& power = state.power_state(static_cast<int>(cpu));
     cpu_chains_[cpu] = {power.thermal_power(), power.EnergyRecurrence(idle_joules, kTickSeconds)};
-  }
-  StepInLockstep(std::span(cpu_chains_), span);
-  for (std::size_t cpu = 0; cpu < logical; ++cpu) {
-    state.power_state(static_cast<int>(cpu)).SeedThermalPower(cpu_chains_[cpu].value);
   }
 
   // ThermalStepper's idle expression: halt static power plus zero dynamic
@@ -185,7 +182,11 @@ void SimulationEngine::RunQuiescentSpanFast(SimulationState& state, eas::Tick sp
     package_chains_[phys] = {thermal.temperature(),
                              thermal.RecurrenceFor(true_power, kTickSeconds)};
   }
-  StepInLockstep(std::span(package_chains_), span);
+
+  StepInLockstep(std::span(package_chains_), std::span(cpu_chains_), span);
+  for (std::size_t cpu = 0; cpu < logical; ++cpu) {
+    state.power_state(static_cast<int>(cpu)).SeedThermalPower(cpu_chains_[cpu].value);
+  }
   for (std::size_t phys = 0; phys < physical; ++phys) {
     state.thermal(phys).SetTemperature(package_chains_[phys].value);
   }

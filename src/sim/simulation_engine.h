@@ -123,8 +123,9 @@ class SimulationEngine {
   //  - ungoverned machines with throttling disabled integrate the whole
   //    span in closed form (every CPU's exponential average and every
   //    package's RC model stepped side by side through its per-tick
-  //    recurrence, bit for bit, stopping early at floating-point fixed
-  //    points; src/base/lockstep.h) and jump the clock;
+  //    recurrence in one lockstep pass, each block of averages beside a
+  //    block of temperatures, bit for bit, stopping early at floating-point
+  //    fixed points; src/base/lockstep.h) and jump the clock;
   //  - governed or throttling machines step tick by tick through the
   //    package phases alone (on an idle machine only the gate, governor,
   //    idle energy credit and thermal step change anything), skipping heap
@@ -176,7 +177,8 @@ class SimulationEngine {
   std::vector<std::vector<EventVector>> worker_events_;
 
   // RunQuiescentSpanFast's scratch: one chain per logical CPU's thermal
-  // power and one per package's temperature.
+  // power and one per package's temperature, the two families of its one
+  // StepInLockstep call.
   std::vector<LockstepChain<ExpAverage::Recurrence>> cpu_chains_;
   std::vector<LockstepChain<RcThermalModel::Recurrence>> package_chains_;
 };

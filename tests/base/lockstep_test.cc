@@ -1,8 +1,10 @@
 // StepInLockstep against the one-chain loop it replaces: every chain must
 // end bit for bit where the loop below leaves it, for both recurrence forms
-// the skip-ahead kernel steps, any chain count (full and short blocks), any
-// step count (inside one chunk, across chunk boundaries, long spans), and
-// chains that start at, reach, or never reach a fixed point.
+// the skip-ahead kernel steps, any chain count in either family (full and
+// short blocks, paired blocks and surplus blocks that step alone), any step
+// count (inside one chunk, across chunk boundaries, long spans), and chains
+// that start at, reach, or never reach a fixed point while the other
+// family's block does something else.
 
 #include "src/base/lockstep.h"
 
@@ -39,18 +41,53 @@ double OneChain(double value, const Step& step, std::int64_t n) {
   return value;
 }
 
+using Averages = std::vector<LockstepChain<ExpAverage::Recurrence>>;
+using Temperatures = std::vector<LockstepChain<RcThermalModel::Recurrence>>;
+
 template <typename Step>
-void ExpectMatchesOneChain(std::vector<LockstepChain<Step>> chains, std::int64_t n,
-                           const std::string& label) {
-  std::vector<double> expected;
+std::vector<double> OneChainResults(const std::vector<LockstepChain<Step>>& chains,
+                                    std::int64_t n) {
+  std::vector<double> results;
   for (const LockstepChain<Step>& chain : chains) {
-    expected.push_back(OneChain(chain.value, chain.step, n));
+    results.push_back(OneChain(chain.value, chain.step, n));
   }
-  StepInLockstep(std::span(chains), n);
+  return results;
+}
+
+template <typename Step>
+void ExpectBits(const std::vector<LockstepChain<Step>>& chains, const std::vector<double>& expected,
+                const std::string& label) {
   for (std::size_t i = 0; i < chains.size(); ++i) {
     EXPECT_EQ(std::memcmp(&chains[i].value, &expected[i], sizeof(double)), 0)
         << label << " chain " << i << ": " << chains[i].value << " vs " << expected[i];
   }
+}
+
+// Steps both families in one call, once in each order, and compares every
+// chain with the one-chain loop.
+template <typename StepA, typename StepB>
+void ExpectPairMatchesOneChain(const std::vector<LockstepChain<StepA>>& first,
+                               const std::vector<LockstepChain<StepB>>& second, std::int64_t n,
+                               const std::string& label) {
+  const std::vector<double> first_expected = OneChainResults(first, n);
+  const std::vector<double> second_expected = OneChainResults(second, n);
+  std::vector<LockstepChain<StepA>> a = first;
+  std::vector<LockstepChain<StepB>> b = second;
+  StepInLockstep(std::span(a), std::span(b), n);
+  ExpectBits(a, first_expected, label + ", first family");
+  ExpectBits(b, second_expected, label + ", second family");
+  a = first;
+  b = second;
+  StepInLockstep(std::span(b), std::span(a), n);
+  ExpectBits(a, first_expected, label + ", as second family");
+  ExpectBits(b, second_expected, label + ", as first family");
+}
+
+// One family alone: the other is empty.
+template <typename Step>
+void ExpectMatchesOneChain(const std::vector<LockstepChain<Step>>& chains, std::int64_t n,
+                           const std::string& label) {
+  ExpectPairMatchesOneChain(chains, std::vector<LockstepChain<Step>>{}, n, label);
 }
 
 // A decay for chain `i` of one of three speeds: settles within a chunk or
@@ -105,16 +142,75 @@ TEST(LockstepTest, MatchesOneChainLoopForEveryCountAndSpan) {
   }
 }
 
+TEST(LockstepTest, PairedFamiliesMatchOneChainLoopForEveryCountAndSpan) {
+  // Crossed counts pair full blocks with full or short ones and leave either
+  // family's surplus blocks, full or short, to step alone.
+  constexpr std::size_t kCounts[] = {0, 1, 7, 8, 9, 17};
+  for (const std::size_t average_count : kCounts) {
+    const Averages averages = MakeChains(average_count, average_count * 7 + 1, &AverageToward);
+    for (const std::size_t temperature_count : kCounts) {
+      const Temperatures temperatures =
+          MakeChains(temperature_count, temperature_count * 7 + 2, &TemperatureToward);
+      for (const std::int64_t n : {0, 1, 31, 32, 33, 10'000}) {
+        ExpectPairMatchesOneChain(averages, temperatures, n,
+                                  std::to_string(average_count) + " averages, " +
+                                      std::to_string(temperature_count) + " temperatures, " +
+                                      std::to_string(n) + " steps");
+      }
+    }
+  }
+}
+
+TEST(LockstepTest, OneFamilyFixedAtTheStartWhileTheOtherMoves) {
+  // The fixed family forms no block, so every block of the other steps alone.
+  Averages fixed;
+  for (int i = 0; i < 9; ++i) {
+    const ExpAverage::Recurrence step = AverageToward(10.0 + i, 0.9);
+    fixed.push_back({OneChain(3.0 * i, step, std::numeric_limits<std::int64_t>::max()), step});
+  }
+  const Temperatures moving = MakeChains(9, 5, &TemperatureToward);
+  for (const std::int64_t n : {1, 33, 10'000}) {
+    ExpectPairMatchesOneChain(fixed, moving, n, "fixed averages, n=" + std::to_string(n));
+  }
+}
+
+TEST(LockstepTest, OneFamilySettlingInTheFirstChunkKeepsItsPartnerStepping) {
+  // The averages reach their fixed points within the first chunk; the
+  // temperatures (the engine's 12 s decay) never settle. The paired block
+  // stops only where both have settled, so the temperatures run every step
+  // and the settled lanes step on in place.
+  Averages settling;
+  for (int i = 0; i < 8; ++i) {
+    settling.push_back({50.0 - 7.0 * i, AverageToward(4.0 + i, 0.1)});
+  }
+  for (const LockstepChain<ExpAverage::Recurrence>& chain : settling) {
+    const double settled = OneChain(chain.value, chain.step, kLockstepChunk);
+    ASSERT_EQ(chain.step(settled), settled);
+  }
+  Temperatures moving;
+  for (int i = 0; i < 8; ++i) {
+    moving.push_back({25.0 + i, TemperatureToward(60.0, 1.0 - 1.0 / 12'000.0)});
+  }
+  for (const std::int64_t n : {33, 64, 100, 10'000}) {
+    ExpectPairMatchesOneChain(settling, moving, n, "settling averages, n=" + std::to_string(n));
+  }
+}
+
 TEST(LockstepTest, FixedChainsAreLeftUntouched) {
   // Chains at their fixed point, including a zero whose successor is the
   // other zero (-0.0 steps to +0.0 and == holds, so the one-chain loop stops
   // at once and so must the stepper).
-  std::vector<LockstepChain<ExpAverage::Recurrence>> chains = {
+  Averages chains = {
       {-0.0, {0.0, 0.5}}, {kInf, {1.0, 0.5}}, {-kInf, {1.0, 0.5}}, {2.0, {1.0, 0.5}}};
-  const std::vector<LockstepChain<ExpAverage::Recurrence>> before = chains;
-  StepInLockstep(std::span(chains), 1'000);
-  for (std::size_t i = 0; i < chains.size(); ++i) {
-    EXPECT_EQ(std::memcmp(&chains[i].value, &before[i].value, sizeof(double)), 0) << i;
+  const Averages before = chains;
+  for (const Temperatures& partner : {Temperatures{}, MakeChains(9, 3, &TemperatureToward)}) {
+    chains = before;
+    Temperatures moved = partner;
+    StepInLockstep(std::span(chains), std::span(moved), 1'000);
+    for (std::size_t i = 0; i < chains.size(); ++i) {
+      EXPECT_EQ(std::memcmp(&chains[i].value, &before[i].value, sizeof(double)), 0)
+          << i << " beside " << partner.size() << " moving chains";
+    }
   }
 }
 
@@ -122,15 +218,21 @@ TEST(LockstepTest, NonFiniteValuesMatch) {
   // NaN never compares equal, so a NaN chain runs every step; infinities
   // are fixed at once, or turn to NaN against an opposite infinite target.
   for (const std::int64_t n : {1, 31, 33, 10'000}) {
-    std::vector<LockstepChain<RcThermalModel::Recurrence>> temperatures = {
+    const Temperatures temperatures = {
         {kNaN, {40.0, 0.9}},  {kInf, {40.0, 0.9}},    {-kInf, {40.0, 0.9}}, {30.0, {kInf, 0.9}},
         {30.0, {-kInf, 0.9}}, {kInf, {-kInf, 0.9}},   {30.0, {40.0, kInf}}, {30.0, {40.0, 0.9}},
         {-1.0, {40.0, 0.5}}};
-    ExpectMatchesOneChain(temperatures, n, "temperature n=" + std::to_string(n));
-    std::vector<LockstepChain<ExpAverage::Recurrence>> averages = {
+    const Averages averages = {
         {kNaN, {4.0, 0.9}},  {kInf, {4.0, 0.9}},  {-kInf, {4.0, 0.9}}, {3.0, {kInf, 0.9}},
         {3.0, {-kInf, 0.9}}, {-kInf, {kInf, 0.9}}, {3.0, {4.0, kInf}}, {3.0, {4.0, 0.5}}};
-    ExpectMatchesOneChain(averages, n, "average n=" + std::to_string(n));
+    const std::string label = "n=" + std::to_string(n);
+    ExpectMatchesOneChain(temperatures, n, "temperatures alone, " + label);
+    ExpectMatchesOneChain(averages, n, "averages alone, " + label);
+    ExpectPairMatchesOneChain(temperatures, MakeChains(9, 4, &AverageToward), n,
+                              "temperatures beside moving averages, " + label);
+    ExpectPairMatchesOneChain(averages, MakeChains(9, 6, &TemperatureToward), n,
+                              "averages beside moving temperatures, " + label);
+    ExpectPairMatchesOneChain(temperatures, averages, n, "both non-finite, " + label);
   }
 }
 
@@ -138,47 +240,51 @@ TEST(LockstepTest, ZeroFlipRecomputesTheLane) {
   // t + (x - t) * d with t = -0.0, d = 0.5: the smallest negative subnormal
   // steps to -0.0, which steps to +0.0. The one-chain loop stops at -0.0
   // (+0.0 == -0.0); the lockstep lane steps on to +0.0 and must be
-  // recomputed. The neighbours settle fast (the block stops at the first
-  // chunk boundary) or never (the block runs every step).
+  // recomputed. The neighbours, in its block and in the partner family's
+  // block, settle fast (the block stops at the first chunk boundary) or
+  // never (the block runs every step).
   const double tiny = -std::numeric_limits<double>::denorm_min();
   const RcThermalModel::Recurrence flip{-0.0, 0.5};
   EXPECT_TRUE(std::signbit(OneChain(tiny, flip, 10'000)));
   for (const double neighbour_decay : {0.5, 1.0 - 1.0 / 12'000.0}) {
     for (const std::int64_t n : {1, 2, 3, 31, 33, 10'000}) {
-      std::vector<LockstepChain<RcThermalModel::Recurrence>> chains(
-          9, {25.0, {40.0, neighbour_decay}});
+      Temperatures chains(9, {25.0, {40.0, neighbour_decay}});
       chains[3] = {tiny, flip};
-      ExpectMatchesOneChain(chains, n, "temperature flip n=" + std::to_string(n));
+      const Averages partner(8, {5.0, AverageToward(1.0, neighbour_decay)});
+      const std::string label = "temperature flip n=" + std::to_string(n);
+      ExpectMatchesOneChain(chains, n, label);
+      ExpectPairMatchesOneChain(chains, partner, n, label + " beside averages");
     }
   }
   // The average's form flips with a negative decay: -0.0 steps to +0.0
   // and +0.0 back to -0.0, so the lane ends on either zero by parity.
   const ExpAverage::Recurrence oscillate{-0.0, -0.5};
   for (const std::int64_t n : {1, 2, 3, 32, 33, 10'000}) {
-    std::vector<LockstepChain<ExpAverage::Recurrence>> chains = {
-        {std::numeric_limits<double>::denorm_min(), oscillate}, {5.0, {1.0, 0.5}}};
-    ExpectMatchesOneChain(chains, n, "average flip n=" + std::to_string(n));
+    const Averages chains = {{std::numeric_limits<double>::denorm_min(), oscillate},
+                             {5.0, {1.0, 0.5}}};
+    const std::string label = "average flip n=" + std::to_string(n);
+    ExpectMatchesOneChain(chains, n, label);
+    ExpectPairMatchesOneChain(chains, Temperatures(3, {25.0, {40.0, 1.0 - 1.0 / 12'000.0}}), n,
+                              label + " beside temperatures");
   }
 }
 
 TEST(LockstepTest, SharesTheClassesPerTickRecurrence) {
   // The recurrence a class hands the stepper is the one its per-tick path
-  // applies: stepping it n times equals n per-tick calls.
+  // applies: stepping it n times equals n per-tick calls, with both classes'
+  // chains stepped in one call as the skip-ahead kernel steps them.
   constexpr std::int64_t kSteps = 5'000;
   ExpAverage average = ExpAverage::WithTimeConstant(12.0, 0.001);
   average.Reset(30.0);
   RcThermalModel model(ThermalParams{});
   model.SetTemperature(55.0);
-  std::vector<LockstepChain<ExpAverage::Recurrence>> averages = {
-      {average.value(), average.RecurrenceFor(7.5, 0.001)}};
-  std::vector<LockstepChain<RcThermalModel::Recurrence>> temperatures = {
-      {model.temperature(), model.RecurrenceFor(7.5, 0.001)}};
+  Averages averages = {{average.value(), average.RecurrenceFor(7.5, 0.001)}};
+  Temperatures temperatures = {{model.temperature(), model.RecurrenceFor(7.5, 0.001)}};
   for (std::int64_t i = 0; i < kSteps; ++i) {
     average.AddRateSample(7.5, 0.001);
     model.Step(7.5, 0.001);
   }
-  StepInLockstep(std::span(averages), kSteps);
-  StepInLockstep(std::span(temperatures), kSteps);
+  StepInLockstep(std::span(temperatures), std::span(averages), kSteps);
   EXPECT_EQ(averages[0].value, average.value());
   EXPECT_EQ(temperatures[0].value, model.temperature());
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -123,6 +124,15 @@ TEST(CsvExportTest, WriteFileRoundTrip) {
 
 TEST(CsvExportTest, WriteFileFailsOnBadPath) {
   EXPECT_FALSE(WriteFile("/nonexistent-dir/x/y.csv", "data"));
+}
+
+TEST(CsvExportTest, WriteFileFailsOnFullDevice) {
+  // /dev/full opens and buffers the write, then fails it with ENOSPC when
+  // the stream is flushed.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this system";
+  }
+  EXPECT_FALSE(WriteFile("/dev/full", "data"));
 }
 
 }  // namespace

@@ -212,8 +212,11 @@ void ExpectFastPathMatchesNaive(const std::string& topology, int tasks, Tick tic
 
 TEST(SkipAheadTest, FastPathEngagesOnSparseWorkloadAndMatchesNaive) {
   // The default box, one package, odd package counts, SMT siblings, and a
-  // CPU count that is not a multiple of the stepper's block width.
-  for (const std::string topology : {"", "1:1:1", "1:3:1", "2:4:2", "3:3:1"}) {
+  // CPU count that is not a multiple of the stepper's block width. 2:5:2
+  // has 10 package temperatures: in each span a full block of them steps
+  // beside the short block of CPU averages that moved, and the short
+  // surplus block of temperatures steps alone.
+  for (const std::string topology : {"", "1:1:1", "1:3:1", "2:4:2", "3:3:1", "2:5:2"}) {
     ExpectFastPathMatchesNaive(topology, /*tasks=*/3, /*ticks=*/50'000);
   }
 }

@@ -118,7 +118,8 @@ void PrintUsage() {
       "                      above override its fields)\n"
       "  --batch FILE        run every request in FILE (one per line, 'key = v;\n"
       "                      key = v' form) as one parallel sweep; run-shaping\n"
-      "                      flags are rejected, sink flags below apply\n"
+      "                      flags are rejected, the output flags below\n"
+      "                      (--trace-csv, --summary-csv, --jsonl, --plot) apply\n"
       "  --print-request     print the canonical request file for the current\n"
       "                      flags and exit (replay it with --request); with\n"
       "                      --batch, the canonical batch file (one per line)\n"
