@@ -123,7 +123,7 @@ void BM_EnergyBalancerPass(benchmark::State& state) {
     env.Spawn(*p);
   }
   machine.Run(2'000);  // settle
-  eas::EnergyLoadBalancer balancer;
+  eas::EnergyLoadBalancer balancer(eas::EnergyLoadBalancer::Options{});
   int cpu = 0;
   for (auto _ : state) {
     env.aggregate_cache().BeginPass();

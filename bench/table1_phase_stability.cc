@@ -9,11 +9,11 @@
 // We execute each program model standalone, account energy per 100 ms
 // timeslice with the calibrated estimator, and report the same statistics.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <vector>
 
-#include "src/base/stats.h"
 #include "src/counters/calibration.h"
 #include "src/counters/energy_estimator.h"
 #include "src/task/task.h"
@@ -55,13 +55,13 @@ ChangeStats MeasureProgram(const eas::Program& program, const eas::EnergyModel& 
   }
 
   ChangeStats stats;
-  eas::RunningStats changes;
+  double change_sum = 0.0;
   for (std::size_t i = 1; i < powers.size(); ++i) {
     const double change = std::fabs(powers[i] - powers[i - 1]) / powers[i - 1];
-    changes.Add(change);
+    stats.max_change = std::max(stats.max_change, change);
+    change_sum += change;
   }
-  stats.max_change = changes.max();
-  stats.avg_change = changes.mean();
+  stats.avg_change = change_sum / static_cast<double>(powers.size() - 1);
   stats.timeslices = static_cast<int>(powers.size());
   return stats;
 }

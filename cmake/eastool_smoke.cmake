@@ -4,8 +4,8 @@
 # to a byte-identical summary), per-run sweep outputs, batch mode, the order
 # of stdout outputs, an unwritable or full output path, plus the CLI rejection
 # paths (unknown, removed or repeated flags, bad flag values, bad topology,
-# unknown policy, unknown scenario, too many runs or threads, misread
-# workload and fault values) exiting 1.
+# unknown policy, unknown scenario, too many runs or threads, a seed sweep
+# that wraps, misread workload and fault values) exiting 1.
 #
 # Variables: EASTOOL (path to the binary), OUT_DIR (writable scratch dir).
 
@@ -354,6 +354,10 @@ run_expect_flag_rejected(runs ${EASTOOL} --runs 18446744073709551615 --print-req
 set(huge_runs_file ${OUT_DIR}/eastool_smoke_huge_runs.req)
 file(WRITE ${huge_runs_file} "runs = 18446744073709551615\n")
 run_expect_flag_rejected(runs ${EASTOOL} --request ${huge_runs_file} --print-request)
+# A seed sweep that would wrap past 2^64-1 to seed 0 is rejected, not run as
+# the first runs of the seed-0 sweep.
+run_expect_flag_rejected("bad runs: want seed \\+ runs - 1 <= 18446744073709551615"
+                         ${EASTOOL} --seed 18446744073709551615 --runs 2 --print-request)
 run_expect_flag_rejected(--jsonl ${EASTOOL} --duration-s 1
                          --jsonl ${OUT_DIR}/eastool_smoke_a.jsonl
                          --jsonl ${OUT_DIR}/eastool_smoke_b.jsonl)

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <type_traits>
@@ -506,6 +507,13 @@ Expected<ResolvedRequest> ResolveRunRequest(const RunRequest& request, ScenarioC
   if (request.runs > kMaxRuns) {
     return MakeError(RequestErrorCode::kBadValue, "runs",
                      "bad runs: want at most " + std::to_string(kMaxRuns) + " per request");
+  }
+  // The sweep seeds its runs seed ... seed + runs - 1; a seed past 2^64 - 1
+  // would wrap to 0 and repeat the first runs of another sweep.
+  constexpr std::uint64_t kLastSeed = std::numeric_limits<std::uint64_t>::max();
+  if (request.runs - 1 > kLastSeed - spec.config.seed) {
+    return MakeError(RequestErrorCode::kBadValue, "runs",
+                     "bad runs: want seed + runs - 1 <= " + std::to_string(kLastSeed));
   }
   resolved.specs = request.runs == 1
                        ? std::vector<ExperimentSpec>{std::move(spec)}

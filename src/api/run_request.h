@@ -110,7 +110,7 @@ struct RunRequest {
   std::optional<std::uint64_t> seed;  // base seed (default 42)
 
   // Seed-sweep width: the request expands into `runs` specs seeded
-  // [seed, seed + runs).
+  // [seed, seed + runs), so seed + runs - 1 may not pass 2^64 - 1.
   std::uint64_t runs = 1;
 
   bool operator==(const RunRequest&) const = default;

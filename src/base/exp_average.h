@@ -35,14 +35,6 @@ class ExpAverage {
   // step. Used to calibrate thermal power to the thermal model (Section 4.3).
   static ExpAverage WithTimeConstant(double tau, double standard_period);
 
-  // Folds in one sample: `value` is the quantity accumulated over `period`
-  // time units (e.g. joules consumed during the period). The average tracks
-  // the *rate* per standard period (e.g. joules per timeslice, i.e. power up
-  // to a constant factor).
-  void AddSample(double value, double period) {
-    AddRateSample(value * standard_period_ / period, period);
-  }
-
   // One rate sample's recurrence, value <- blended + decay * value with
   // blended = (1 - decay) * rate: the single definition AddRateSample and
   // the skip-ahead span kernel (src/base/lockstep.h) apply.

@@ -26,15 +26,6 @@ Series& SeriesSet::Create(std::string name) {
   return series_.back();
 }
 
-Series* SeriesSet::Find(const std::string& name) {
-  for (auto& s : series_) {
-    if (s.name() == name) {
-      return &s;
-    }
-  }
-  return nullptr;
-}
-
 double SeriesSet::MaxValue() const {
   double best = 0.0;
   for (const auto& s : series_) {

@@ -47,7 +47,6 @@ class Series {
 class SeriesSet {
  public:
   Series& Create(std::string name);
-  Series* Find(const std::string& name);
   const std::deque<Series>& all() const { return series_; }
   std::size_t size() const { return series_.size(); }
   Series& at(std::size_t i) { return series_[i]; }

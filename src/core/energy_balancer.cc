@@ -4,8 +4,6 @@
 
 namespace eas {
 
-EnergyLoadBalancer::EnergyLoadBalancer() : EnergyLoadBalancer(Options{}) {}
-
 EnergyLoadBalancer::EnergyLoadBalancer(const Options& options) : options_(options) {}
 
 EnergyLoadBalancer::Result EnergyLoadBalancer::BalanceSteps(int cpu, BalanceEnv& env) const {

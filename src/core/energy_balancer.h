@@ -44,7 +44,6 @@ class EnergyLoadBalancer : public BalancePolicy {
   // would merely flip the imbalance is rejected).
   static constexpr double kMinGapShrink = 0.85;
 
-  EnergyLoadBalancer();
   explicit EnergyLoadBalancer(const Options& options);
 
   struct Result {

@@ -40,12 +40,6 @@ class EnergyEstimator {
   // static share for `active_ticks` ticks of execution.
   double EstimateEnergy(const EventVector& counter_diff, Tick active_ticks) const;
 
-  // Equivalent average power over `active_ticks`. A nonzero counter diff
-  // with `active_ticks <= 0` (execution the tick accounting could not
-  // resolve) is attributed to the minimum accountable period of one tick; a
-  // zero diff yields 0 W.
-  double EstimatePower(const EventVector& counter_diff, Tick active_ticks) const;
-
   const EventWeights& weights() const { return weights_; }
   double static_power_per_logical() const { return static_power_per_logical_watts_; }
 

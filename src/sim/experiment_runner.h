@@ -45,6 +45,8 @@ class ExperimentRunner {
 
   // Expands `base` into one spec per (name, config) variant produced by
   // repeating it with the seeds [base.config.seed, base.config.seed + n).
+  // The seeds must not wrap past 2^64 - 1; ResolveRunRequest rejects a
+  // request whose sweep would.
   static std::vector<ExperimentSpec> SeedSweep(const ExperimentSpec& base, std::size_t n);
 
  private:

@@ -563,6 +563,27 @@ TEST(RunRequestResolveTest, RejectionsDiagnose) {
     EXPECT_EQ(error.Render(), "bad runs: want at most 100000 per request") << runs;
   }
 
+  // The sweep seeds its runs seed ... seed + runs - 1: a sweep that would
+  // wrap past 2^64 - 1 to seed 0 is rejected; one that ends on it resolves.
+  constexpr std::uint64_t kLastSeed = std::numeric_limits<std::uint64_t>::max();
+  request = RunRequest{};
+  request.seed = kLastSeed;
+  request.runs = 2;
+  const RequestError wrap = ResolveErr(request);
+  EXPECT_EQ(wrap.code, RequestErrorCode::kBadValue);
+  EXPECT_EQ(wrap.key, "runs");
+  EXPECT_EQ(wrap.Render(), "bad runs: want seed + runs - 1 <= 18446744073709551615");
+  request.seed = kLastSeed - 1;
+  const auto last_two = ResolveRunRequest(request);
+  ASSERT_TRUE(last_two.ok());
+  ASSERT_EQ(last_two->specs.size(), 2u);
+  EXPECT_EQ(last_two->specs.back().config.seed, kLastSeed);
+  request.seed = kLastSeed;
+  request.runs = 1;
+  const auto last_one = ResolveRunRequest(request);
+  ASSERT_TRUE(last_one.ok());
+  EXPECT_EQ(last_one->specs.front().config.seed, kLastSeed);
+
   // Each intra-run worker is an OS thread: past eastool's --threads cap the
   // count is a diagnosed rejection, before any engine starts one.
   for (const std::uint64_t threads : {std::uint64_t{1'025}, ~std::uint64_t{0}}) {

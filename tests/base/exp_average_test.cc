@@ -63,19 +63,6 @@ TEST(ExpAverageTest, LongPeriodWeightsPastLess) {
   EXPECT_NEAR(avg_long.value(), 100.0 * std::pow(0.5, 3.0), 1e-9);
 }
 
-TEST(ExpAverageTest, AddSampleNormalizesByPeriod) {
-  // AddSample(value, period) should treat value/period as the rate.
-  ExpAverage a(0.4, 2.0);
-  a.Reset(10.0);
-  a.AddSample(12.0, 2.0);  // rate = 12/2*2 = 12 per standard period
-
-  ExpAverage b(0.4, 2.0);
-  b.Reset(10.0);
-  b.AddRateSample(12.0, 2.0);
-
-  EXPECT_NEAR(a.value(), b.value(), 1e-12);
-}
-
 TEST(ExpAverageTest, TimeConstantStepResponse) {
   // Feeding a step for exactly tau must cover ~63.2% of the step.
   const double tau = 10.0;

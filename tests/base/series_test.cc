@@ -38,13 +38,13 @@ TEST(SeriesTest, ValueAtFindsLastSampleBefore) {
   EXPECT_DOUBLE_EQ(s.ValueAt(-1, 9.0), 9.0);
 }
 
-TEST(SeriesSetTest, CreateAndFind) {
+TEST(SeriesSetTest, CreateAppendsInOrder) {
   SeriesSet set;
   set.Create("a");
   set.Create("b");
   EXPECT_EQ(set.size(), 2u);
-  EXPECT_NE(set.Find("a"), nullptr);
-  EXPECT_EQ(set.Find("c"), nullptr);
+  EXPECT_EQ(set.at(0).name(), "a");
+  EXPECT_EQ(set.at(1).name(), "b");
 }
 
 TEST(SeriesSetTest, SpreadAt) {

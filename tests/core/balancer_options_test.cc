@@ -26,7 +26,7 @@ void BuildImbalance(FakeEnv& env) {
 TEST(BalancerOptionsTest, DefaultOptionsMigrate) {
   FakeEnv env(TwoCpus());
   BuildImbalance(env);
-  EnergyLoadBalancer balancer;
+  EnergyLoadBalancer balancer(EnergyLoadBalancer::Options{});
   EXPECT_EQ(balancer.BalanceSteps(1, env).energy_migrations, 1);
 }
 
@@ -59,7 +59,7 @@ int EnergyPulls(double local, double hot) {
   env.AddTask(local, 1);
   env.SetThermalPower(0, 55.0);
   env.SetThermalPower(1, 36.0);
-  return EnergyLoadBalancer().BalanceSteps(1, env).energy_migrations;
+  return EnergyLoadBalancer(EnergyLoadBalancer::Options{}).BalanceSteps(1, env).energy_migrations;
 }
 
 TEST(BalancerOptionsTest, MinTaskGainBoundary) {
@@ -89,7 +89,7 @@ int LoadPulls(int longer_by) {
   env.AddRunningTask(40.0, 1);
   env.SetThermalPower(0, 40.0);
   env.SetThermalPower(1, 40.0);
-  return EnergyLoadBalancer().BalanceSteps(1, env).load_migrations;
+  return EnergyLoadBalancer(EnergyLoadBalancer::Options{}).BalanceSteps(1, env).load_migrations;
 }
 
 TEST(BalancerOptionsTest, MinLoadImbalanceBoundary) {
@@ -102,7 +102,7 @@ TEST(BalancerOptionsTest, MinLoadImbalanceBoundary) {
 TEST(BalancerOptionsTest, ResultTotalsAddUp) {
   FakeEnv env(TwoCpus());
   BuildImbalance(env);
-  EnergyLoadBalancer balancer;
+  EnergyLoadBalancer balancer(EnergyLoadBalancer::Options{});
   const auto result = balancer.BalanceSteps(1, env);
   EXPECT_EQ(result.total(),
             result.energy_migrations + result.exchange_migrations + result.load_migrations);

@@ -20,7 +20,7 @@ TEST(EnergyBalancerTest, PullsHeatFromHotterCpu) {
   env.SetThermalPower(0, 55.0);
   env.SetThermalPower(1, 36.0);
 
-  EnergyLoadBalancer balancer;
+  EnergyLoadBalancer balancer(EnergyLoadBalancer::Options{});
   const auto result = balancer.BalanceSteps(1, env);
   EXPECT_EQ(result.energy_migrations, 1);
   // Load stayed balanced: the exchange sent a cool task back.
@@ -42,7 +42,7 @@ TEST(EnergyBalancerTest, HysteresisBlocksWhenRemoteNotThermallyHotter) {
   env.SetThermalPower(0, 30.0);
   env.SetThermalPower(1, 36.0);
 
-  EnergyLoadBalancer balancer;
+  EnergyLoadBalancer balancer(EnergyLoadBalancer::Options{});
   const auto result = balancer.BalanceSteps(1, env);
   EXPECT_EQ(result.energy_migrations, 0);
 }
@@ -58,7 +58,7 @@ TEST(EnergyBalancerTest, RunqueueConditionBlocksOverPulling) {
   env.SetThermalPower(0, 55.0);
   env.SetThermalPower(1, 36.0);
 
-  EnergyLoadBalancer balancer;
+  EnergyLoadBalancer balancer(EnergyLoadBalancer::Options{});
   const auto result = balancer.BalanceSteps(1, env);
   EXPECT_EQ(result.energy_migrations, 0);
 }
@@ -72,7 +72,7 @@ TEST(EnergyBalancerTest, NoActionWhenBalanced) {
   env.SetThermalPower(0, 48.0);
   env.SetThermalPower(1, 48.0);
 
-  EnergyLoadBalancer balancer;
+  EnergyLoadBalancer balancer(EnergyLoadBalancer::Options{});
   EXPECT_EQ(balancer.Balance(0, env), 0);
   EXPECT_EQ(balancer.Balance(1, env), 0);
 }
@@ -89,7 +89,7 @@ TEST(EnergyBalancerTest, NoPingPongAfterBalancing) {
   env.SetThermalPower(0, 55.0);
   env.SetThermalPower(1, 36.0);
 
-  EnergyLoadBalancer balancer;
+  EnergyLoadBalancer balancer(EnergyLoadBalancer::Options{});
   EXPECT_GT(balancer.Balance(1, env), 0);
   const std::int64_t after_first = env.migration_count();
   for (int round = 0; round < 5; ++round) {
@@ -113,7 +113,7 @@ TEST(EnergyBalancerTest, RespectsMaxPowerRatios) {
   env.SetThermalPower(0, 45.0);  // ratio 0.68
   env.SetThermalPower(1, 50.0);  // ratio 1.14
 
-  EnergyLoadBalancer balancer;
+  EnergyLoadBalancer balancer(EnergyLoadBalancer::Options{});
   const auto result = balancer.BalanceSteps(0, env);
   EXPECT_EQ(result.energy_migrations, 1);
 }
@@ -127,7 +127,7 @@ TEST(EnergyBalancerTest, LoadStepStillBalancesLoad) {
   env.SetThermalPower(0, 50.0);
   env.SetThermalPower(1, 50.0);
 
-  EnergyLoadBalancer balancer;
+  EnergyLoadBalancer balancer(EnergyLoadBalancer::Options{});
   const auto result = balancer.BalanceSteps(1, env);
   EXPECT_GE(result.load_migrations, 1);
 }
@@ -143,7 +143,7 @@ TEST(EnergyBalancerTest, LoadStepPullsCoolTaskFromCoolerGroup) {
   env.SetThermalPower(0, 30.0);
   env.SetThermalPower(1, 55.0);
 
-  EnergyLoadBalancer balancer;
+  EnergyLoadBalancer balancer(EnergyLoadBalancer::Options{});
   const auto result = balancer.BalanceSteps(1, env);
   ASSERT_GE(result.load_migrations, 1);
   // The first pulled task should be the coolest queued one.
@@ -167,7 +167,7 @@ TEST(EnergyBalancerTest, SkipsEnergyStepInSmtDomain) {
   env.SetThermalPower(0, 55.0);
   env.SetThermalPower(1, 30.0);
 
-  EnergyLoadBalancer balancer;
+  EnergyLoadBalancer balancer(EnergyLoadBalancer::Options{});
   const auto result = balancer.BalanceSteps(1, env);
   EXPECT_EQ(result.energy_migrations, 0);
   EXPECT_EQ(result.load_migrations, 0);  // load is balanced
@@ -192,7 +192,7 @@ TEST(EnergyBalancerTest, EnergyBalancesAcrossPackagesOnSmtMachine) {
   for (int cpu : {1, 3}) {
     env.SetThermalPower(cpu, 18.0);
   }
-  EnergyLoadBalancer balancer;
+  EnergyLoadBalancer balancer(EnergyLoadBalancer::Options{});
   const auto result = balancer.BalanceSteps(1, env);
   EXPECT_EQ(result.energy_migrations, 1);
 }

@@ -47,7 +47,7 @@ TEST(PowerOnlyBalancerTest, PingPongsWhereDualMetricIsQuiet) {
 
   FakeEnv paper_env(TwoCpus());
   build(paper_env);
-  EnergyLoadBalancer paper;
+  EnergyLoadBalancer paper(EnergyLoadBalancer::Options{});
   for (int round = 0; round < 10; ++round) {
     paper.Balance(0, paper_env);
     paper.Balance(1, paper_env);
@@ -79,7 +79,7 @@ TEST(TemperatureOnlyBalancerTest, OverBalancesOnStaleHeat) {
   paper_env.AddTask(40.0, 1);
   paper_env.SetThermalPower(0, 55.0);
   paper_env.SetThermalPower(1, 30.0);
-  EnergyLoadBalancer paper;
+  EnergyLoadBalancer paper(EnergyLoadBalancer::Options{});
   EXPECT_EQ(paper.BalanceSteps(1, paper_env).energy_migrations, 0)
       << "the dual-metric design must not over-balance";
 }

@@ -30,29 +30,6 @@ TEST(EnergyEstimatorTest, EstimateEnergyAddsStaticShare) {
   EXPECT_NEAR(estimator.EstimateEnergy(ZeroEvents(), 100), 18.0 * 0.1, 1e-9);
 }
 
-TEST(EnergyEstimatorTest, EstimatePowerNormalizes) {
-  const EnergyModel model = EnergyModel::Default();
-  const EnergyEstimator estimator = EnergyEstimator::Oracle(model, 1);
-  EventVector events{};
-  events[EventIndex(EventType::kIntAluOps)] = 1000.0;
-  const double power_100 = estimator.EstimatePower(events, 100);
-  // Same events over half the time means double the dynamic power.
-  const double power_50 = estimator.EstimatePower(events, 50);
-  EXPECT_GT(power_50, power_100);
-}
-
-TEST(EnergyEstimatorTest, EstimatePowerAtZeroTicks) {
-  const EnergyEstimator estimator = EnergyEstimator::Oracle(EnergyModel::Default(), 1);
-  // No events, no accounted time: genuinely idle, 0 W.
-  EXPECT_DOUBLE_EQ(estimator.EstimatePower(ZeroEvents(), 0), 0.0);
-  // A nonzero diff at zero accounted ticks is under-resolved execution, not
-  // idleness: it must surface as the one-tick power, never as 0 W.
-  EventVector events{};
-  events[EventIndex(EventType::kIntAluOps)] = 1000.0;
-  EXPECT_DOUBLE_EQ(estimator.EstimatePower(events, 0), estimator.EstimatePower(events, 1));
-  EXPECT_GT(estimator.EstimatePower(events, 0), 0.0);
-}
-
 TEST(EnergyEstimatorTest, TaskPowerReconstruction) {
   // A full pipeline check: a task emitting bitcnts-like rates for one
   // timeslice must be estimated at ~its nominal power.
@@ -69,7 +46,7 @@ TEST(EnergyEstimatorTest, TaskPowerReconstruction) {
       total[i] += rates[i];
     }
   }
-  EXPECT_NEAR(estimator.EstimatePower(total, ticks), 61.0, 1e-6);
+  EXPECT_NEAR(estimator.EstimateEnergy(total, ticks) / TicksToSeconds(ticks), 61.0, 1e-6);
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/thermal/thermal_sensor.h"
-
 namespace eas {
 namespace {
 
@@ -58,32 +56,6 @@ TEST(CoolingProfileTest, PaperProfileSharedTimeConstant) {
   for (std::size_t phys = 0; phys < 8; ++phys) {
     EXPECT_NEAR(profile.ParamsFor(phys).TimeConstant(), 12.0, 1e-9);
   }
-}
-
-TEST(ThermalSensorTest, QuantizesToResolution) {
-  const ThermalSensor sensor(1.0, 5);
-  EXPECT_DOUBLE_EQ(sensor.Read(38.7), 38.0);
-  EXPECT_DOUBLE_EQ(sensor.Read(38.0), 38.0);
-  EXPECT_DOUBLE_EQ(sensor.Read(-0.5), -1.0);
-}
-
-TEST(ThermalSensorTest, ReadLatencyIsExpensive) {
-  // The paper's point: several milliseconds per read makes per-timeslice
-  // temperature accounting impractical.
-  const ThermalSensor sensor(1.0, 5);
-  EXPECT_GE(sensor.read_latency_ticks(), 5);
-}
-
-TEST(ThermalSensorTest, CannotResolveOneTimesliceOfHeat) {
-  // Energy of one 100 ms timeslice at 61 W into a 40 J/K capacitor changes
-  // temperature by ~0.15 K - far below the 1 K diode resolution. This is the
-  // quantitative argument for counter-based estimation (Section 3.1).
-  ThermalParams p;
-  p.capacitance = 40.0;
-  const double delta_t = 61.0 * 0.1 / p.capacitance;
-  EXPECT_LT(delta_t, 1.0);
-  const ThermalSensor sensor(1.0, 5);
-  EXPECT_DOUBLE_EQ(sensor.Read(38.0), sensor.Read(38.0 + delta_t));
 }
 
 }  // namespace
